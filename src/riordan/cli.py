@@ -7,7 +7,7 @@ exact zeros up to the working precision.
 
 Exit codes: 0 on success, 2 for argument/literal parse failures, 3 for
 mathematical domain errors (zero constant divisor, wrong order, missing
-precision, bad depth).
+precision, a ``--depth`` or ``--precision`` below its minimum).
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ PRESETS: dict[str, Callable[[int], Series]] = {
     "curious_g": lambda p: Series([-1, 2], p),        # 2x - 1
     "geometric": _geometric,                          # 1/(1-x)
     "arithgeo": _arithgeo,                            # 1/(1-x)^2
+    # the paper's name for arithgeo: the f of its remainder triangle T(f|curious_g)
     "curious_f": _arithgeo,                           # 1/(1-x)^2
 }
 
@@ -260,6 +261,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # azseq needs one degree past the constant term of A
+        minima = {"depth": 1, "precision": 1 if args.command == "azseq" else 0}
+        for name, minimum in minima.items():
+            if getattr(args, name, minimum) < minimum:
+                raise ValueError(f"--{name}: must be at least {minimum}")
         return args.func(args)
     except SeriesParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,9 +10,9 @@ statements into finite, exact algorithms.
 
 Series division is the flagship instance: ``f/g`` is the fixed point of
 ``t -> ((g0 - g)/g0)*t + f/g0``, and the crossed iteration of its Taylor
-truncations computes it degree by degree.  The same slope with shifted
-offset data produces, column after column, the lower-triangular arrays of
-:mod:`riordan.triangles`.
+truncations computes it degree by degree.  :func:`reciprocal`, the one
+division kernel, applies it one degree per step; triangle columns are
+repeated division, and the crossed iteration is the tests' reference path.
 """
 
 from __future__ import annotations
@@ -172,12 +172,32 @@ def reciprocal_scheme(f: Series, g: Series, precision: int) -> IterationScheme:
 def reciprocal(f: Series, g: Series, precision: int) -> Series:
     """Exact quotient ``f/g`` through ``precision`` (``g`` needs ``g0 != 0``).
 
-    Runs the crossed iteration from 0 for ``precision + 1`` steps; the last
-    iterate satisfies ``result * g == f`` through the requested degree.
+    Step ``n`` of the crossed iteration of :func:`reciprocal_scheme` only
+    fixes coefficient ``n``, so the contraction is applied one degree per
+    step, ``q_n = (f_n - sum_{j>=1} g_j * q_(n-j)) / g0``, with the same limit.
     """
-    scheme = reciprocal_scheme(f, g, precision)
-    trace = iterate_crossed(scheme, Series.zero(precision), precision + 1)
-    return trace.last
+    if precision < 0:
+        raise ValueError("precision must be a natural number")
+    g0 = g.coefficient(0)
+    if g0 == 0:
+        raise DomainError("division domain error: divisor has zero constant term")
+    if f.precision < precision or g.precision < precision:
+        raise PrecisionError(
+            f"division to degree {precision} needs both operands at that precision"
+        )
+    fc, gc = f.coefficients, g.coefficients
+    taps = [(j, gc[j]) for j in range(1, precision + 1) if gc[j]]
+    q = [Fraction(0)] * (precision + 1)
+    # leading zeros of f are leading zeros of f/g
+    start = min(f.order(), precision + 1)
+    for n in range(start, precision + 1):
+        acc = fc[n]
+        for j, gj in taps:
+            if j > n - start:
+                break
+            acc -= gj * q[n - j]
+        q[n] = acc / g0
+    return Series(q)
 
 
 def column_scheme(f: Series, g: Series, n: int, prev_column: Series) -> IterationScheme:

@@ -65,6 +65,8 @@ def invert_series(omega: Series, precision: int) -> Series:
     result ``y`` satisfies ``omega(y) == y(omega) == x`` through the
     requested degree.
     """
+    if precision < 0:
+        raise ValueError("precision must be a natural number")
     if omega.order() != 1:
         raise DomainError("not invertible: order must be 1")
     if omega.precision < precision + 1:

@@ -105,10 +105,6 @@ class Series:
     def x(cls, precision: int = 1) -> Series:
         return cls((0, 1), precision)
 
-    @classmethod
-    def constant(cls, value: Rational, precision: int = 0) -> Series:
-        return cls((value,), precision)
-
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
@@ -281,10 +277,6 @@ class Series:
     # ------------------------------------------------------------------
     # comparisons and rendering
     # ------------------------------------------------------------------
-    def agrees_through(self, other: Series, m: int) -> bool:
-        """True when the degree-``m`` truncations coincide."""
-        return self.truncate(m) == other.truncate(m)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series):
             return NotImplemented

@@ -2,9 +2,9 @@
 
 ``T(f|g)`` (with ``f0 != 0`` and ``g0 != 0``) is the matrix whose column
 ``k``, read as a series, is ``x**k * f / g**(k+1)``.  Column 0 is the
-quotient ``f/g``; each later column repeats the division recurrence with
-the previous column feeding the right-hand side, so the whole matrix
-materialises with nothing more than the division algorithm.
+quotient ``f/g`` and column ``k`` is ``x * column(k-1) / g``, so the whole
+matrix is repeated division: every column goes through the one kernel
+:func:`riordan.fixpoint.reciprocal`.
 
 These matrices form a group under matrix product (the Riordan group),
 closed in parameter form:
@@ -110,16 +110,15 @@ class RiordanMatrix:
         p = self.depth - 1
         if h.precision < p:
             raise PrecisionError(f"apply needs the argument at precision {p}")
-        inv_g = reciprocal(Series.one(p), self.g.truncate(p), p)
-        ratio = self.f.truncate(p) * inv_g
-        return ratio * h.compose(inv_g.shift(1))
+        d, x_over_g = self.to_classical()
+        return d * h.compose(x_over_g)
 
     def product(self, other: RiordanMatrix) -> RiordanMatrix:
         """Group product, computed on the parameters (not the entries)."""
         if self.depth != other.depth:
             raise ValueError("product needs matrices of a common depth")
         p = self.depth - 1
-        omega = reciprocal(Series.one(p), self.g.truncate(p), p).shift(1)  # x/g1
+        omega = _inv(self.g, p).shift(1)  # x/g1
         f_new = self.f.truncate(p) * other.f.compose(omega)
         g_new = self.g.truncate(p) * other.g.compose(omega)
         return build_triangle(f_new, g_new, self.depth)
@@ -130,12 +129,14 @@ class RiordanMatrix:
     def inverse(self) -> RiordanMatrix:
         """Group inverse ``T(1/f(w) | 1/g(w))``, ``w`` the compositional
         inverse of ``x/g`` (computed by the reversion iteration)."""
-        p = self.depth - 1
-        omega = reciprocal(Series.one(p), self.g.truncate(p), p).shift(1)
-        w = invert_series(omega, p)
-        f_new = reciprocal(Series.one(p), self.f.truncate(p).compose(w), p)
-        g_new = reciprocal(Series.one(p), self.g.truncate(p).compose(w), p)
+        f_new, g_new = self._inverse_parameters()
         return build_triangle(f_new, g_new, self.depth)
+
+    def _inverse_parameters(self) -> tuple[Series, Series]:
+        """``(1/f(w), 1/g(w))``, ``w`` the compositional inverse of ``x/g``."""
+        p = self.depth - 1
+        w = invert_series(_inv(self.g, p).shift(1), p)
+        return _inv(self.f.compose(w), p), _inv(self.g.compose(w), p)
 
     # ------------------------------------------------------------------
     # A/Z sequences
@@ -146,11 +147,7 @@ class RiordanMatrix:
         ``Z`` one degree shorter (the division by ``x``)."""
         if self.depth < 2:
             raise ValueError("sequence extraction needs depth >= 2")
-        p = self.depth - 1
-        omega = reciprocal(Series.one(p), self.g.truncate(p), p).shift(1)
-        w = invert_series(omega, p)
-        a_seq = reciprocal(Series.one(p), self.g.truncate(p).compose(w), p)
-        f_inv = reciprocal(Series.one(p), self.f.truncate(p).compose(w), p)
+        f_inv, a_seq = self._inverse_parameters()
         ratio = self.f.coefficient(0) / self.g.coefficient(0)
         numerator = a_seq - f_inv * ratio
         if numerator.coefficient(0) != 0:
@@ -203,7 +200,7 @@ class RiordanMatrix:
         """The classical pair ``(d, h)`` with ``d = f/g`` (column-0
         generating function) and ``h = x/g`` (column k is ``d * h**k``)."""
         p = self.depth - 1
-        inv_g = reciprocal(Series.one(p), self.g.truncate(p), p)
+        inv_g = _inv(self.g, p)
         return self.f.truncate(p) * inv_g, inv_g.shift(1)
 
     # ------------------------------------------------------------------
@@ -230,46 +227,31 @@ class RiordanMatrix:
 
 
 def build_triangle(f: Series, g: Series, depth: int) -> RiordanMatrix:
-    """Materialise the ``depth x depth`` block of ``T(f|g)`` by the column
-    recurrences.
-
-    Column 0:  ``d[0][0] = f0/g0`` and
-    ``d[n][0] = (f_n - sum_{j=1..n} g_j * d[n-j][0]) / g0``.
-
-    Column k: the same recurrence with the previous column replacing the
-    coefficients of ``f``:
-    ``d[n][k] = (d[n-1][k-1] - sum_{j=1..n-k} g_j * d[n-j][k]) / g0``.
+    """Materialise the ``depth x depth`` block of ``T(f|g)`` by repeated
+    division: column 0 is ``f/g`` and column ``k`` is ``x * column(k-1) / g``,
+    each from :func:`riordan.fixpoint.reciprocal` (the tests compare them
+    with the crossed iteration of :func:`riordan.fixpoint.column_scheme`).
 
     Both parameters need nonzero constant terms and precision at least
-    ``depth - 1``.
+    ``depth - 1``; the division kernel enforces the conditions on ``g``.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if f.coefficient(0) == 0:
         raise DomainError("division domain error: f must have a nonzero constant term")
-    if g.coefficient(0) == 0:
-        raise DomainError("division domain error: g must have a nonzero constant term")
-    if f.precision < depth - 1 or g.precision < depth - 1:
-        raise PrecisionError(
-            f"building depth {depth} needs both parameters at precision {depth - 1}"
-        )
-    fc = [f.coefficient(i) for i in range(depth)]
-    gc = [g.coefficient(i) for i in range(depth)]
-    g0 = gc[0]
-    d: list[list[Fraction]] = [[Fraction(0)] * (n + 1) for n in range(depth)]
-    d[0][0] = fc[0] / g0
-    for n in range(1, depth):
-        acc = fc[n]
-        for j in range(1, n + 1):
-            acc -= gc[j] * d[n - j][0]
-        d[n][0] = acc / g0
-    for k in range(1, depth):
-        for n in range(k, depth):
-            acc = d[n - 1][k - 1]
-            for j in range(1, n - k + 1):
-                acc -= gc[j] * d[n - j][k]
-            d[n][k] = acc / g0
-    return RiordanMatrix(f, g, depth, tuple(tuple(row) for row in d))
+    p = depth - 1
+    columns = [reciprocal(f, g, p)]
+    for _ in range(1, depth):
+        columns.append(reciprocal(columns[-1].shift(1).truncate(p), g, p))
+    rows = tuple(
+        tuple(columns[k].coefficients[n] for k in range(n + 1)) for n in range(depth)
+    )
+    return RiordanMatrix(f, g, depth, rows)
+
+
+def _inv(s: Series, p: int) -> Series:
+    """``1/s`` through degree ``p``."""
+    return reciprocal(Series.one(p), s, p)
 
 
 def identity(depth: int) -> RiordanMatrix:
@@ -289,9 +271,9 @@ def from_classical(d: Series, h: Series, depth: int) -> RiordanMatrix:
         raise PrecisionError(
             f"classical construction at depth {depth} needs d at precision {p} and h at {p + 1}"
         )
-    shifted = h.shift(-1).truncate(p)  # h/x, nonzero constant
-    f = reciprocal(d.truncate(p), shifted, p)
-    g = reciprocal(Series.one(p), shifted, p)
+    shifted = h.shift(-1)  # h/x, nonzero constant
+    f = reciprocal(d, shifted, p)
+    g = _inv(shifted, p)
     return build_triangle(f, g, depth)
 
 
@@ -303,15 +285,13 @@ def appell(d: Series, depth: int) -> RiordanMatrix:
 def bell(d: Series, depth: int) -> RiordanMatrix:
     """Bell element ``T(1|1/d)`` for the classical pair ``(d, x*d)``."""
     p = depth - 1
-    g = reciprocal(Series.one(p), d.truncate(p), p)
-    return build_triangle(Series.one(p), g, depth)
+    return build_triangle(Series.one(p), _inv(d, p), depth)
 
 
 def associated(h: Series, depth: int) -> RiordanMatrix:
     """Associated (Lagrange) element ``T(1/h|1/h)`` for the classical
     pair ``(1, x*h)``."""
-    p = depth - 1
-    r = reciprocal(Series.one(p), h.truncate(p), p)
+    r = _inv(h, depth - 1)
     return build_triangle(r, r, depth)
 
 

@@ -246,6 +246,26 @@ def test_product_subcommand_pascal_squared(capsys):
     assert parsed == build_triangle(Series.one(4), Series([1, -2], 4), 5)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("triangle", "--f", "one", "--g", "one", "--depth", "0"), "--depth: must be at least 1"),
+    (("inverse", "--f", "one", "--g", "one", "--depth", "0"), "--depth: must be at least 1"),
+    (("product", "--f1", "one", "--g1", "one", "--f2", "one", "--g2", "one",
+      "--depth", "0"), "--depth: must be at least 1"),
+    (("recip", "--f", "one", "--g", "one", "--precision", "-1"),
+     "--precision: must be at least 0"),
+    (("invert", "--omega", "[0,1]", "--precision", "-1"), "--precision: must be at least 0"),
+    (("azseq", "--f", "one", "--g", "one", "--precision", "-1"),
+     "--precision: must be at least 1"),
+    (("azseq", "--f", "one", "--g", "one", "--precision", "0"),
+     "--precision: must be at least 1"),
+])
+def test_size_below_minimum_names_the_flag(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.strip() == f"error: {message}"
+
+
 # ----------------------------------------------------------------------
 # argparse-level failures
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from riordan.fixpoint import (
     reciprocal_scheme,
 )
 from riordan.series import DomainError, PrecisionError, Series, distance
+from riordan.triangles import build_triangle
 
 from oracles import divide, coeffs, random_series
 
@@ -269,3 +270,44 @@ def test_remainder_recurrence():
     for i in range(2, 7):
         for j in range(1, i + 1):
             assert entry(i, j) == 2 * entry(i - 1, j) - entry(i - 1, j - 1)
+
+
+# ----------------------------------------------------------------------
+# the division kernel against its reference path
+# ----------------------------------------------------------------------
+
+def test_reciprocal_equals_crossed_iteration_limit():
+    # reciprocal applies the division contraction one degree per step; the
+    # crossed iteration of reciprocal_scheme is its reference
+    rng = random.Random(27)
+    panel = []
+    for p in (0, 1, 4, 9):
+        dense = random_series(rng, p, nonzero_constant=True)
+        sparse = Series([dense[0], 0, -1, 0, 0, 2][: p + 1], p)
+        f = random_series(rng, p)
+        leading_zeros = f.shift(2).truncate(p)
+        for g in (dense, sparse):
+            panel += [(f, g, p), (leading_zeros, g, p), (Series.zero(p), g, p)]
+            # operands stored above the requested precision
+            wide_g = random_series(rng, p + 2, nonzero_constant=True)
+            panel.append((random_series(rng, p + 3), wide_g, p))
+    for f, g, p in panel:
+        reference = iterate_crossed(reciprocal_scheme(f, g, p), Series.zero(p), p + 1).last
+        assert reciprocal(f, g, p) == reference, (f, g, p)
+
+
+def test_triangle_columns_equal_column_scheme_limits():
+    rng = random.Random(28)
+    for p in (1, 3, 6):
+        f = random_series(rng, p, nonzero_constant=True)
+        for g in (random_series(rng, p, nonzero_constant=True), Series([2, 0, -1], p)):
+            t = build_triangle(f, g, p + 1)
+            for k in range(1, p + 1):
+                scheme = column_scheme(f, g, k + 1, t.column_series(k - 1))
+                limit = iterate_crossed(scheme, Series.zero(p), p + 1).last
+                assert limit == t.column_series(k), (f, g, k)
+
+
+def test_reciprocal_rejects_negative_precision():
+    with pytest.raises(ValueError, match="precision must be a natural number"):
+        reciprocal(Series.one(3), Series([1, -1], 3), -1)

@@ -115,6 +115,11 @@ def test_invert_precision_zero():
     assert invert_series(Series([0, 1], 3), 0) == Series.zero(0)
 
 
+def test_invert_rejects_negative_precision():
+    with pytest.raises(ValueError, match="precision must be a natural number"):
+        invert_series(Series([0, 1, -1, 0, 0]), -3)
+
+
 # ----------------------------------------------------------------------
 # the contraction behind the scheme
 # ----------------------------------------------------------------------
