@@ -155,11 +155,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if n < 2:
             raise SeriesParseError("--n: column index must be at least 2")
         p = steps
-        one = Series.one(p)
-        g = Series([1, -1], p)
-        # previous column of the binomial triangle: x^(n-2)/(1-x)^(n-1)
-        prev = reciprocal(one, g ** (n - 1), p).shift(n - 2)
-        trace = iterate_crossed(column_scheme(one, g, n, prev), Series.zero(p), steps)
+        # previous column of the binomial triangle, x^(n-2)/(1-x)^(n-1);
+        # column_scheme reads it only below degree p
+        if n - 2 >= p:
+            prev = Series.zero(p)
+        else:
+            k = p - n + 2
+            prev = reciprocal(Series.one(k), Series([1, -1], k) ** (n - 1), k).shift(n - 2)
+        scheme = column_scheme(Series.one(p), Series([1, -1], p), n, prev)
+        trace = iterate_crossed(scheme, Series.zero(p), steps)
     print(render_trace(trace, args.format))
     return 0
 

@@ -11,8 +11,11 @@ statements into finite, exact algorithms.
 Series division is the flagship instance: ``f/g`` is the fixed point of
 ``t -> ((g0 - g)/g0)*t + f/g0``, and the crossed iteration of its Taylor
 truncations computes it degree by degree.  :func:`reciprocal`, the one
-division kernel, applies it one degree per step; triangle columns are
-repeated division, and the crossed iteration is the tests' reference path.
+division kernel, applies it one degree per step.  The reference path the
+tests check it against is one division scheme, :func:`reciprocal_scheme`,
+run by one driver, :func:`iterate_crossed`: a triangle column is the
+division scheme of ``x * previous column``, and plain iteration is the
+crossed iteration of a constant scheme.
 """
 
 from __future__ import annotations
@@ -113,19 +116,6 @@ class IterationTrace:
         return rows
 
 
-def iterate_fixed(map_: AffineMap, start: Series, steps: int) -> IterationTrace:
-    """Plain iteration of one contraction.
-
-    Iterate ``m`` agrees with the fixed point through degree ``m - 1`` at
-    least, provided the precisions of ``start`` and the map data cover the
-    requested depth.
-    """
-    iterates = [start]
-    for _ in range(steps):
-        iterates.append(map_(iterates[-1]))
-    return IterationTrace(tuple(iterates))
-
-
 def iterate_crossed(scheme: IterationScheme, start: Series, steps: int) -> IterationTrace:
     """Crossed iteration: apply ``scheme.maps(m)`` at step ``m``."""
     iterates = [start]
@@ -138,9 +128,26 @@ def iterate_crossed(scheme: IterationScheme, start: Series, steps: int) -> Itera
     return IterationTrace(tuple(iterates))
 
 
-def _contraction_slope(g: Series, precision: int) -> Series:
-    # (g0 - g)/g0: zero constant term by construction, hence a 1/2-contraction.
-    return 1 - g.truncate(precision) * (Fraction(1) / g.coefficient(0))
+def iterate_fixed(map_: AffineMap, start: Series, steps: int) -> IterationTrace:
+    """Plain iteration of one contraction: the crossed iteration of the
+    constant scheme ``m -> map_``.
+
+    Iterate ``m`` agrees with the fixed point through degree ``m - 1`` at
+    least, provided the precisions of ``start`` and the map data cover the
+    requested depth.
+    """
+    return iterate_crossed(IterationScheme(lambda m: map_, map_), start, steps)
+
+
+def _check_division(f: Series, g: Series, precision: int) -> None:
+    if precision < 0:
+        raise ValueError("precision must be a natural number")
+    if g.coefficient(0) == 0:
+        raise DomainError("division domain error: divisor has zero constant term")
+    if f.precision < precision or g.precision < precision:
+        raise PrecisionError(
+            f"division to degree {precision} needs both operands at that precision"
+        )
 
 
 def reciprocal_scheme(f: Series, g: Series, precision: int) -> IterationScheme:
@@ -150,14 +157,11 @@ def reciprocal_scheme(f: Series, g: Series, precision: int) -> IterationScheme:
     ``(g0 - g)/g0`` and offset ``f/g0``; as polynomials they are exact, so
     they are padded back to the working precision.
     """
-    if g.coefficient(0) == 0:
-        raise DomainError("division domain error: divisor has zero constant term")
-    if f.precision < precision or g.precision < precision:
-        raise PrecisionError(
-            f"division to degree {precision} needs both operands at that precision"
-        )
-    slope_data = _contraction_slope(g, precision)
-    offset_data = f.truncate(precision) * (Fraction(1) / g.coefficient(0))
+    _check_division(f, g, precision)
+    inv_g0 = Fraction(1) / g.coefficient(0)
+    # (g0 - g)/g0: zero constant term by construction, hence a 1/2-contraction.
+    slope_data = 1 - g.truncate(precision) * inv_g0
+    offset_data = f.truncate(precision) * inv_g0
 
     def maps(m: int) -> AffineMap:
         cut = min(m, precision)
@@ -176,15 +180,8 @@ def reciprocal(f: Series, g: Series, precision: int) -> Series:
     fixes coefficient ``n``, so the contraction is applied one degree per
     step, ``q_n = (f_n - sum_{j>=1} g_j * q_(n-j)) / g0``, with the same limit.
     """
-    if precision < 0:
-        raise ValueError("precision must be a natural number")
+    _check_division(f, g, precision)
     g0 = g.coefficient(0)
-    if g0 == 0:
-        raise DomainError("division domain error: divisor has zero constant term")
-    if f.precision < precision or g.precision < precision:
-        raise PrecisionError(
-            f"division to degree {precision} needs both operands at that precision"
-        )
     fc, gc = f.coefficients, g.coefficients
     taps = [(j, gc[j]) for j in range(1, precision + 1) if gc[j]]
     q = [Fraction(0)] * (precision + 1)
@@ -212,12 +209,11 @@ def column_scheme(f: Series, g: Series, n: int, prev_column: Series) -> Iteratio
     are 1-indexed here; column 1 is plain division (:func:`reciprocal_scheme`).
 
     ``f`` enters the column data only through ``prev_column``; together with
-    ``g`` it pins the working precision of the scheme.
+    ``g`` it pins the working precision of the scheme.  The scheme is the
+    division scheme of ``x * prev_column`` by ``g``.
     """
     if n < 2:
         raise ValueError("column schemes start at n=2; column 1 is reciprocal_scheme")
-    if g.coefficient(0) == 0:
-        raise DomainError("division domain error: divisor has zero constant term")
     precision = min(f.precision, g.precision)
     if precision < 1:
         raise PrecisionError("column construction needs precision >= 1")
@@ -225,16 +221,4 @@ def column_scheme(f: Series, g: Series, n: int, prev_column: Series) -> Iteratio
         raise PrecisionError(
             f"previous column needs precision >= {precision - 1}"
         )
-    slope_data = _contraction_slope(g, precision)
-    prev_scaled = prev_column.truncate(precision - 1) * (Fraction(1) / g.coefficient(0))
-
-    def maps(m: int) -> AffineMap:
-        slope = slope_data.truncate(min(m, precision)).pad(precision)
-        if m == 0:
-            offset = Series.zero(precision)
-        else:
-            cut = min(m - 1, precision - 1)
-            offset = prev_scaled.truncate(cut).pad(precision - 1).shift(1)
-        return AffineMap(slope, offset)
-
-    return IterationScheme(maps, AffineMap(slope_data, prev_scaled.shift(1)))
+    return reciprocal_scheme(prev_column.truncate(precision - 1).shift(1), g, precision)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from riordan.cli import main
-from riordan.fixpoint import reciprocal
+from riordan.fixpoint import column_scheme, iterate_crossed, reciprocal
 from riordan.series import Series
 from riordan.triangles import build_triangle, from_json_dict
 
@@ -161,6 +161,27 @@ def test_trace_column_n(capsys):
                        "--steps", "5")
     assert code == 0
     assert out.splitlines()[-1] == "x^2+3x^3+6x^4"
+
+
+def test_trace_column_n_against_the_full_previous_column(capsys):
+    steps = 5
+    g = Series([1, -1], steps)
+    for n in range(2, steps + 4):
+        prev = reciprocal(Series.one(steps), g ** (n - 1), steps).shift(n - 2)
+        scheme = column_scheme(Series.one(steps), g, n, prev)
+        expected = [str(s) for s in iterate_crossed(scheme, Series.zero(steps), steps)]
+        code, out, _ = run(capsys, "trace", "--scheme", "column", "--n", str(n),
+                           "--steps", str(steps))
+        assert code == 0
+        assert out.splitlines() == expected, n
+
+
+def test_trace_column_n_huge_index(capsys):
+    # only degrees below --steps are read, so the index costs nothing
+    code, huge, _ = run(capsys, "trace", "--scheme", "column", "--n", "1000000000000",
+                        "--steps", "3")
+    assert code == 0
+    assert huge == run(capsys, "trace", "--scheme", "column", "--n", "5", "--steps", "3")[1]
 
 
 def test_trace_json_round_trip(capsys):

@@ -225,6 +225,25 @@ def test_column_scheme_cancellation_when_f_equals_g():
         assert coeffs(trace.last) == expected
 
 
+def test_column_scheme_step_maps_match_the_formula():
+    # step m: t -> T_m((g0 - g)/g0) * t + x * T_(m-1)(prev / g0), from plain lists
+    rng = random.Random(29)
+    for p in (1, 2, 5, 8):
+        dense = random_series(rng, p, nonzero_constant=True)
+        sparse = Series([dense[0], 0, 0, F(-3, 2)][: p + 1], p)
+        for g, extra in ((dense, 0), (sparse, 2)):
+            f = random_series(rng, p + extra, nonzero_constant=True)
+            prev = random_series(rng, p - 1 + extra)
+            scheme = column_scheme(f, g, rng.randint(2, 5), prev)
+            g0_list = [g[0]]
+            slope = divide([F(0)] + [-c for c in coeffs(g)[1:]], g0_list, p)
+            x_prev = divide([F(0)] + coeffs(prev)[:p], g0_list, p)
+            for m in range(p + 2):
+                amap = scheme.maps(m)
+                assert coeffs(amap.slope) == [c if d <= m else 0 for d, c in enumerate(slope)]
+                assert coeffs(amap.offset) == [c if d <= m else 0 for d, c in enumerate(x_prev)]
+
+
 def test_column_scheme_rejects_first_column():
     with pytest.raises(ValueError):
         column_scheme(Series.one(3), Series([1, -1], 3), 1, Series.one(3))
@@ -309,5 +328,6 @@ def test_triangle_columns_equal_column_scheme_limits():
 
 
 def test_reciprocal_rejects_negative_precision():
-    with pytest.raises(ValueError, match="precision must be a natural number"):
-        reciprocal(Series.one(3), Series([1, -1], 3), -1)
+    for divide_ in (reciprocal, reciprocal_scheme):
+        with pytest.raises(ValueError, match="precision must be a natural number"):
+            divide_(Series.one(3), Series([1, -1], 3), -1)

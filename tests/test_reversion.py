@@ -219,6 +219,16 @@ def test_verify_lagrange_random_panel():
         assert verify_lagrange(omega, 15).ok
 
 
+def test_lagrange_ignores_precision_beyond_the_grid():
+    rng = random.Random(60)
+    for _ in range(3):
+        omega = random_order_one(rng, 30)
+        assert verify_lagrange(omega, 6) == verify_lagrange(omega.truncate(7), 6)
+        g = ReversionProblem.from_omega(omega).g
+        for n, k in ((1, 1), (5, 2), (6, 1)):
+            assert lagrange_coefficient(g, n, k) == lagrange_coefficient(g.truncate(n - k), n, k)
+
+
 def test_report_json_shape():
     report = verify_lagrange(Series([0, 1, -1], 6), 5)
     obj = report.to_json_dict()
