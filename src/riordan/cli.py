@@ -1,20 +1,24 @@
-"""Command-line front end.
+"""Command-line front end: one row of :data:`COMMANDS` per subcommand.
 
-Series arguments are either a preset name or a JSON array giving the
-coefficients by degree, each entry an integer or a ``"p/q"`` string, e.g.
-``[1,-1]`` for ``1 - x``.  Literals are read as polynomials and padded with
-exact zeros up to the working precision.
+Series arguments are either a preset name or a non-empty JSON array giving
+the coefficients by degree, e.g. ``[1,-1]`` for ``1 - x``: each entry an
+integer of at most 4300 digits or a ``"p/q"``, ``"1.5"`` or ``"1e5"``
+string, with an exponent of at most 4300 in magnitude.  Literals are read
+as polynomials and padded with exact zeros up to the working precision.
 
-Exit codes: 0 on success, 2 for argument/literal parse failures, 3 for
-mathematical domain errors (zero constant divisor, wrong order, missing
-precision, a ``--depth`` or ``--precision`` below its minimum).
+Exit codes: 0 on success, 2 for argument/literal parse failures (a literal
+nested past the recursion limit included), 3 for mathematical domain errors
+(zero constant divisor, wrong order, missing precision, a ``--depth`` or
+``--precision`` below its minimum).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .fixpoint import (
@@ -27,7 +31,7 @@ from .fixpoint import (
 )
 from .reversion import invert_series
 from .series import Series, SeriesError
-from .triangles import RiordanMatrix, build_triangle
+from .triangles import RiordanMatrix, SequencePair, build_triangle
 
 __all__ = ["main"]
 
@@ -36,22 +40,14 @@ class SeriesParseError(ValueError):
     """A series literal or preset could not be parsed."""
 
 
-def _geometric(precision: int) -> Series:
-    return reciprocal(Series.one(precision), Series([1, -1], precision), precision)
-
-
-def _arithgeo(precision: int) -> Series:
-    return reciprocal(Series.one(precision), Series([1, -2, 1], precision), precision)
-
-
 PRESETS: dict[str, Callable[[int], Series]] = {
-    "one": lambda p: Series([1], p),                  # 1
-    "pascal_g": lambda p: Series([1, -1], p),         # 1 - x
-    "curious_g": lambda p: Series([-1, 2], p),        # 2x - 1
-    "geometric": _geometric,                          # 1/(1-x)
-    "arithgeo": _arithgeo,                            # 1/(1-x)^2
+    "one": lambda p: Series([1], p),                    # 1
+    "pascal_g": lambda p: Series([1, -1], p),           # 1 - x
+    "curious_g": lambda p: Series([-1, 2], p),          # 2x - 1
+    "geometric": lambda p: Series([1] * (p + 1), p),    # 1/(1-x) = sum x^n
+    "arithgeo": lambda p: Series(range(1, p + 2), p),   # 1/(1-x)^2 = sum (n+1) x^n
     # the paper's name for arithgeo: the f of its remainder triangle T(f|curious_g)
-    "curious_f": _arithgeo,                           # 1/(1-x)^2
+    "curious_f": lambda p: Series(range(1, p + 2), p),  # 1/(1-x)^2
 }
 
 
@@ -63,6 +59,8 @@ def parse_series_arg(text: str, precision: int, name: str) -> Series:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SeriesParseError(f"--{name}: not a preset and not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer over 4300 digits, deep nesting
+        raise SeriesParseError(f"--{name}: {exc}") from exc
     if not isinstance(raw, list) or not raw:
         raise SeriesParseError(f"--{name}: literal must be a non-empty JSON array")
     for i, item in enumerate(raw):
@@ -70,6 +68,10 @@ def parse_series_arg(text: str, precision: int, name: str) -> Series:
             raise SeriesParseError(
                 f"--{name}: entry {i} must be an integer or a 'p/q' string"
             )
+        # Fraction would build 10**exponent first: cap it as Python caps integer digits
+        exponent = isinstance(item, str) and re.search(r"E([-+]?\d+(_\d+)*)\s*\Z", item, re.I)
+        if exponent and abs(float(exponent[1])) > 4300:
+            raise SeriesParseError(f"--{name}: entry {i} has an exponent beyond 4300")
     try:
         return Series(raw, max(precision, len(raw) - 1))
     except (ValueError, ZeroDivisionError) as exc:
@@ -104,104 +106,107 @@ def render_trace(trace: IterationTrace, fmt: str) -> str:
     return "\n".join(str(it) for it in trace)
 
 
-def render_pair(a: Series, z: Series, fmt: str) -> str:
+def render_pair(pair: SequencePair, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps({"A": a.to_strings(), "Z": z.to_strings()})
+        return json.dumps({"A": pair.a_seq.to_strings(), "Z": pair.z_seq.to_strings()})
     if fmt == "csv":
-        return "A," + ",".join(a.to_strings()) + "\nZ," + ",".join(z.to_strings())
-    return f"A = {a}\nZ = {z}"
+        return "A," + ",".join(pair.a_seq.to_strings()) + "\nZ," + ",".join(pair.z_seq.to_strings())
+    return f"A = {pair.a_seq}\nZ = {pair.z_seq}"
 
 
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
 
-def cmd_triangle(args: argparse.Namespace) -> int:
-    f = parse_series_arg(args.f, args.depth - 1, "f")
-    g = parse_series_arg(args.g, args.depth - 1, "g")
-    print(render_matrix(build_triangle(f, g, args.depth), args.format))
-    return 0
+@dataclass(frozen=True)
+class Command:
+    """A subcommand that parses its series flags at ``degree(size)`` and
+    prints ``output(fmt, size, *series)``, where ``size`` is the value of
+    its size flag and exits 3 below ``floor``."""
+
+    help: str
+    series: tuple[str, ...]
+    size: str
+    floor: int
+    degree: Callable[[int], int]
+    output: Callable[..., str]
+
+    def add_arguments(self, parser: argparse.ArgumentParser) -> None:
+        for flag in self.series:
+            parser.add_argument(f"--{flag}", required=True)
+        parser.add_argument(f"--{self.size}", type=int, default=10)
+
+    def run(self, args: argparse.Namespace) -> str:
+        size = getattr(args, self.size)
+        if size < self.floor:
+            raise ValueError(f"--{self.size}: must be at least {self.floor}")
+        degree = self.degree(size)
+        series = [parse_series_arg(getattr(args, flag), degree, flag) for flag in self.series]
+        return self.output(args.format, size, *series)
 
 
-def cmd_recip(args: argparse.Namespace) -> int:
-    f = parse_series_arg(args.f, args.precision, "f")
-    g = parse_series_arg(args.g, args.precision, "g")
-    print(render_series(reciprocal(f, g, args.precision), args.format))
-    return 0
+class Trace:
+    """``riordan trace``, whose ``--steps`` and ``--n`` floors are usage errors (exit 2)."""
 
+    help = "show iteration traces"
 
-def cmd_invert(args: argparse.Namespace) -> int:
-    omega = parse_series_arg(args.omega, args.precision + 1, "omega")
-    print(render_series(invert_series(omega, args.precision), args.format))
-    return 0
+    def add_arguments(self, parser: argparse.ArgumentParser) -> None:
+        parser.add_argument("--scheme", choices=("geometric", "arithgeo", "column", "curious"),
+                            required=True)
+        parser.add_argument("--steps", type=int, default=6)
+        parser.add_argument("--n", type=int, default=3,
+                            help="column index for --scheme column (default: 3)")
 
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    steps = args.steps
-    if steps < 1:
-        raise SeriesParseError("--steps: must be at least 1")
-    if args.scheme == "geometric":
-        p = steps
-        trace = iterate_fixed(
-            AffineMap(Series.x(p), Series.one(p)), Series.zero(p), steps
-        )
-    elif args.scheme == "curious":
-        p = 2 * steps
-        trace = iterate_fixed(
-            AffineMap(Series([0, 2, -1], p), Series.one(p)), Series.zero(p), steps
-        )
-    else:
-        n = 2 if args.scheme == "arithgeo" else args.n
-        if n < 2:
-            raise SeriesParseError("--n: column index must be at least 2")
-        p = steps
-        # previous column of the binomial triangle, x^(n-2)/(1-x)^(n-1);
-        # column_scheme reads it only below degree p
-        if n - 2 >= p:
-            prev = Series.zero(p)
+    def run(self, args: argparse.Namespace) -> str:
+        steps = args.steps
+        if steps < 1:
+            raise SeriesParseError("--steps: must be at least 1")
+        if args.scheme in ("geometric", "curious"):
+            # t -> x*t + 1, or t -> (2x - x^2)*t + 1, whose iterates reach degree 2*steps
+            p = steps if args.scheme == "geometric" else 2 * steps
+            slope = Series.x(p) if args.scheme == "geometric" else Series([0, 2, -1], p)
+            trace = iterate_fixed(AffineMap(slope, Series.one(p)), Series.zero(p), steps)
         else:
-            k = p - n + 2
-            prev = reciprocal(Series.one(k), Series([1, -1], k) ** (n - 1), k).shift(n - 2)
-        scheme = column_scheme(Series.one(p), Series([1, -1], p), n, prev)
-        trace = iterate_crossed(scheme, Series.zero(p), steps)
-    print(render_trace(trace, args.format))
-    return 0
+            n = 2 if args.scheme == "arithgeo" else args.n
+            if n < 2:
+                raise SeriesParseError("--n: column index must be at least 2")
+            p = steps
+            # previous column of the binomial triangle, x^(n-2)/(1-x)^(n-1);
+            # column_scheme reads it only below degree p
+            if n - 2 >= p:
+                prev = Series.zero(p)
+            else:
+                k = p - n + 2
+                prev = reciprocal(Series.one(k), Series([1, -1], k) ** (n - 1), k).shift(n - 2)
+            scheme = column_scheme(Series.one(p), Series([1, -1], p), n, prev)
+            trace = iterate_crossed(scheme, Series.zero(p), steps)
+        return render_trace(trace, args.format)
 
 
-def cmd_azseq(args: argparse.Namespace) -> int:
-    depth = args.precision + 1
-    f = parse_series_arg(args.f, depth - 1, "f")
-    g = parse_series_arg(args.g, depth - 1, "g")
-    pair = build_triangle(f, g, depth).a_z_sequences()
-    print(render_pair(pair.a_seq, pair.z_seq, args.format))
-    return 0
-
-
-def cmd_inverse(args: argparse.Namespace) -> int:
-    f = parse_series_arg(args.f, args.depth - 1, "f")
-    g = parse_series_arg(args.g, args.depth - 1, "g")
-    print(render_matrix(build_triangle(f, g, args.depth).inverse(), args.format))
-    return 0
-
-
-def cmd_product(args: argparse.Namespace) -> int:
-    f1 = parse_series_arg(args.f1, args.depth - 1, "f1")
-    g1 = parse_series_arg(args.g1, args.depth - 1, "g1")
-    f2 = parse_series_arg(args.f2, args.depth - 1, "f2")
-    g2 = parse_series_arg(args.g2, args.depth - 1, "g2")
-    t1 = build_triangle(f1, g1, args.depth)
-    t2 = build_triangle(f2, g2, args.depth)
-    print(render_matrix(t1 @ t2, args.format))
-    return 0
+# outputs look names up when they run, so a name rebound later (by a tracer) is called
+COMMANDS: dict[str, Command | Trace] = {
+    "triangle": Command("build T(f|g)", ("f", "g"), "depth", 1, lambda n: n - 1,
+                        lambda fmt, n, f, g: render_matrix(build_triangle(f, g, n), fmt)),
+    "recip": Command("series quotient f/g", ("f", "g"), "precision", 0, lambda n: n,
+                     lambda fmt, n, f, g: render_series(reciprocal(f, g, n), fmt)),
+    # one spare degree pays for the division that produces x/omega
+    "invert": Command("compositional inverse", ("omega",), "precision", 0, lambda n: n + 1,
+                      lambda fmt, n, omega: render_series(invert_series(omega, n), fmt)),
+    "trace": Trace(),
+    # A needs one degree past its constant term
+    "azseq": Command("A- and Z-sequences of T(f|g)", ("f", "g"), "precision", 1, lambda n: n,
+                     lambda fmt, n, f, g: render_pair(
+                         build_triangle(f, g, n + 1).a_z_sequences(), fmt)),
+    "inverse": Command("group inverse of T(f|g)", ("f", "g"), "depth", 1, lambda n: n - 1,
+                       lambda fmt, n, f, g: render_matrix(build_triangle(f, g, n).inverse(), fmt)),
+    "product": Command("group product of two triangles", ("f1", "g1", "f2", "g2"), "depth", 1,
+                       lambda n: n - 1,
+                       lambda fmt, n, f1, g1, f2, g2: render_matrix(
+                           build_triangle(f1, g1, n) @ build_triangle(f2, g2, n), fmt)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "csv", "pretty"), default="pretty",
-        help="output format (default: pretty)",
-    )
-
     parser = argparse.ArgumentParser(
         prog="riordan",
         description="Exact series division, reversion and Riordan triangles.",
@@ -210,73 +215,22 @@ def build_parser() -> argparse.ArgumentParser:
                % ", ".join(sorted(PRESETS)),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("triangle", parents=[common], help="build T(f|g)")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--depth", type=int, default=10)
-    p.set_defaults(func=cmd_triangle)
-
-    p = sub.add_parser("recip", parents=[common], help="series quotient f/g")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--precision", type=int, default=10)
-    p.set_defaults(func=cmd_recip)
-
-    p = sub.add_parser("invert", parents=[common], help="compositional inverse")
-    p.add_argument("--omega", required=True)
-    p.add_argument("--precision", type=int, default=10)
-    p.set_defaults(func=cmd_invert)
-
-    p = sub.add_parser("trace", parents=[common], help="show iteration traces")
-    p.add_argument(
-        "--scheme", choices=("geometric", "arithgeo", "column", "curious"),
-        required=True,
-    )
-    p.add_argument("--steps", type=int, default=6)
-    p.add_argument("--n", type=int, default=3,
-                   help="column index for --scheme column (default: 3)")
-    p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser("azseq", parents=[common], help="A- and Z-sequences of T(f|g)")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--precision", type=int, default=10)
-    p.set_defaults(func=cmd_azseq)
-
-    p = sub.add_parser("inverse", parents=[common], help="group inverse of T(f|g)")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--depth", type=int, default=10)
-    p.set_defaults(func=cmd_inverse)
-
-    p = sub.add_parser("product", parents=[common], help="group product of two triangles")
-    p.add_argument("--f1", required=True)
-    p.add_argument("--g1", required=True)
-    p.add_argument("--f2", required=True)
-    p.add_argument("--g2", required=True)
-    p.add_argument("--depth", type=int, default=10)
-    p.set_defaults(func=cmd_product)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty",
+                       help="output format (default: pretty)")
+        command.add_arguments(p)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        # azseq needs one degree past the constant term of A
-        minima = {"depth": 1, "precision": 1 if args.command == "azseq" else 0}
-        for name, minimum in minima.items():
-            if getattr(args, name, minimum) < minimum:
-                raise ValueError(f"--{name}: must be at least {minimum}")
-        return args.func(args)
-    except SeriesParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        print(COMMANDS[args.command].run(args))
+        return 0
     except (SeriesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, SeriesParseError) else 3
 
 
 if __name__ == "__main__":

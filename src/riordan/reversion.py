@@ -75,7 +75,8 @@ def invert_series(omega: Series, precision: int) -> Series:
         )
     if precision == 0:
         return Series.zero(0)
-    g = ReversionProblem.from_omega(omega).g
+    # the stages read g only below degree precision
+    g = ReversionProblem.from_omega(omega.truncate(precision + 1)).g
     iterate = Series((0, g.coefficient(0)))  # stage 1: g0*x
     for _ in range(2, precision + 1):
         # stage k: x*g(iterate) carries precision k on its own,

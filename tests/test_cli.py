@@ -65,6 +65,26 @@ def test_triangle_bad_literal_names_argument(capsys):
     assert "--g" in err
 
 
+@pytest.mark.parametrize("literal", [
+    "[" * 5000,                    # nested past the recursion limit
+    "[" + "9" * 4301 + "]",        # past the 4300-digit limit on integer strings
+    '["1e-99999999"]',             # an exponent that would build 10**99999999
+], ids=["deep", "long_integer", "huge_exponent"])
+def test_unreadable_literal_exits_2_and_names_the_flag(capsys, literal):
+    code, out, err = run(capsys, "recip", "--f", literal, "--g", "one")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --f:")
+    assert "Traceback" not in err
+
+
+def test_string_entries_with_small_exponents_still_parse(capsys):
+    code, out, _ = run(capsys, "recip", "--f", '["1e5", "1.5", "-2E-3"]', "--g", "one",
+                       "--precision", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == ["100000", "3/2", "-1/500"]
+
+
 def test_triangle_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "triangle", "--f", "one", "--g", "[0,1]")
     assert code == 3
@@ -301,3 +321,13 @@ def test_missing_required_argument_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["recip", "--f", "one"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    "triangle", "recip", "invert", "trace", "azseq", "inverse", "product",
+])
+def test_subcommand_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert f"usage: riordan {command}" in capsys.readouterr().out

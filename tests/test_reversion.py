@@ -224,6 +224,7 @@ def test_lagrange_ignores_precision_beyond_the_grid():
     for _ in range(3):
         omega = random_order_one(rng, 30)
         assert verify_lagrange(omega, 6) == verify_lagrange(omega.truncate(7), 6)
+        assert invert_series(omega, 6) == invert_series(omega.truncate(7), 6)
         g = ReversionProblem.from_omega(omega).g
         for n, k in ((1, 1), (5, 2), (6, 1)):
             assert lagrange_coefficient(g, n, k) == lagrange_coefficient(g.truncate(n - k), n, k)
