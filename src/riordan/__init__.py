@@ -1,78 +1,14 @@
 """Exact power-series arithmetic, Riordan triangles, and series reversion,
-all driven by contractive iteration in the 1/2^order ultrametric."""
+all driven by contractive iteration in the 1/2^order ultrametric.
 
-from .series import (
-    INFINITE_ORDER,
-    DomainError,
-    PrecisionError,
-    Series,
-    SeriesError,
-    distance,
-    format_polynomial,
-)
-from .fixpoint import (
-    AffineMap,
-    IterationScheme,
-    IterationTrace,
-    NotContractiveError,
-    column_scheme,
-    iterate_crossed,
-    iterate_fixed,
-    reciprocal,
-    reciprocal_scheme,
-)
-from .triangles import (
-    RiordanMatrix,
-    SequencePair,
-    appell,
-    associated,
-    bell,
-    build_triangle,
-    from_classical,
-    from_json_dict,
-    identity,
-)
-from .reversion import (
-    LagrangeReport,
-    LagrangeViolation,
-    ReversionProblem,
-    invert_series,
-    lagrange_coefficient,
-    verify_lagrange,
-)
+Each module's ``__all__`` declares its public names; the package re-exports them."""
+
+from . import series, fixpoint, triangles, reversion
+from .series import *
+from .fixpoint import *
+from .triangles import *
+from .reversion import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "INFINITE_ORDER",
-    "AffineMap",
-    "DomainError",
-    "IterationScheme",
-    "IterationTrace",
-    "LagrangeReport",
-    "LagrangeViolation",
-    "NotContractiveError",
-    "PrecisionError",
-    "ReversionProblem",
-    "RiordanMatrix",
-    "SequencePair",
-    "Series",
-    "SeriesError",
-    "appell",
-    "associated",
-    "bell",
-    "build_triangle",
-    "column_scheme",
-    "distance",
-    "format_polynomial",
-    "from_classical",
-    "from_json_dict",
-    "identity",
-    "invert_series",
-    "iterate_crossed",
-    "iterate_fixed",
-    "lagrange_coefficient",
-    "reciprocal",
-    "reciprocal_scheme",
-    "verify_lagrange",
-]
+__all__ = series.__all__ + fixpoint.__all__ + triangles.__all__ + reversion.__all__

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -171,13 +172,9 @@ class Trace:
             if n < 2:
                 raise SeriesParseError("--n: column index must be at least 2")
             p = steps
-            # previous column of the binomial triangle, x^(n-2)/(1-x)^(n-1);
-            # column_scheme reads it only below degree p
-            if n - 2 >= p:
-                prev = Series.zero(p)
-            else:
-                k = p - n + 2
-                prev = reciprocal(Series.one(k), Series([1, -1], k) ** (n - 1), k).shift(n - 2)
+            # previous column of the binomial triangle, x^(n-2)/(1-x)^(n-1) = sum C(m, n-2) x^m,
+            # read by column_scheme only below degree p (math.comb is 0 for m < n - 2)
+            prev = Series([math.comb(m, n - 2) for m in range(p)])
             scheme = column_scheme(Series.one(p), Series([1, -1], p), n, prev)
             trace = iterate_crossed(scheme, Series.zero(p), steps)
         return render_trace(trace, args.format)

@@ -70,7 +70,9 @@ class Series:
     Instances are immutable; every operation returns a new series.
 
     >>> s = Series([1, -1], precision=4)       # the polynomial 1 - x
-    >>> print(Series([1]*5) * s)
+    >>> print(Series([1]*5) * s)               # 1 - x^5, known only through degree 4
+    1
+    >>> print(Series([1]*5, 5) * Series([1, -1], 5))
     1-x^5
     """
 

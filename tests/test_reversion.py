@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -234,3 +235,15 @@ def test_report_json_shape():
     report = verify_lagrange(Series([0, 1, -1], 6), 5)
     obj = report.to_json_dict()
     assert obj == {"max_n": 5, "violations": []}
+
+
+@pytest.mark.parametrize("omega, max_n, error, message", [
+    (Series([1, 1], 5), 3, DomainError, "not invertible: order must be 1"),
+    (Series([0, 0, 1], 5), 2, DomainError, "not invertible: order must be 1"),
+    (Series([0, 1], 3), 5, PrecisionError, "inverting to degree 5 needs omega at precision 6"),
+    (Series([0, 1], 3), -1, ValueError, "precision must be a natural number"),
+])
+def test_verify_lagrange_rejects_what_invert_series_rejects(omega, max_n, error, message):
+    for check in (verify_lagrange, invert_series):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            check(omega, max_n)
