@@ -9,12 +9,13 @@ as polynomials and padded with exact zeros up to the working precision.
 Exit codes: 0 on success, 2 for argument/literal parse failures (a literal
 nested past the recursion limit included), 3 for mathematical domain errors
 (zero constant divisor, wrong order, missing precision, a ``--depth`` or
-``--precision`` below its minimum).
+``--precision`` below its minimum, an output coefficient over 4300 digits).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -83,6 +84,23 @@ def parse_series_arg(text: str, precision: int, name: str) -> Series:
 # rendering
 # ----------------------------------------------------------------------
 
+class OutputTooLarge(ValueError):
+    """A result coefficient has more digits than Python turns into a string."""
+
+
+def _checked(render: Callable[..., str]) -> Callable[..., str]:
+    """``render``, raising :class:`OutputTooLarge` where ``str`` of a long integer fails."""
+    @functools.wraps(render)
+    def checked(value, fmt: str) -> str:
+        try:
+            return render(value, fmt)
+        except ValueError as exc:  # the only ValueError rendering can raise
+            raise OutputTooLarge(f"the output has a coefficient over {sys.get_int_max_str_digits()}"
+                                 " digits, Python's limit for printing an integer") from exc
+    return checked
+
+
+@_checked
 def render_series(s: Series, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(s.to_strings())
@@ -91,6 +109,7 @@ def render_series(s: Series, fmt: str) -> str:
     return str(s)
 
 
+@_checked
 def render_matrix(t: RiordanMatrix, fmt: str) -> str:
     if fmt == "json":
         return t.to_json()
@@ -99,6 +118,7 @@ def render_matrix(t: RiordanMatrix, fmt: str) -> str:
     return t.to_pretty()
 
 
+@_checked
 def render_trace(trace: IterationTrace, fmt: str) -> str:
     if fmt == "json":
         return json.dumps([it.to_strings() for it in trace])
@@ -107,6 +127,7 @@ def render_trace(trace: IterationTrace, fmt: str) -> str:
     return "\n".join(str(it) for it in trace)
 
 
+@_checked
 def render_pair(pair: SequencePair, fmt: str) -> str:
     if fmt == "json":
         return json.dumps({"A": pair.a_seq.to_strings(), "Z": pair.z_seq.to_strings()})
@@ -220,13 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main reuses one parser: building it costs more than most commands
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         print(COMMANDS[args.command].run(args))
         return 0
     except (SeriesError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        prefix = f"{args.command}: " if isinstance(exc, OutputTooLarge) else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
         return 2 if isinstance(exc, SeriesParseError) else 3
 
 

@@ -10,6 +10,9 @@ algorithm by truncating stage ``k`` to degree ``k``:
     ``T_1 = g0*x``, then ``T_k = (x * g(T_(k-1)))`` truncated to degree k,
 
 after which ``T_k`` agrees with the inverse through degree ``k`` exactly.
+So stage ``k`` only adds ``t_k = sum_j g_j [x^(k-1)] T**j``, read off a table
+of ``[x^m] T**j`` in O(P**3); the tests' reference path recomposes every
+stage by Horner, O(P**4).
 The same fixed-point equation yields the coefficient identities
 
     ``n * [x^n] (omega^{-1})**k == k * [x^(n-k)] g**n``
@@ -57,14 +60,10 @@ class ReversionProblem:
         return cls(omega, g)
 
 
-def invert_series(omega: Series, precision: int) -> Series:
-    """The compositional inverse of ``omega`` through ``precision``.
-
-    Requires ``order(omega) == 1`` and ``omega.precision >= precision + 1``
-    (one spare degree pays for the division that produces ``g``).  The
-    result ``y`` satisfies ``omega(y) == y(omega) == x`` through the
-    requested degree.
-    """
+def _power_table(omega: Series, precision: int) -> tuple[Series, list[list[Fraction]]]:
+    """``g = x/omega`` and ``pw[j][m] = [x^m] T**j`` (``m <= precision``, ``j <=
+    max(precision, 1)``) for the inverse ``T = x*g(T)`` of ``omega``: stage
+    ``k`` reads ``t_k`` off column ``k - 1``, then fills column ``k``."""
     if precision < 0:
         raise ValueError("precision must be a natural number")
     if omega.order() != 1:
@@ -73,16 +72,28 @@ def invert_series(omega: Series, precision: int) -> Series:
         raise PrecisionError(
             f"inverting to degree {precision} needs omega at precision {precision + 1}"
         )
-    if precision == 0:
-        return Series.zero(0)
-    # the stages read g only below degree precision
     g = ReversionProblem.from_omega(omega.truncate(precision + 1)).g
-    iterate = Series((0, g.coefficient(0)))  # stage 1: g0*x
-    for _ in range(2, precision + 1):
-        # stage k: x*g(iterate) carries precision k on its own,
-        # one degree gained per application of the contraction.
-        iterate = g.compose(iterate).shift(1)
-    return iterate
+    pw = [[Fraction(0)] * (precision + 1) for _ in range(max(precision, 1) + 1)]
+    pw[0][0] = Fraction(1)
+    t = pw[1]
+    for k in range(1, precision + 1):
+        # t_k = [x^(k-1)] g(T); T**j has order j, so only j < k contribute
+        t[k] = sum(gj * pw[j][k - 1] for j, gj in enumerate(g.coefficients[:k]) if gj)
+        for j in range(2, k + 1):  # [x^k] T * T**(j-1), skipping zero t_i
+            pw[j][k] = sum(t[i] * pw[j - 1][k - i] for i in range(1, k - j + 2) if t[i])
+    return g, pw
+
+
+def invert_series(omega: Series, precision: int) -> Series:
+    """The compositional inverse of ``omega`` through ``precision``.
+
+    Requires ``order(omega) == 1`` and ``omega.precision >= precision + 1``
+    (one spare degree pays for the division that produces ``g``).  The
+    result ``y`` satisfies ``omega(y) == y(omega) == x`` through the
+    requested degree; it is row 1 of the power table.
+    """
+    _, powers = _power_table(omega, precision)
+    return Series(powers[1])
 
 
 def lagrange_coefficient(g: Series, n: int, k: int) -> Fraction:
@@ -138,18 +149,14 @@ def verify_lagrange(omega: Series, max_n: int) -> LagrangeReport:
     Violations are collected into the report, not raised; an empty list
     means the identity holds on the whole grid.
     """
-    inverse = invert_series(omega, max_n)
-    # the grid reads g**n only below degree max_n
-    g = ReversionProblem.from_omega(omega.truncate(max_n + 1)).g
+    g, inverse_powers = _power_table(omega, max_n)
     g_powers = [Series.one(g.precision)]
     for _ in range(max_n):
         g_powers.append(g_powers[-1] * g)
     violations: list[LagrangeViolation] = []
-    inv_power = Series.one(max_n)
     for k in range(1, max_n + 1):
-        inv_power = inv_power * inverse
         for n in range(k, max_n + 1):
-            lhs = n * inv_power.coefficient(n)
+            lhs = n * inverse_powers[k][n]
             rhs = k * g_powers[n].coefficient(n - k)
             if lhs != rhs:
                 violations.append(LagrangeViolation(n, k, lhs, rhs))

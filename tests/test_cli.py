@@ -2,9 +2,11 @@
 exit codes."""
 
 import json
+import sys
 
 import pytest
 
+from riordan import cli
 from riordan.cli import main
 from riordan.fixpoint import column_scheme, iterate_crossed, reciprocal
 from riordan.series import Series
@@ -113,6 +115,19 @@ def test_recip_zero_constant_divisor(capsys):
     code, _, err = run(capsys, "recip", "--f", "one", "--g", "[0,1]")
     assert code == 3
     assert "division domain" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("recip", "--f", '["1e4300"]', "--g", "one", "--precision", "2"),
+    ("triangle", "--f", '["1e4300"]', "--g", "one", "--depth", "2"),
+])
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_output_past_the_digit_limit_names_the_output(capsys, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 3
+    assert out == ""
+    assert err == (f"error: {argv[0]}: the output has a coefficient over "
+                   f"{sys.get_int_max_str_digits()} digits, Python's limit for printing an integer\n")
 
 
 def test_recip_json_round_trip(capsys):
@@ -331,3 +346,11 @@ def test_subcommand_help_exits_0(capsys, command):
         main([command, "--help"])
     assert exc.value.code == 0
     assert f"usage: riordan {command}" in capsys.readouterr().out
+
+
+def test_main_builds_the_parser_once(capsys):
+    cli._parser.cache_clear()
+    assert run(capsys, "recip", "--f", "one", "--g", "pascal_g")[0] == 0
+    assert run(capsys, "invert", "--omega", "[0,1,-1]")[0] == 0
+    assert cli._parser.cache_info().misses == 1
+    assert cli.build_parser() is not cli.build_parser()

@@ -102,6 +102,34 @@ def test_invert_stagewise_agreement():
         assert coeffs(invert_series(omega, k)) == exact[: k + 1]
 
 
+def horner_stages(omega: Series, precision: int) -> list[Series]:
+    """Stages 1..precision of ``T_k = x*g(T_(k-1))`` truncated to degree k,
+    each one a full Horner recomposition: the paper's iteration, the
+    reference path for the power table in ``invert_series``."""
+    g = ReversionProblem.from_omega(omega.truncate(precision + 1)).g
+    stages = [Series((0, g.coefficient(0)))]
+    for _ in range(2, precision + 1):
+        stages.append(g.compose(stages[-1]).shift(1))
+    return stages
+
+
+def sparse_order_one(rng: random.Random, precision: int) -> Series:
+    """A random order-1 series with small integer, mostly zero coefficients."""
+    tail = [rng.choice((0, 0, 0, -1, 1, 2)) for _ in range(precision - 1)]
+    return Series([0, rng.choice((-2, -1, 1, 2))] + tail)
+
+
+@pytest.mark.parametrize("make_omega", [sparse_order_one, random_order_one],
+                         ids=["sparse", "dense"])
+def test_invert_matches_the_horner_stages(make_omega):
+    omega = make_omega(random.Random(61), 31)
+    exact = compositional_inverse(coeffs(omega), 30)
+    for k, stage in enumerate(horner_stages(omega, 30), start=1):
+        got = invert_series(omega, k)
+        assert got == stage
+        assert coeffs(got) == exact[: k + 1]
+
+
 def test_invert_rejects_wrong_order():
     with pytest.raises(DomainError, match="not invertible: order must be 1"):
         invert_series(Series([1, 1], 5), 4)
