@@ -10,9 +10,10 @@ algorithm by truncating stage ``k`` to degree ``k``:
     ``T_1 = g0*x``, then ``T_k = (x * g(T_(k-1)))`` truncated to degree k,
 
 after which ``T_k`` agrees with the inverse through degree ``k`` exactly.
-So stage ``k`` only adds ``t_k = sum_j g_j [x^(k-1)] T**j``, read off a table
-of ``[x^m] T**j`` in O(P**3); the tests' reference path recomposes every
-stage by Horner, O(P**4).
+So stage ``k`` only adds one coefficient.  Since ``T**(k+1) = x * T**k * g(T)``,
+the table of ``[x^m] T**j`` is the Riordan array ``(1, T)`` with A-sequence
+``g``, and the A-sequence rule fills it a degree at a time in O(P**3); the
+tests' reference path recomposes every stage by Horner, O(P**4).
 The same fixed-point equation yields the coefficient identities
 
     ``n * [x^n] (omega^{-1})**k == k * [x^(n-k)] g**n``
@@ -32,38 +33,19 @@ from .series import DomainError, PrecisionError, Series
 __all__ = [
     "LagrangeReport",
     "LagrangeViolation",
-    "ReversionProblem",
     "invert_series",
     "lagrange_coefficient",
     "verify_lagrange",
 ]
 
 
-@dataclass(frozen=True)
-class ReversionProblem:
-    """An order-1 series ``omega`` together with its cofactor ``g = x/omega``."""
-
-    omega: Series
-    g: Series
-
-    @classmethod
-    def from_omega(cls, omega: Series) -> ReversionProblem:
-        """Derive ``g`` by factoring one ``x`` out of ``omega`` and dividing.
-
-        ``g`` is delivered at precision ``omega.precision - 1``, which is
-        exactly what inverting through degree ``omega.precision - 1`` needs.
-        """
-        if omega.order() != 1:
-            raise DomainError("not invertible: order must be 1")
-        shifted = omega.shift(-1)  # omega/x, nonzero constant term
-        g = reciprocal(Series.one(shifted.precision), shifted, shifted.precision)
-        return cls(omega, g)
-
-
 def _power_table(omega: Series, precision: int) -> tuple[Series, list[list[Fraction]]]:
     """``g = x/omega`` and ``pw[j][m] = [x^m] T**j`` (``m <= precision``, ``j <=
-    max(precision, 1)``) for the inverse ``T = x*g(T)`` of ``omega``: stage
-    ``k`` reads ``t_k`` off column ``k - 1``, then fills column ``k``."""
+    max(precision, 1)``) for the inverse ``T = x*g(T)`` of ``omega``.
+
+    ``T**(k+1) = x * T**k * g(T)``, so the table is the Riordan array
+    ``(1, T)`` and ``g`` is its A-sequence: each column is filled from the
+    one before by ``pw[k+1][n+1] = sum_i g_i * pw[k+i][n]``."""
     if precision < 0:
         raise ValueError("precision must be a natural number")
     if omega.order() != 1:
@@ -72,15 +54,13 @@ def _power_table(omega: Series, precision: int) -> tuple[Series, list[list[Fract
         raise PrecisionError(
             f"inverting to degree {precision} needs omega at precision {precision + 1}"
         )
-    g = ReversionProblem.from_omega(omega.truncate(precision + 1)).g
+    g = reciprocal(Series.one(precision), omega.truncate(precision + 1).shift(-1), precision)
+    a = g.coefficients
     pw = [[Fraction(0)] * (precision + 1) for _ in range(max(precision, 1) + 1)]
     pw[0][0] = Fraction(1)
-    t = pw[1]
-    for k in range(1, precision + 1):
-        # t_k = [x^(k-1)] g(T); T**j has order j, so only j < k contribute
-        t[k] = sum(gj * pw[j][k - 1] for j, gj in enumerate(g.coefficients[:k]) if gj)
-        for j in range(2, k + 1):  # [x^k] T * T**(j-1), skipping zero t_i
-            pw[j][k] = sum(t[i] * pw[j - 1][k - i] for i in range(1, k - j + 2) if t[i])
+    for n in range(precision):
+        for k in range(n + 1):  # T**(k+i) has order k+i, so only k+i <= n count
+            pw[k + 1][n + 1] = sum(a[i] * pw[k + i][n] for i in range(n - k + 1) if a[i])
     return g, pw
 
 

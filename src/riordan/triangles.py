@@ -102,25 +102,26 @@ class RiordanMatrix:
     # the linear map and the group structure
     # ------------------------------------------------------------------
     def apply(self, h: Series) -> Series:
-        """The matrix acting on a series: ``(f/g) * h(x/g)``.
-
-        Equals the matrix-vector product of the entry block with the
-        coefficient vector of ``h``, truncated to degree ``depth - 1``.
-        """
+        """The matrix acting on a series: ``(f/g) * h(x/g)``, read off the
+        entries as the product of the entry block with the coefficient
+        vector of ``h``, truncated to degree ``depth - 1``."""
         p = self.depth - 1
         if h.precision < p:
             raise PrecisionError(f"apply needs the argument at precision {p}")
-        d, x_over_g = self.to_classical()
-        return d * h.compose(x_over_g)
+        return Series([sum(e * c for e, c in zip(row, h.coefficients) if c)
+                       for row in self.entries])
 
     def product(self, other: RiordanMatrix) -> RiordanMatrix:
-        """Group product, computed on the parameters (not the entries)."""
+        """Group product ``T(f1 * f2(x/g1) | g1 * g2(x/g1))``, read off this
+        matrix's entries: ``self.apply(h) == (f1/g1) * h(x/g1)``, so
+        ``f1 * f2(x/g1) == g1 * self.apply(f2)``, and ``g2(x/g1)`` is
+        ``self.apply(g2)`` divided by column 0, ``f1/g1``."""
         if self.depth != other.depth:
             raise ValueError("product needs matrices of a common depth")
         p = self.depth - 1
-        omega = _inv(self.g, p).shift(1)  # x/g1
-        f_new = self.f.truncate(p) * other.f.compose(omega)
-        g_new = self.g.truncate(p) * other.g.compose(omega)
+        g1 = self.g.truncate(p)
+        f_new = g1 * self.apply(other.f)
+        g_new = g1 * reciprocal(self.apply(other.g), self.column_series(0), p)
         return build_triangle(f_new, g_new, self.depth)
 
     def __matmul__(self, other: RiordanMatrix) -> RiordanMatrix:

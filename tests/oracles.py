@@ -55,6 +55,14 @@ def divide(f: list[Fraction], g: list[Fraction], upto: int) -> list[Fraction]:
     return q
 
 
+def cofactor(omega: Series, upto: int) -> Series:
+    """``x/omega`` through degree ``upto`` for an order-1 ``omega``, by back
+    substitution against ``omega/x``."""
+    c = coeffs(omega)
+    assert c[0] == 0 and upto < omega.precision
+    return Series(divide([Fraction(1)], c[1:], upto))
+
+
 def compositional_inverse(omega: list[Fraction], upto: int) -> list[Fraction]:
     """Coefficients 0..upto of the series y with omega(y) = x.
 

@@ -7,38 +7,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from riordan.reversion import (
-    ReversionProblem,
-    invert_series,
-    lagrange_coefficient,
-    verify_lagrange,
-)
+from riordan.reversion import invert_series, lagrange_coefficient, verify_lagrange
 from riordan.series import DomainError, PrecisionError, Series, distance
 
 from oracles import (
     coeffs,
+    cofactor,
     compositional_inverse,
     random_order_one,
     random_series,
 )
-
-
-# ----------------------------------------------------------------------
-# the reversion problem
-# ----------------------------------------------------------------------
-
-def test_problem_derives_cofactor():
-    prob = ReversionProblem.from_omega(Series([0, 1, -1], 6))
-    # omega = x - x^2 = x*(1-x), so g = x/omega = 1/(1-x)
-    assert prob.g == Series([1] * 6)
-    assert prob.omega.shift(-1) * prob.g == Series.one(5)
-
-
-def test_problem_rejects_wrong_order():
-    with pytest.raises(DomainError, match="order must be 1"):
-        ReversionProblem.from_omega(Series([1, 1], 4))
-    with pytest.raises(DomainError, match="order must be 1"):
-        ReversionProblem.from_omega(Series([0, 0, 1], 4))
 
 
 # ----------------------------------------------------------------------
@@ -50,7 +28,7 @@ def test_invert_generic_degree_two():
     for _ in range(6):
         omega = random_order_one(rng, 4)
         got = invert_series(omega, 2)
-        g = ReversionProblem.from_omega(omega).g
+        g = cofactor(omega, 1)
         g0, g1 = g[0], g[1]
         assert got == Series([0, g0, g0 * g1])
 
@@ -63,7 +41,7 @@ def test_truncated_inverse_recovers_low_stage():
     rng = random.Random(50)
     for _ in range(5):
         omega = random_order_one(rng, 7)
-        g = ReversionProblem.from_omega(omega).g
+        g = cofactor(omega, 1)
         full = invert_series(omega, 5)
         assert full.truncate(2) == Series([0, g[0], g[0] * g[1]])
 
@@ -106,7 +84,7 @@ def horner_stages(omega: Series, precision: int) -> list[Series]:
     """Stages 1..precision of ``T_k = x*g(T_(k-1))`` truncated to degree k,
     each one a full Horner recomposition: the paper's iteration, the
     reference path for the power table in ``invert_series``."""
-    g = ReversionProblem.from_omega(omega.truncate(precision + 1)).g
+    g = cofactor(omega, precision)
     stages = [Series((0, g.coefficient(0)))]
     for _ in range(2, precision + 1):
         stages.append(g.compose(stages[-1]).shift(1))
@@ -254,7 +232,7 @@ def test_lagrange_ignores_precision_beyond_the_grid():
         omega = random_order_one(rng, 30)
         assert verify_lagrange(omega, 6) == verify_lagrange(omega.truncate(7), 6)
         assert invert_series(omega, 6) == invert_series(omega.truncate(7), 6)
-        g = ReversionProblem.from_omega(omega).g
+        g = cofactor(omega, 29)
         for n, k in ((1, 1), (5, 2), (6, 1)):
             assert lagrange_coefficient(g, n, k) == lagrange_coefficient(g.truncate(n - k), n, k)
 

@@ -1,6 +1,7 @@
 """Tests for Riordan matrix construction, the group operations, A/Z
 sequences, shifts and serialization."""
 
+import functools
 import json
 import math
 import random
@@ -9,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from riordan.fixpoint import reciprocal
+from riordan.reversion import invert_series, verify_lagrange
 from riordan.series import DomainError, PrecisionError, Series
 from riordan.triangles import (
     appell,
@@ -58,6 +60,29 @@ def random_matrix(rng, depth, extra=0):
     f = random_series(rng, depth - 1 + extra, nonzero_constant=True)
     g = random_series(rng, depth - 1 + extra, nonzero_constant=True)
     return build_triangle(f, g, depth)
+
+
+def sparse_series(rng, precision):
+    """Small integer, mostly zero coefficients and a nonzero constant term."""
+    tail = [rng.choice((0, 0, 0, -1, 1, 2)) for _ in range(precision)]
+    return Series([rng.choice((-2, -1, 1, 2))] + tail)
+
+
+def composed_product(a, b):
+    """The parameters ``(f1 * f2(x/g1), g1 * g2(x/g1))`` of ``a @ b``, each
+    substitution a Horner ``Series.compose``: the reference path for
+    ``RiordanMatrix.product``."""
+    p = a.depth - 1
+    x_over_g = reciprocal(Series.one(p), a.g, p).shift(1)
+    return (a.f.truncate(p) * b.f.compose(x_over_g),
+            a.g.truncate(p) * b.g.compose(x_over_g))
+
+
+def composed_apply(t, h):
+    """``(f/g) * h(x/g)`` from the classical pair by ``Series.compose``: the
+    reference path for ``RiordanMatrix.apply``."""
+    d, x_over_g = t.to_classical()
+    return d * h.compose(x_over_g)
 
 
 # ----------------------------------------------------------------------
@@ -143,6 +168,45 @@ def test_apply_pascal_sums_first_two_columns():
     got = t.apply(Series([1, 1], 6))
     expected = Series([t.entry(n, 0) + t.entry(n, 1) for n in range(6)])
     assert got == expected
+
+
+@pytest.mark.parametrize("make_series", [
+    sparse_series,
+    functools.partial(random_series, nonzero_constant=True),
+], ids=["sparse", "dense"])
+def test_apply_and_product_match_the_composition_formulas(make_series):
+    rng = random.Random(45)
+    top = 24
+    f1, g1, f2, g2, h = (make_series(rng, top) for _ in range(5))
+    for depth in range(1, top + 2):
+        p = depth - 1
+        a = build_triangle(f1.truncate(p), g1.truncate(p), depth)
+        b = build_triangle(f2.truncate(p), g2.truncate(p), depth)
+        ab = a @ b
+        # Series equality compares the coefficient tuples, so precision too
+        assert (ab.f, ab.g) == composed_product(a, b)
+        assert a.apply(h) == composed_apply(a, h)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ag_triangle(6).apply(Series([3, 1, 4, 1, 5, 9])),
+    lambda: ag_triangle(6) @ pascal(6),
+    lambda: invert_series(Series([0, 1, -1, 2], 13), 12),
+    lambda: verify_lagrange(Series([0, 1, -1, 2], 13), 12),
+], ids=["apply", "product", "invert_series", "verify_lagrange"])
+def test_entry_and_table_paths_make_no_horner_composition(monkeypatch, call):
+    seen = []
+    compose = Series.compose
+
+    def counting_compose(self, inner):
+        seen.append(inner)
+        return compose(self, inner)
+
+    monkeypatch.setattr(Series, "compose", counting_compose)
+    call()
+    assert seen == []
+    composed_apply(pascal(3), Series.one(2))
+    assert len(seen) == 1  # the wrapper does see a composition
 
 
 # ----------------------------------------------------------------------
