@@ -11,15 +11,18 @@ statements into finite, exact algorithms.
 Series division is the flagship instance: ``f/g`` is the fixed point of
 ``t -> ((g0 - g)/g0)*t + f/g0``, and the crossed iteration of its Taylor
 truncations computes it degree by degree.  :func:`reciprocal`, the one
-division kernel, applies it one degree per step.  The reference path the
-tests check it against is one division scheme, :func:`reciprocal_scheme`,
-run by one driver, :func:`iterate_crossed`: a triangle column is the
-division scheme of ``x * previous column``, and plain iteration is the
-crossed iteration of a constant scheme.
+division kernel, applies it one degree per step, on integers: scaled by
+``G0**(n+1)``, degree ``n`` obeys the same map with the division by ``g0``
+multiplied out.  The reference path the tests check it against is one
+division scheme, :func:`reciprocal_scheme`, run by one loop,
+:func:`iterate_crossed`: a triangle column is the division scheme of
+``x * previous column``, and plain iteration is the crossed iteration of
+a constant scheme.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -178,23 +181,51 @@ def reciprocal(f: Series, g: Series, precision: int) -> Series:
 
     Step ``n`` of the crossed iteration of :func:`reciprocal_scheme` only
     fixes coefficient ``n``, so the contraction is applied one degree per
-    step, ``q_n = (f_n - sum_{j>=1} g_j * q_(n-j)) / g0``, with the same limit.
+    step, ``q_n = (f_n - sum_{j>=1} g_j * q_(n-j)) / g0``, with the same
+    limit, on the integers ``q_n * G0**(n+1)`` (:func:`_division_columns`).
+
+    >>> print(reciprocal(Series.one(3), Series(["-3/2", 1], 3), 3))
+    -2/3-(4/9)x-(8/27)x^2-(16/81)x^3
+    """
+    return Series(_division_columns(f, g, precision, 1)[0])
+
+
+def _division_columns(f: Series, g: Series, precision: int, count: int) -> list[list[Fraction]]:
+    """Columns ``k < count`` of ``x**k * f / g**(k+1)``, degrees ``k..precision``.
+
+    Column ``k`` divides ``x * column(k-1)`` by ``g``, fraction-free: with
+    ``F = M*f`` and ``G = L*g`` integral through ``precision``, the scaled
+    ``R_k[n] = G0**(n+1) * [x^n] x**k F / G**(k+1)`` are the integers
+    ``R_0[n] = F_n*G0**n - sum_j H_j R_0[n-j]`` and
+    ``R_k[n] = R_(k-1)[n-1] - sum_j H_j R_k[n-j]``, ``H_j = G_j*G0**(j-1)``,
+    and entry ``(n, k)`` is the one Fraction ``R_k[n]*L**(k+1) / (M*G0**(n+1))``.
     """
     _check_division(f, g, precision)
-    g0 = g.coefficient(0)
-    fc, gc = f.coefficients, g.coefficients
-    taps = [(j, gc[j]) for j in range(1, precision + 1) if gc[j]]
-    q = [Fraction(0)] * (precision + 1)
-    # leading zeros of f are leading zeros of f/g
-    start = min(f.order(), precision + 1)
-    for n in range(start, precision + 1):
-        acc = fc[n]
-        for j, gj in taps:
-            if j > n - start:
-                break
-            acc -= gj * q[n - j]
-        q[n] = acc / g0
-    return Series(q)
+    fc, gc = f.coefficients[: precision + 1], g.coefficients[: precision + 1]
+    den_f = math.lcm(*(c.denominator for c in fc))  # M
+    den_g = math.lcm(*(c.denominator for c in gc))  # L
+    big_g = [c.numerator * (den_g // c.denominator) for c in gc]
+    big_g0 = big_g[0]
+    taps = [(j, gj * big_g0 ** (j - 1)) for j, gj in enumerate(big_g) if j and gj]
+    scale = [big_g0 ** n for n in range(precision + 2)]
+    # column 0 is fed by F_n * G0**n, column k by x * column(k-1)
+    source = [c.numerator * (den_f // c.denominator) * s for c, s in zip(fc, scale)]
+    start = min(f.order(), precision + 1)  # leading zeros of every column
+    columns = []
+    for k in range(count):
+        lo = start + k
+        r = [0] * (precision + 1)
+        for n in range(lo, precision + 1):
+            acc = source[n]
+            for j, h in taps:
+                if j > n - lo:
+                    break
+                acc -= h * r[n - j]
+            r[n] = acc
+        lk = den_g ** (k + 1)
+        columns.append([Fraction(r[n] * lk, den_f * scale[n + 1]) for n in range(k, precision + 1)])
+        source = [0] + r
+    return columns
 
 
 def column_scheme(f: Series, g: Series, n: int, prev_column: Series) -> IterationScheme:

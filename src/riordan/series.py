@@ -51,6 +51,8 @@ class DomainError(SeriesError):
 
 
 def _coerce(value: Rational) -> Fraction:
+    if type(value) is Fraction:  # immutable: share it rather than copy it
+        return value
     if isinstance(value, float):
         raise TypeError(
             "float coefficients are not supported; use int, Fraction or 'p/q' strings"

@@ -3,8 +3,9 @@
 ``T(f|g)`` (with ``f0 != 0`` and ``g0 != 0``) is the matrix whose column
 ``k``, read as a series, is ``x**k * f / g**(k+1)``.  Column 0 is the
 quotient ``f/g`` and column ``k`` is ``x * column(k-1) / g``, so the whole
-matrix is repeated division: every column goes through the one kernel
-:func:`riordan.fixpoint.reciprocal`.
+matrix is repeated division: every column comes from the one integer
+division kernel behind :func:`riordan.fixpoint.reciprocal`, one Fraction
+per entry.
 
 These matrices form a group under matrix product (the Riordan group),
 closed in parameter form:
@@ -24,7 +25,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fixpoint import reciprocal
+from .fixpoint import _division_columns, reciprocal
 from .reversion import invert_series
 from .series import DomainError, PrecisionError, Series
 
@@ -198,11 +199,9 @@ class RiordanMatrix:
     # classical-notation bridge
     # ------------------------------------------------------------------
     def to_classical(self) -> tuple[Series, Series]:
-        """The classical pair ``(d, h)`` with ``d = f/g`` (column-0
-        generating function) and ``h = x/g`` (column k is ``d * h**k``)."""
-        p = self.depth - 1
-        inv_g = _inv(self.g, p)
-        return self.f.truncate(p) * inv_g, inv_g.shift(1)
+        """The classical pair ``(d, h)`` with ``d = f/g``, read off column 0,
+        and ``h = x/g`` (column k is ``d * h**k``)."""
+        return self.column_series(0), _inv(self.g, self.depth - 1).shift(1)
 
     # ------------------------------------------------------------------
     # serialization
@@ -230,8 +229,9 @@ class RiordanMatrix:
 def build_triangle(f: Series, g: Series, depth: int) -> RiordanMatrix:
     """Materialise the ``depth x depth`` block of ``T(f|g)`` by repeated
     division: column 0 is ``f/g`` and column ``k`` is ``x * column(k-1) / g``,
-    each from :func:`riordan.fixpoint.reciprocal` (the tests compare them
-    with the crossed iteration of :func:`riordan.fixpoint.column_scheme`).
+    all from one integer run of the kernel behind :func:`~riordan.fixpoint.reciprocal`
+    (the tests compare them with the crossed iteration of
+    :func:`riordan.fixpoint.column_scheme`).
 
     Both parameters need nonzero constant terms and precision at least
     ``depth - 1``; the division kernel enforces the conditions on ``g``.
@@ -240,12 +240,9 @@ def build_triangle(f: Series, g: Series, depth: int) -> RiordanMatrix:
         raise ValueError("depth must be at least 1")
     if f.coefficient(0) == 0:
         raise DomainError("division domain error: f must have a nonzero constant term")
-    p = depth - 1
-    columns = [reciprocal(f, g, p)]
-    for _ in range(1, depth):
-        columns.append(reciprocal(columns[-1].shift(1).truncate(p), g, p))
+    columns = _division_columns(f, g, depth - 1, depth)
     rows = tuple(
-        tuple(columns[k].coefficients[n] for k in range(n + 1)) for n in range(depth)
+        tuple(columns[k][n - k] for k in range(n + 1)) for n in range(depth)
     )
     return RiordanMatrix(f, g, depth, rows)
 

@@ -134,3 +134,11 @@ def random_order_one(rng: random.Random, precision: int) -> Series:
     values = [Fraction(0), random_fraction(rng, nonzero=True)]
     values += [random_fraction(rng) for _ in range(precision - 1)]
     return Series(values)
+
+
+def past_precision(s: Series, precision: int) -> Series:
+    """``s`` cut to ``precision``, then stored three degrees further with
+    coefficients of denominator ``7**k``, which no computation to
+    ``precision`` may read."""
+    tail = [Fraction(k, 7 ** k) for k in range(precision + 1, precision + 4)]
+    return Series(coeffs(s.truncate(precision)) + tail)

@@ -18,7 +18,7 @@ from riordan.fixpoint import (
 from riordan.series import DomainError, PrecisionError, Series, distance
 from riordan.triangles import build_triangle
 
-from oracles import divide, coeffs, random_series
+from oracles import divide, coeffs, past_precision, random_fraction, random_series
 
 GEOMETRIC_MAP_PRECISION = 6
 
@@ -184,6 +184,39 @@ def test_reciprocal_matches_division_oracle():
         f = random_series(rng, 9)
         g = random_series(rng, 9, nonzero_constant=True)
         assert coeffs(reciprocal(f, g, 9)) == divide(coeffs(f), coeffs(g), 9)
+
+
+# The kernel runs on integers scaled by powers of G0 and builds each
+# output as one Fraction; these panels reach bigint sizes and signed,
+# fractional leading coefficients.
+KERNEL_G0 = (1, -1, 3, F(-3, 2), F(2, 3))
+KERNEL_PRECISION = 39
+
+
+def dense_rational(rng, constant, precision):
+    """``constant`` followed by dense rational taps, denominators up to 7."""
+    return Series([constant] + [random_fraction(rng, maxden=7)
+                                for _ in range(precision)])
+
+
+@pytest.mark.parametrize("g0", KERNEL_G0)
+def test_reciprocal_matches_oracle_at_bigint_sizes(g0):
+    rng = random.Random(29)
+    p = KERNEL_PRECISION
+    g = dense_rational(rng, g0, p)
+    f = dense_rational(rng, random_fraction(rng, maxden=7), p)
+    for num in (f, f.shift(3).truncate(p), Series.zero(p)):
+        expected = divide(coeffs(num), coeffs(g), p)
+        q = reciprocal(num, g, p)
+        assert coeffs(q) == expected
+        assert all(type(c) is F for c in q.coefficients)
+        assert reciprocal(past_precision(num, p), past_precision(g, p), p) == q
+
+
+def test_reciprocal_at_precision_zero():
+    q = reciprocal(Series([F(5, 7), 1]), Series([F(-3, 2), F(1, 49)]), 0)
+    assert q.coefficients == (F(-10, 21),)
+    assert type(q[0]) is F
 
 
 def test_crossed_iterate_converges_degree_per_step():

@@ -24,10 +24,12 @@ from riordan.triangles import (
 
 from oracles import (
     coeffs,
+    convolve,
     divide,
     invert_lower_triangular,
     list_power,
     matmul_lower,
+    past_precision,
     random_fraction,
     random_series,
 )
@@ -126,6 +128,32 @@ def test_columns_match_independent_division():
             expected = divide(([F(0)] * k) + fc, list_power(gc, k + 1, depth - 1),
                               depth - 1)
             assert coeffs(t.column_series(k)) == expected
+
+
+@pytest.mark.parametrize("g0", (1, -1, 3, F(-3, 2), F(2, 3)))
+def test_columns_match_oracle_at_bigint_sizes(g0):
+    # every column x^k f / g^(k+1) at depth 40, against back substitution
+    # by the oracle's power g^(k+1), built one convolution per column
+    rng = random.Random(32)
+    depth = 40
+    p = depth - 1
+    taps = [random_fraction(rng, maxden=7) for _ in range(2 * p)]
+    f = Series([random_fraction(rng, maxden=7, nonzero=True)] + taps[:p])
+    g = Series([g0] + taps[p:])
+    t = build_triangle(f, g, depth)
+    power = [F(1)] + [F(0)] * p
+    for k in range(depth):
+        power = convolve(power, coeffs(g), p)
+        assert coeffs(t.column_series(k)) == divide([F(0)] * k + coeffs(f), power, p)
+    assert all(type(e) is F for row in t.entries for e in row)
+    wide = build_triangle(past_precision(f, p), past_precision(g, p), depth)
+    assert wide.entries == t.entries
+
+
+def test_depth_one_is_the_constant_quotient():
+    t = build_triangle(Series([F(2, 3), F(1, 49)]), Series([F(-3, 2), 5]), 1)
+    assert t.entries == ((F(-4, 9),),)
+    assert type(t.entries[0][0]) is F
 
 
 def test_entry_and_row_access():
