@@ -13,7 +13,8 @@ after which ``T_k`` agrees with the inverse through degree ``k`` exactly.
 So stage ``k`` only adds one coefficient.  Since ``T**(k+1) = x * T**k * g(T)``,
 the table of ``[x^m] T**j`` is the Riordan array ``(1, T)`` with A-sequence
 ``g``, and the A-sequence rule fills it a degree at a time in O(P**3); the
-tests' reference path recomposes every stage by Horner, O(P**4).
+tests' reference path recomposes every stage by Horner, O(P**4).  The table
+runs on integers scaled by powers of one integer ``s`` (:func:`_power_table`).
 The same fixed-point equation yields the coefficient identities
 
     ``n * [x^n] (omega^{-1})**k == k * [x^(n-k)] g**n``
@@ -24,8 +25,11 @@ which :func:`verify_lagrange` checks exhaustively on a grid and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 
 from .fixpoint import reciprocal
 from .series import DomainError, PrecisionError, Series
@@ -39,13 +43,15 @@ __all__ = [
 ]
 
 
-def _power_table(omega: Series, precision: int) -> tuple[Series, list[list[Fraction]]]:
-    """``g = x/omega`` and ``pw[j][m] = [x^m] T**j`` (``m <= precision``, ``j <=
-    max(precision, 1)``) for the inverse ``T = x*g(T)`` of ``omega``.
+def _power_table(omega: Series, precision: int) -> tuple[int, tuple[int, ...], list[list[int]]]:
+    """``(s, A, Q)``, the integer power table ``Q[k][n] = s**(2n-k) * [x^n] T**k``
+    (``n <= precision``, ``k <= max(precision, 1)``) of the inverse ``T = x*g(T)``.
 
-    ``T**(k+1) = x * T**k * g(T)``, so the table is the Riordan array
-    ``(1, T)`` and ``g`` is its A-sequence: each column is filled from the
-    one before by ``pw[k+1][n+1] = sum_i g_i * pw[k+i][n]``."""
+    ``T**(k+1) = x * T**k * g(T)``, so the table is the Riordan array ``(1, T)``
+    with A-sequence ``g = x/omega``.  ``H = L*omega/x`` is integral for ``L`` the
+    lcm of the denominators of ``omega_1..omega_(precision+1)``, and ``g = L/H``,
+    so the taps ``A_i = g_i * s**(i+1)`` over ``s = L*omega_1 = H_0`` are integers,
+    and ``Q[k+1][n+1] = sum_i A_i * Q[k+i][n]`` over the nonzero ``A_i`` fills each column."""
     if precision < 0:
         raise ValueError("precision must be a natural number")
     if omega.order() != 1:
@@ -55,13 +61,20 @@ def _power_table(omega: Series, precision: int) -> tuple[Series, list[list[Fract
             f"inverting to degree {precision} needs omega at precision {precision + 1}"
         )
     g = reciprocal(Series.one(precision), omega.truncate(precision + 1).shift(-1), precision)
-    a = g.coefficients
-    pw = [[Fraction(0)] * (precision + 1) for _ in range(max(precision, 1) + 1)]
-    pw[0][0] = Fraction(1)
+    lcm = math.lcm(*(c.denominator for c in omega.coefficients[1 : precision + 2]))  # L
+    s = (lcm * omega[1]).numerator
+    taps, remainders = zip(*[divmod(c.numerator * s ** (i + 1), c.denominator)
+                             for i, c in enumerate(g.coefficients)])
+    if any(remainders):  # provably zero; nonzero signals an upstream bug
+        raise ArithmeticError("scaled cofactor has a non-integral coefficient")
+    nonzero = [a for a in taps if a]  # compress(..., taps) picks their partners
+    table = [[0] * (precision + 1) for _ in range(max(precision, 1) + 1)]
+    table[0][0] = 1
     for n in range(precision):
-        for k in range(n + 1):  # T**(k+i) has order k+i, so only k+i <= n count
-            pw[k + 1][n + 1] = sum(a[i] * pw[k + i][n] for i in range(n - k + 1) if a[i])
-    return g, pw
+        column = [row[n] for row in table[: n + 1]]  # T**j has order j: rows j > n are 0
+        for k in range(n + 1):
+            table[k + 1][n + 1] = sum(map(mul, nonzero, compress(column[k:], taps)))
+    return s, taps, table
 
 
 def invert_series(omega: Series, precision: int) -> Series:
@@ -70,10 +83,10 @@ def invert_series(omega: Series, precision: int) -> Series:
     Requires ``order(omega) == 1`` and ``omega.precision >= precision + 1``
     (one spare degree pays for the division that produces ``g``).  The
     result ``y`` satisfies ``omega(y) == y(omega) == x`` through the
-    requested degree; it is row 1 of the power table.
+    requested degree; it is row 1 of the power table, unscaled.
     """
-    _, powers = _power_table(omega, precision)
-    return Series(powers[1])
+    s, _, table = _power_table(omega, precision)
+    return Series([Fraction(c, s ** (2 * n - 1)) if n else c for n, c in enumerate(table[1])])
 
 
 def lagrange_coefficient(g: Series, n: int, k: int) -> Fraction:
@@ -126,18 +139,22 @@ def verify_lagrange(omega: Series, max_n: int) -> LagrangeReport:
     """Check ``n*[x^n](omega^{-1})**k == k*[x^(n-k)]g**n`` for all
     ``1 <= k <= n <= max_n``, exactly.
 
-    Violations are collected into the report, not raised; an empty list
-    means the identity holds on the whole grid.
+    With the power table's ``s`` and ``A``, ``[x^m] g**n = [y^m] A**n / s**(n+m)``,
+    so a cell compares ``n*Q[k][n]`` with ``k*[y^(n-k)] A**n``, integers over the
+    same ``s**(2n-k)``.  Violations are collected into the report, unscaled, not
+    raised; an empty list means the identity holds on the whole grid.
     """
-    g, inverse_powers = _power_table(omega, max_n)
-    g_powers = [Series.one(g.precision)]
+    s, taps, table = _power_table(omega, max_n)
+    nonzero = [a for a in taps if a]
+    a_powers = [[1] + [0] * (max_n - 1)]  # A**n through degree max_n - 1
     for _ in range(max_n):
-        g_powers.append(g_powers[-1] * g)
+        last = a_powers[-1]
+        a_powers.append([sum(map(mul, nonzero, compress(last[m::-1], taps))) for m in range(max_n)])
     violations: list[LagrangeViolation] = []
     for k in range(1, max_n + 1):
         for n in range(k, max_n + 1):
-            lhs = n * inverse_powers[k][n]
-            rhs = k * g_powers[n].coefficient(n - k)
+            lhs, rhs = n * table[k][n], k * a_powers[n][n - k]
             if lhs != rhs:
+                lhs, rhs = (Fraction(v, s ** (2 * n - k)) for v in (lhs, rhs))
                 violations.append(LagrangeViolation(n, k, lhs, rhs))
     return LagrangeReport(max_n, tuple(violations))

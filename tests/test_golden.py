@@ -1,9 +1,10 @@
-"""Bit-for-bit guard: the first ``quotients`` block of the benchmark at its
-golden seed reproduces every pinned sha256 digest.
+"""Bit-for-bit guard: the first ``quotients`` and ``reversion`` blocks of
+the benchmark at its golden seed reproduce every pinned sha256 digest.
 
-The block holds 32 jobs, ``reciprocal`` and ``build_triangle`` on sparse
-and dense parameters at sizes spread over P = 32..94, so any change to a
-division result fails here before the benchmark is run.
+Each block holds 32 jobs on sparse and dense parameters: ``reciprocal`` and
+``build_triangle`` at sizes spread over P = 32..94, and ``invert_series``
+(P = 12..27) and ``verify_lagrange`` (n = 10..20).  So any change to a
+division or reversion result fails here before the benchmark is run.
 """
 
 import sys
@@ -19,13 +20,21 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 
 
-def test_first_quotients_block_matches_the_golden_digests():
-    golden = run.load_golden("quotients", run.DEFAULT_SEED)
-    block = workloads.make_blocks("quotients", run.DEFAULT_SEED, 1)[0]
+def run_first_block(workload, kinds):
+    golden = run.load_golden(workload, run.DEFAULT_SEED)
+    block = workloads.make_blocks(workload, run.DEFAULT_SEED, 1)[0]
     assert len(block) == 32
-    assert {job.kind for job in block} == {"reciprocal", "build_triangle"}
+    assert {job.kind for job in block} == kinds
     runner = run.Runner(riordan, golden)
     for index, job in enumerate(block):
         runner.run(index, job)
     assert runner.failures == []
     assert runner.golden_checked == 32
+
+
+def test_first_quotients_block_matches_the_golden_digests():
+    run_first_block("quotients", {"reciprocal", "build_triangle"})
+
+
+def test_first_reversion_block_matches_the_golden_digests():
+    run_first_block("reversion", {"invert_series", "verify_lagrange"})

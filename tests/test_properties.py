@@ -1,5 +1,6 @@
 """Property tests of the Riordan group and its action on series, at depths
-1..8, with sparse small-integer and dense rational parameters.
+1..8, and of compositional inversion, at precisions 1..10, with sparse
+small-integer and dense rational parameters.
 
 Every example is derandomized, so the suite draws the same cases on every
 run."""
@@ -12,6 +13,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from riordan.reversion import invert_series
 from riordan.series import Series
 from riordan.triangles import build_triangle, identity
 
@@ -79,3 +81,23 @@ def test_product_parameters_match_the_composition_formulas(panel):
     (a, b), _ = panel
     ab = a @ b
     assert (ab.f, ab.g) == composed_product(a, b)  # coefficients and precision
+
+
+@st.composite
+def order_one(draw):
+    """A precision ``p`` in 1..10 and an order-1 ``omega`` at ``p + 1``."""
+    p = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from((SPARSE, DENSE)))
+    tail = draw(st.lists(kind, min_size=p, max_size=p))
+    return Series([F(0), draw(kind.filter(bool))] + tail), p
+
+
+@PROPERTY
+@given(order_one())
+def test_reversion_is_two_sided(case):
+    omega, p = case
+    y = invert_series(omega, p)
+    assert omega.truncate(p).compose(y) == Series.x(p)
+    assert y.compose(omega.truncate(p)) == Series.x(p)
+    for k in range(p + 1):
+        assert invert_series(omega, k) == y.truncate(k)

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from riordan import reversion
 from riordan.reversion import invert_series, lagrange_coefficient, verify_lagrange
 from riordan.series import DomainError, PrecisionError, Series, distance
 
@@ -14,6 +15,10 @@ from oracles import (
     coeffs,
     cofactor,
     compositional_inverse,
+    divide,
+    list_power,
+    past_precision,
+    random_fraction,
     random_order_one,
     random_series,
 )
@@ -107,6 +112,35 @@ def test_invert_matches_the_horner_stages(make_omega):
         assert got == stage
         assert coeffs(got) == exact[: k + 1]
 
+
+# The power table runs on integers scaled by powers of s = L*omega_1 and
+# builds each output as one Fraction; this panel reaches bigint sizes and
+# signed, fractional leading coefficients.
+@pytest.mark.parametrize("omega1", (1, -1, 3, F(-3, 2), F(2, 3)))
+def test_invert_matches_oracle_at_bigint_sizes(omega1):
+    rng = random.Random(63)
+    p = 40
+    omega = Series([0, omega1] + [random_fraction(rng, maxden=7) for _ in range(p)])
+    y = invert_series(omega, p)
+    assert coeffs(y) == compositional_inverse(coeffs(omega), p)
+    assert all(type(c) is F for c in y.coefficients)
+    assert invert_series(past_precision(omega, p + 1), p) == y
+    assert verify_lagrange(omega, 30).ok
+    assert verify_lagrange(past_precision(omega, 31), 30).ok
+
+
+
+# A polynomial A-sequence g leaves most taps A_i zero; the table multiplies
+# only the nonzero ones.  T = x*g(T) for omega = x/g.
+@pytest.mark.parametrize("g", ([1, 1], [1, 0, 1], [1, 1, 1], [1, 0, 0, -2],
+                               [F(-3, 2), 0, 0, 0, F(2, 3)]))
+def test_invert_polynomial_a_sequences(g):
+    p = 40
+    omega = Series([0] + divide([F(1)], [F(c) for c in g], p))
+    y = invert_series(omega, p)
+    assert coeffs(y) == compositional_inverse(coeffs(omega), p)
+    assert y.shift(-1) == Series([F(c) for c in g], p).compose(y.truncate(p - 1))
+    assert verify_lagrange(omega, 25).ok
 
 def test_invert_rejects_wrong_order():
     with pytest.raises(DomainError, match="not invertible: order must be 1"):
@@ -241,6 +275,28 @@ def test_report_json_shape():
     report = verify_lagrange(Series([0, 1, -1], 6), 5)
     obj = report.to_json_dict()
     assert obj == {"max_n": 5, "violations": []}
+
+
+def test_a_failing_cell_is_reported_unscaled(monkeypatch):
+    omega = random_order_one(random.Random(62), 8)
+    build = reversion._power_table
+    scale, _, _ = build(omega, 7)
+
+    def perturbed(omega, precision):
+        s, taps, table = build(omega, precision)
+        table[2][5] += 1  # s**8 * [x^5] T**2, off by one
+        return s, taps, table
+
+    monkeypatch.setattr(reversion, "_power_table", perturbed)
+    report = verify_lagrange(omega, 7)
+    (v,) = report.violations
+    assert (v.n, v.k) == (5, 2)
+    assert v.rhs == 2 * list_power(coeffs(cofactor(omega, 5)), 5, 3)[3]
+    assert v.lhs == v.rhs + F(5, scale ** 8)
+    assert report.to_json_dict() == {
+        "max_n": 7,
+        "violations": [{"n": 5, "k": 2, "lhs": str(v.lhs), "rhs": str(v.rhs)}],
+    }
 
 
 @pytest.mark.parametrize("omega, max_n, error, message", [
