@@ -255,7 +255,9 @@ class Series:
 
         ``inner`` must have a zero constant term; otherwise every outer
         coefficient would touch every degree and the truncated result would
-        not be well defined.
+        not be well defined.  No library path composes: Riordan arrays read
+        their entries and reversion fills a power table, and the tests use
+        this as the reference those paths are checked against.
         """
         if inner.order() < 1:
             raise DomainError(

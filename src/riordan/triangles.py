@@ -14,6 +14,12 @@ closed in parameter form:
     inverse:  ``T(f|g)^-1 = T(1/f(w) | 1/g(w))`` with ``w`` the
               compositional inverse of ``x/g``
 
+Neither is computed by composing series.  The matrix acts on ``h`` as
+``(f/g) * h(x/g)``, which is its entry block times the coefficients of
+``h``.  For the inverse, ``w = x*g(w)`` gives ``g(w) = w/x``, read off the
+reversion of ``x/g``, and ``T(f|g) (1/f(w)) = 1/g``, solved by forward
+substitution on the entry rows.
+
 The inverse is also expressible through the classical A- and Z-sequences,
 and multiplying the first parameter by powers of ``g`` prepends or deletes
 leading rows and columns; both are provided here as operations.
@@ -24,6 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .fixpoint import _division_columns, reciprocal
 from .reversion import invert_series
@@ -130,22 +137,42 @@ class RiordanMatrix:
 
     def inverse(self) -> RiordanMatrix:
         """Group inverse ``T(1/f(w) | 1/g(w))``, ``w`` the compositional
-        inverse of ``x/g`` (computed by the reversion iteration)."""
+        inverse of ``x/g``.  Neither parameter is composed: ``w = x*g(w)``
+        gives ``g(w) = w/x``, and ``T(f|g)`` sends ``1/f(w)`` to ``1/g``.
+
+        >>> print(build_triangle(Series.one(3), Series([1, -1], 3), 4).inverse().to_csv())
+        1
+        -1,1
+        1,-2,1
+        -1,3,-3,1
+        """
         f_new, g_new = self._inverse_parameters()
         return build_triangle(f_new, g_new, self.depth)
 
     def _inverse_parameters(self) -> tuple[Series, Series]:
-        """``(1/f(w), 1/g(w))``, ``w`` the compositional inverse of ``x/g``."""
+        """``(1/f(w), 1/g(w))``, ``w`` the compositional inverse of ``x/g``.
+
+        ``w`` is inverted one degree further than the result, from ``g``
+        padded with a zero at degree ``p + 1``; that is exact, since
+        ``w_(n+1) = [x^n] g(w)`` reads only ``g_0..g_n``.  Then
+        ``1/g(w) = 1/(w/x)``, and ``u = 1/f(w)`` solves ``T(f|g) u = 1/g``
+        (the padded reciprocal through degree ``p``) by forward substitution
+        on the entry rows, whose diagonal ``f0/g0**(n+1)`` is nonzero."""
         p = self.depth - 1
-        w = invert_series(_inv(self.g, p).shift(1), p)
-        return _inv(self.f.compose(w), p), _inv(self.g.compose(w), p)
+        inv_g = _inv(self.g.truncate(p).pad(p + 1), p + 1)
+        w = invert_series(inv_g.shift(1), p + 1)
+        u: list[Fraction] = []
+        for row, b in zip(self.entries, inv_g.coefficients):
+            u.append((b - sum(map(mul, row, u))) / row[-1])
+        return Series(u), _inv(w.shift(-1), p)
 
     # ------------------------------------------------------------------
     # A/Z sequences
     # ------------------------------------------------------------------
     def a_z_sequences(self) -> SequencePair:
         """``A = 1/g(w)`` and ``Z = (A - (f0/g0)/f(w)) / x`` with ``w`` as in
-        :meth:`inverse`.  ``A`` comes back at precision ``depth - 1`` and
+        :meth:`inverse`: ``g(w) = w/x`` and ``T(f|g) (1/f(w)) = 1/g``, so
+        neither is composed.  ``A`` comes back at precision ``depth - 1`` and
         ``Z`` one degree shorter (the division by ``x``)."""
         if self.depth < 2:
             raise ValueError("sequence extraction needs depth >= 2")

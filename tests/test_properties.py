@@ -1,21 +1,23 @@
-"""Property tests of the Riordan group and its action on series, at depths
-1..8, and of compositional inversion, at precisions 1..10, with sparse
+"""Property tests of the Riordan group (products, inverses, shifts and the
+JSON round trip) and its action on series, at depths 1..8, and of
+compositional inversion, at precisions 1..10, with sparse
 small-integer and dense rational parameters.
 
 Every example is derandomized, so the suite draws the same cases on every
 run."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from riordan.reversion import invert_series
 from riordan.series import Series
-from riordan.triangles import build_triangle, identity
+from riordan.triangles import build_triangle, from_json_dict, identity
 
 from oracles import coeffs, divide, list_power
 from test_triangles import composed_product
@@ -27,15 +29,16 @@ DENSE = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
 @st.composite
-def panels(draw, matrices):
+def panels(draw, matrices, extra=0):
     """A depth, ``matrices`` Riordan matrices of that depth and a series
-    ``h`` at precision ``depth - 1``, all on one coefficient kind."""
+    ``h``, all on one coefficient kind and at precision ``depth - 1 + extra``."""
     depth = draw(st.integers(1, 8))
     kind = draw(st.sampled_from((SPARSE, DENSE)))
+    size = depth - 1 + extra
 
     def series(nonzero_constant):
         head = draw(kind.filter(bool) if nonzero_constant else kind)
-        return Series([head] + draw(st.lists(kind, min_size=depth - 1, max_size=depth - 1)))
+        return Series([head] + draw(st.lists(kind, min_size=size, max_size=size)))
 
     ts = [build_triangle(series(True), series(True), depth) for _ in range(matrices)]
     return ts, series(False)
@@ -81,6 +84,38 @@ def test_product_parameters_match_the_composition_formulas(panel):
     (a, b), _ = panel
     ab = a @ b
     assert (ab.f, ab.g) == composed_product(a, b)  # coefficients and precision
+
+
+@PROPERTY
+@given(panels(1))
+def test_inverse_on_both_sides(panel):
+    (t,), _ = panel
+    inv = t.inverse()
+    assert t @ inv == identity(t.depth) == inv @ t
+
+
+@PROPERTY
+@given(panels(1))
+def test_inverse_via_sequences_is_the_inverse(panel):
+    (t,), _ = panel
+    assume(t.depth >= 2)  # the sequences need two rows
+    assert t.inverse_via_sequences() == t.inverse()
+
+
+@PROPERTY
+@given(panels(1, extra=3), st.integers(1, 3))
+def test_shift_round_trip(panel, m):
+    (t,), _ = panel
+    p = t.depth + m - 1  # the precision a prepend of m columns needs
+    t = build_triangle(t.f.truncate(p), t.g.truncate(p), t.depth)
+    assert t.shift(m).shift(-m) == t
+
+
+@PROPERTY
+@given(panels(1))
+def test_json_round_trip(panel):
+    (t,), _ = panel
+    assert from_json_dict(json.loads(t.to_json())) == t
 
 
 @st.composite

@@ -24,6 +24,7 @@ from riordan.triangles import (
 
 from oracles import (
     coeffs,
+    compositional_inverse,
     convolve,
     divide,
     invert_lower_triangular,
@@ -85,6 +86,17 @@ def composed_apply(t, h):
     reference path for ``RiordanMatrix.apply``."""
     d, x_over_g = t.to_classical()
     return d * h.compose(x_over_g)
+
+
+def composed_inverse(t):
+    """``(1/f(w), 1/g(w))`` with ``w`` the oracle's compositional inverse of
+    ``x/g`` and each substitution a Horner ``Series.compose``: the reference
+    path for ``RiordanMatrix.inverse``."""
+    p = t.depth - 1
+    x_over_g = reciprocal(Series.one(p), t.g, p).shift(1)
+    w = Series(compositional_inverse(coeffs(x_over_g), p))
+    return (reciprocal(Series.one(p), t.f.compose(w), p),
+            reciprocal(Series.one(p), t.g.compose(w), p))
 
 
 # ----------------------------------------------------------------------
@@ -216,12 +228,38 @@ def test_apply_and_product_match_the_composition_formulas(make_series):
         assert a.apply(h) == composed_apply(a, h)
 
 
+@pytest.mark.parametrize("make_series", [
+    sparse_series,
+    functools.partial(random_series, nonzero_constant=True),
+], ids=["sparse", "dense"])
+@pytest.mark.parametrize("extra", [0, 3], ids=["exact", "longer"])
+def test_inverse_and_a_z_match_the_composition_formula(make_series, extra):
+    rng = random.Random(46)
+    top = 24
+    f, g = (make_series(rng, top + extra) for _ in range(2))
+    for depth in range(1, top + 2):
+        # parameters at precision depth - 1 + extra
+        t = build_triangle(f.truncate(depth - 1 + extra), g.truncate(depth - 1 + extra), depth)
+        f_inv, g_inv = composed_inverse(t)
+        inv = t.inverse()
+        # Series equality compares the coefficient tuples, so precision too
+        assert (inv.f, inv.g) == (f_inv, g_inv)
+        if depth >= 2:
+            pair = t.a_z_sequences()
+            z_seq = (g_inv - f_inv * (t.f[0] / t.g[0])).shift(-1)
+            assert (pair.a_seq, pair.z_seq) == (g_inv, z_seq)
+
+
 @pytest.mark.parametrize("call", [
     lambda: ag_triangle(6).apply(Series([3, 1, 4, 1, 5, 9])),
     lambda: ag_triangle(6) @ pascal(6),
     lambda: invert_series(Series([0, 1, -1, 2], 13), 12),
     lambda: verify_lagrange(Series([0, 1, -1, 2], 13), 12),
-], ids=["apply", "product", "invert_series", "verify_lagrange"])
+    lambda: ag_triangle(6).inverse(),
+    lambda: ag_triangle(6).a_z_sequences(),
+    lambda: ag_triangle(6).inverse_via_sequences(),
+], ids=["apply", "product", "invert_series", "verify_lagrange",
+        "inverse", "a_z_sequences", "inverse_via_sequences"])
 def test_entry_and_table_paths_make_no_horner_composition(monkeypatch, call):
     seen = []
     compose = Series.compose
