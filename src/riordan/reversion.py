@@ -11,10 +11,11 @@ algorithm by truncating stage ``k`` to degree ``k``:
 
 after which ``T_k`` agrees with the inverse through degree ``k`` exactly.
 So stage ``k`` only adds one coefficient.  Since ``T**(k+1) = x * T**k * g(T)``,
-the table of ``[x^m] T**j`` is the Riordan array ``(1, T)`` with A-sequence
-``g``, and the A-sequence rule fills it a degree at a time in O(P**3); the
-tests' reference path recomposes every stage by Horner, O(P**4).  The table
-runs on integers scaled by powers of one integer ``s`` (:func:`_power_table`).
+the table of ``[x^n] T**k`` is the Riordan array ``(1, T)`` with A-sequence
+``g``, and the A-sequence rule fills it a row at a time in ``O(P**2 (d+1))``
+for ``g`` of degree ``d`` (O(P**3) when ``g`` is dense); the tests' reference
+path recomposes every stage by Horner, O(P**4).  The rows run on integers
+scaled by powers of one integer ``s`` (:func:`_power_table`).
 The same fixed-point equation yields the coefficient identities
 
     ``n * [x^n] (omega^{-1})**k == k * [x^(n-k)] g**n``
@@ -28,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from operator import mul
 
 from .fixpoint import reciprocal
@@ -44,14 +44,16 @@ __all__ = [
 
 
 def _power_table(omega: Series, precision: int) -> tuple[int, tuple[int, ...], list[list[int]]]:
-    """``(s, A, Q)``, the integer power table ``Q[k][n] = s**(2n-k) * [x^n] T**k``
-    (``n <= precision``, ``k <= max(precision, 1)``) of the inverse ``T = x*g(T)``.
+    """``(s, A, rows)``, the rows ``rows[n][k] = s**(2n-k) * [x^n] T**k``
+    (``k <= n <= precision``) of the Riordan array ``(1, T)``, ``T = x*g(T)``.
 
-    ``T**(k+1) = x * T**k * g(T)``, so the table is the Riordan array ``(1, T)``
-    with A-sequence ``g = x/omega``.  ``H = L*omega/x`` is integral for ``L`` the
-    lcm of the denominators of ``omega_1..omega_(precision+1)``, and ``g = L/H``,
-    so the taps ``A_i = g_i * s**(i+1)`` over ``s = L*omega_1 = H_0`` are integers,
-    and ``Q[k+1][n+1] = sum_i A_i * Q[k+i][n]`` over the nonzero ``A_i`` fills each column."""
+    ``T**(k+1) = x * T**k * g(T)``, so ``(1, T)`` has A-sequence ``g = x/omega``.
+    ``H = L*omega/x`` is integral for ``L`` the lcm of the denominators of
+    ``omega_1..omega_(precision+1)``, and ``g = L/H``, so the taps
+    ``A_i = g_i * s**(i+1)`` over ``s = L*omega_1 = H_0`` are integers.  They stop
+    at ``g``'s last nonzero coefficient, and each row follows from the one before
+    by ``rows[n+1][k+1] = sum_i A_i * rows[n][k+i]``: ``O(P**2 (d+1))`` for ``g``
+    of degree ``d``."""
     if precision < 0:
         raise ValueError("precision must be a natural number")
     if omega.order() != 1:
@@ -67,14 +69,11 @@ def _power_table(omega: Series, precision: int) -> tuple[int, tuple[int, ...], l
                              for i, c in enumerate(g.coefficients)])
     if any(remainders):  # provably zero; nonzero signals an upstream bug
         raise ArithmeticError("scaled cofactor has a non-integral coefficient")
-    nonzero = [a for a in taps if a]  # compress(..., taps) picks their partners
-    table = [[0] * (precision + 1) for _ in range(max(precision, 1) + 1)]
-    table[0][0] = 1
+    taps = taps[: max(i for i, a in enumerate(taps) if a) + 1]  # A_0 = L, so one tap stays
+    rows = [[1]]
     for n in range(precision):
-        column = [row[n] for row in table[: n + 1]]  # T**j has order j: rows j > n are 0
-        for k in range(n + 1):
-            table[k + 1][n + 1] = sum(map(mul, nonzero, compress(column[k:], taps)))
-    return s, taps, table
+        rows.append([0] + [sum(map(mul, taps, rows[n][k:])) for k in range(n + 1)])
+    return s, taps, rows
 
 
 def invert_series(omega: Series, precision: int) -> Series:
@@ -83,10 +82,10 @@ def invert_series(omega: Series, precision: int) -> Series:
     Requires ``order(omega) == 1`` and ``omega.precision >= precision + 1``
     (one spare degree pays for the division that produces ``g``).  The
     result ``y`` satisfies ``omega(y) == y(omega) == x`` through the
-    requested degree; it is row 1 of the power table, unscaled.
+    requested degree; it is column 1 of the power table's rows, unscaled.
     """
-    s, _, table = _power_table(omega, precision)
-    return Series([Fraction(c, s ** (2 * n - 1)) if n else c for n, c in enumerate(table[1])])
+    s, _, rows = _power_table(omega, precision)
+    return Series([0] + [Fraction(row[1], s ** (2 * n - 1)) for n, row in enumerate(rows) if n])
 
 
 def lagrange_coefficient(g: Series, n: int, k: int) -> Fraction:
@@ -139,21 +138,21 @@ def verify_lagrange(omega: Series, max_n: int) -> LagrangeReport:
     """Check ``n*[x^n](omega^{-1})**k == k*[x^(n-k)]g**n`` for all
     ``1 <= k <= n <= max_n``, exactly.
 
-    With the power table's ``s`` and ``A``, ``[x^m] g**n = [y^m] A**n / s**(n+m)``,
-    so a cell compares ``n*Q[k][n]`` with ``k*[y^(n-k)] A**n``, integers over the
-    same ``s**(2n-k)``.  Violations are collected into the report, unscaled, not
-    raised; an empty list means the identity holds on the whole grid.
+    With the power table's ``s`` and taps ``A`` (cut at ``g``'s degree),
+    ``[x^m] g**n = [y^m] A**n / s**(n+m)``, so a cell compares ``n*rows[n][k]``
+    with ``k*[y^(n-k)] A**n``, integers over the same ``s**(2n-k)``.  Violations
+    are collected into the report, unscaled, not raised; an empty list means the
+    identity holds on the whole grid.
     """
-    s, taps, table = _power_table(omega, max_n)
-    nonzero = [a for a in taps if a]
+    s, taps, rows = _power_table(omega, max_n)
     a_powers = [[1] + [0] * (max_n - 1)]  # A**n through degree max_n - 1
     for _ in range(max_n):
         last = a_powers[-1]
-        a_powers.append([sum(map(mul, nonzero, compress(last[m::-1], taps))) for m in range(max_n)])
+        a_powers.append([sum(map(mul, taps, last[m::-1])) for m in range(max_n)])
     violations: list[LagrangeViolation] = []
     for k in range(1, max_n + 1):
         for n in range(k, max_n + 1):
-            lhs, rhs = n * table[k][n], k * a_powers[n][n - k]
+            lhs, rhs = n * rows[n][k], k * a_powers[n][n - k]
             if lhs != rhs:
                 lhs, rhs = (Fraction(v, s ** (2 * n - k)) for v in (lhs, rhs))
                 violations.append(LagrangeViolation(n, k, lhs, rhs))

@@ -263,15 +263,22 @@ def build_triangle(f: Series, g: Series, depth: int) -> RiordanMatrix:
     Both parameters need nonzero constant terms and precision at least
     ``depth - 1``; the division kernel enforces the conditions on ``g``.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    p = _degree(depth)
     if f.coefficient(0) == 0:
         raise DomainError("division domain error: f must have a nonzero constant term")
-    columns = _division_columns(f, g, depth - 1, depth)
+    columns = _division_columns(f, g, p, depth)
     rows = tuple(
         tuple(columns[k][n - k] for k in range(n + 1)) for n in range(depth)
     )
     return RiordanMatrix(f, g, depth, rows)
+
+
+def _degree(depth: int) -> int:
+    """``depth - 1``, the last degree a depth-``depth`` matrix reads, once
+    ``depth`` is checked."""
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    return depth - 1
 
 
 def _inv(s: Series, p: int) -> Series:
@@ -281,7 +288,7 @@ def _inv(s: Series, p: int) -> Series:
 
 def identity(depth: int) -> RiordanMatrix:
     """The identity matrix, ``T(1|1)``."""
-    one = Series.one(depth - 1)
+    one = Series.one(_degree(depth))
     return build_triangle(one, one, depth)
 
 
@@ -289,9 +296,9 @@ def from_classical(d: Series, h: Series, depth: int) -> RiordanMatrix:
     """Build from the classical pair: column ``k`` generated by ``d * h**k``
     (``h`` must have order exactly 1).  Needs ``d`` at precision
     ``depth - 1`` and ``h`` at ``depth``."""
+    p = _degree(depth)
     if h.order() != 1:
         raise DomainError("classical pair needs order(h) == 1")
-    p = depth - 1
     if d.precision < p or h.precision < p + 1:
         raise PrecisionError(
             f"classical construction at depth {depth} needs d at precision {p} and h at {p + 1}"
@@ -304,28 +311,32 @@ def from_classical(d: Series, h: Series, depth: int) -> RiordanMatrix:
 
 def appell(d: Series, depth: int) -> RiordanMatrix:
     """Appell element ``T(d|1)``: the Toeplitz matrix of ``d``."""
-    return build_triangle(d, Series.one(depth - 1), depth)
+    return build_triangle(d, Series.one(_degree(depth)), depth)
 
 
 def bell(d: Series, depth: int) -> RiordanMatrix:
     """Bell element ``T(1|1/d)`` for the classical pair ``(d, x*d)``."""
-    p = depth - 1
+    p = _degree(depth)
     return build_triangle(Series.one(p), _inv(d, p), depth)
 
 
 def associated(h: Series, depth: int) -> RiordanMatrix:
     """Associated (Lagrange) element ``T(1/h|1/h)`` for the classical
     pair ``(1, x*h)``."""
-    r = _inv(h, depth - 1)
+    r = _inv(h, _degree(depth))
     return build_triangle(r, r, depth)
 
 
 def from_json_dict(obj: dict) -> RiordanMatrix:
-    """Rebuild a matrix from its JSON form, validating the stored rows."""
-    f = Series(obj["f"])
-    g = Series(obj["g"])
-    depth = int(obj["depth"])
-    matrix = build_triangle(f, g, depth)
+    """Rebuild a matrix from its JSON form, validating its fields and the
+    stored rows."""
+    for field in ("f", "g", "depth", "rows"):
+        if field not in obj:
+            raise ValueError(f"matrix JSON has no {field!r} field")
+    depth = obj["depth"]
+    if type(depth) is not int:  # bool is an int subclass, and not a depth
+        raise ValueError(f"matrix JSON field 'depth' must be an integer, not {depth!r}")
+    matrix = build_triangle(Series(obj["f"]), Series(obj["g"]), depth)
     rows = [[Fraction(e) for e in row] for row in obj["rows"]]
     if [list(row) for row in matrix.entries] != rows:
         raise ValueError("stored rows do not match the parameter series")

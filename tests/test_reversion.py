@@ -283,9 +283,9 @@ def test_a_failing_cell_is_reported_unscaled(monkeypatch):
     scale, _, _ = build(omega, 7)
 
     def perturbed(omega, precision):
-        s, taps, table = build(omega, precision)
-        table[2][5] += 1  # s**8 * [x^5] T**2, off by one
-        return s, taps, table
+        s, taps, rows = build(omega, precision)
+        rows[5][2] += 1  # s**8 * [x^5] T**2, off by one
+        return s, taps, rows
 
     monkeypatch.setattr(reversion, "_power_table", perturbed)
     report = verify_lagrange(omega, 7)

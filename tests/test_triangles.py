@@ -162,6 +162,19 @@ def test_columns_match_oracle_at_bigint_sizes(g0):
     assert wide.entries == t.entries
 
 
+@pytest.mark.parametrize("make", [
+    identity,
+    lambda depth: appell(Series.one(3), depth),
+    lambda depth: bell(Series([1, 1], 3), depth),
+    lambda depth: associated(Series([1, 1], 3), depth),
+    lambda depth: from_classical(Series.one(3), Series([0, 1], 4), depth),
+], ids=["identity", "appell", "bell", "associated", "from_classical"])
+@pytest.mark.parametrize("depth", [0, -1])
+def test_constructors_reject_depth_below_one(make, depth):
+    with pytest.raises(ValueError, match=r"^depth must be at least 1$"):
+        make(depth)
+
+
 def test_depth_one_is_the_constant_quotient():
     t = build_triangle(Series([F(2, 3), F(1, 49)]), Series([F(-3, 2), 5]), 1)
     assert t.entries == ((F(-4, 9),),)
@@ -248,6 +261,20 @@ def test_inverse_and_a_z_match_the_composition_formula(make_series, extra):
             pair = t.a_z_sequences()
             z_seq = (g_inv - f_inv * (t.f[0] / t.g[0])).shift(-1)
             assert (pair.a_seq, pair.z_seq) == (g_inv, z_seq)
+
+
+@pytest.mark.parametrize("g", [[F(-3, 2), 1, F(2, 5)], [1, 0, 0, -2]],
+                         ids=["quadratic", "cubic"])
+def test_inverse_and_a_z_of_polynomial_cofactors_at_depth_40(g):
+    # the reversion of x/g runs on g's deg g + 1 taps only
+    depth = 40
+    t = build_triangle(Series([1, F(1, 3), 2], depth - 1), Series(g, depth - 1), depth)
+    f_inv, g_inv = composed_inverse(t)
+    inv = t.inverse()
+    assert (inv.f, inv.g) == (f_inv, g_inv)
+    pair = t.a_z_sequences()
+    z_seq = (g_inv - f_inv * (t.f[0] / t.g[0])).shift(-1)
+    assert (pair.a_seq, pair.z_seq) == (g_inv, z_seq)
 
 
 @pytest.mark.parametrize("call", [
@@ -544,6 +571,22 @@ def test_json_rejects_tampered_rows():
     obj = pascal(4).to_json_dict()
     obj["rows"][2][1] = "99"
     with pytest.raises(ValueError):
+        from_json_dict(obj)
+
+
+@pytest.mark.parametrize("field", ["f", "g", "depth", "rows"])
+def test_json_names_a_missing_field(field):
+    obj = pascal(4).to_json_dict()
+    del obj[field]
+    with pytest.raises(ValueError, match=f"^matrix JSON has no '{field}' field$"):
+        from_json_dict(obj)
+
+
+@pytest.mark.parametrize("depth", [2.7, 2.0, "2", True, None])
+def test_json_rejects_a_depth_that_is_not_an_integer(depth):
+    obj = pascal(2).to_json_dict()
+    obj["depth"] = depth
+    with pytest.raises(ValueError, match="^matrix JSON field 'depth' must be an integer"):
         from_json_dict(obj)
 
 
