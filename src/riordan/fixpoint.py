@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .series import DomainError, PrecisionError, Series
 
@@ -191,25 +191,42 @@ def reciprocal(f: Series, g: Series, precision: int) -> Series:
 
 
 def _division_columns(f: Series, g: Series, precision: int, count: int) -> list[list[Fraction]]:
-    """Columns ``k < count`` of ``x**k * f / g**(k+1)``, degrees ``k..precision``.
+    """Columns ``k < count`` of ``x**k * f / g**(k+1)``, degrees ``k..precision``: over
+    the integers of :func:`_integer_columns`, entry ``(n, k)`` is the one Fraction
+    ``R_k[n]*L**(k+1) / (M*G0**(n+1))``."""
+    den_f, den_g, scale, columns = _integer_columns(f, g, precision, count)
+    lk = den_g
+    for k, r in enumerate(columns):  # in place, so the integers of done columns are freed
+        columns[k] = [Fraction(r[n] * lk, den_f * scale[n + 1]) for n in range(k, precision + 1)]
+        lk *= den_g
+    return columns
+
+
+def _integral(cs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``(D, [D*c for c in cs])`` with ``D`` the lcm of the denominators of ``cs``."""
+    den = math.lcm(*(c.denominator for c in cs))
+    return den, [c.numerator * (den // c.denominator) for c in cs]
+
+
+def _integer_columns(f: Series, g: Series, precision: int,
+                     count: int) -> tuple[int, int, list[int], list[list[int]]]:
+    """``(M, L, [G0**n for n <= precision+1], [R_k for k < count])``, the kernel's
+    integer stage, each ``R_k`` indexed by degree ``n <= precision`` (0 below ``k``).
 
     Column ``k`` divides ``x * column(k-1)`` by ``g``, fraction-free: with
     ``F = M*f`` and ``G = L*g`` integral through ``precision``, the scaled
     ``R_k[n] = G0**(n+1) * [x^n] x**k F / G**(k+1)`` are the integers
     ``R_0[n] = F_n*G0**n - sum_j H_j R_0[n-j]`` and
-    ``R_k[n] = R_(k-1)[n-1] - sum_j H_j R_k[n-j]``, ``H_j = G_j*G0**(j-1)``,
-    and entry ``(n, k)`` is the one Fraction ``R_k[n]*L**(k+1) / (M*G0**(n+1))``.
+    ``R_k[n] = R_(k-1)[n-1] - sum_j H_j R_k[n-j]``, ``H_j = G_j*G0**(j-1)``.
     """
     _check_division(f, g, precision)
-    fc, gc = f.coefficients[: precision + 1], g.coefficients[: precision + 1]
-    den_f = math.lcm(*(c.denominator for c in fc))  # M
-    den_g = math.lcm(*(c.denominator for c in gc))  # L
-    big_g = [c.numerator * (den_g // c.denominator) for c in gc]
+    den_f, big_f = _integral(f.coefficients[: precision + 1])  # M, F
+    den_g, big_g = _integral(g.coefficients[: precision + 1])  # L, G
     big_g0 = big_g[0]
     taps = [(j, gj * big_g0 ** (j - 1)) for j, gj in enumerate(big_g) if j and gj]
     scale = [big_g0 ** n for n in range(precision + 2)]
     # column 0 is fed by F_n * G0**n, column k by x * column(k-1)
-    source = [c.numerator * (den_f // c.denominator) * s for c, s in zip(fc, scale)]
+    source = [c * s for c, s in zip(big_f, scale)]
     start = min(f.order(), precision + 1)  # leading zeros of every column
     columns = []
     for k in range(count):
@@ -222,10 +239,9 @@ def _division_columns(f: Series, g: Series, precision: int, count: int) -> list[
                     break
                 acc -= h * r[n - j]
             r[n] = acc
-        lk = den_g ** (k + 1)
-        columns.append([Fraction(r[n] * lk, den_f * scale[n + 1]) for n in range(k, precision + 1)])
+        columns.append(r)
         source = [0] + r
-    return columns
+    return den_f, den_g, scale, columns
 
 
 def column_scheme(f: Series, g: Series, n: int, prev_column: Series) -> IterationScheme:

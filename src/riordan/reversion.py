@@ -26,12 +26,12 @@ which :func:`verify_lagrange` checks exhaustively on a grid and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .fixpoint import reciprocal
+# reciprocal stays bound here for perfbench's tracer, which patches it in this module
+from .fixpoint import _integer_columns, reciprocal  # noqa: F401
 from .series import DomainError, PrecisionError, Series
 
 __all__ = [
@@ -43,17 +43,27 @@ __all__ = [
 ]
 
 
-def _power_table(omega: Series, precision: int) -> tuple[int, tuple[int, ...], list[list[int]]]:
-    """``(s, A, rows)``, the rows ``rows[n][k] = s**(2n-k) * [x^n] T**k``
-    (``k <= n <= precision``) of the Riordan array ``(1, T)``, ``T = x*g(T)``.
+def _cofactor_rows(taps: list[int], precision: int) -> tuple[list[int], list[list[int]]]:
+    """``(A, rows)``: ``taps`` (``A_0 != 0``) cut after the last nonzero one, and the rows
+    ``rows[n][k] = [x^n] U**k`` (``k <= n <= precision``) of ``(1, U)``, ``U = x*A(U)``.
 
-    ``T**(k+1) = x * T**k * g(T)``, so ``(1, T)`` has A-sequence ``g = x/omega``.
+    ``U**(k+1) = x * U**k * A(U)``, so ``A`` is the A-sequence of ``(1, U)`` and
+    ``rows[n+1][k+1] = sum_i A_i * rows[n][k+i]``: ``O(P**2 (d+1))`` products for
+    ``A`` of degree ``d``, and integer rows for integer taps."""
+    taps = taps[: max(i for i, a in enumerate(taps) if a) + 1]
+    rows = [[1]]
+    for n in range(precision):
+        rows.append([0] + [sum(map(mul, taps, rows[n][k:])) for k in range(n + 1)])
+    return taps, rows
+
+
+def _power_table(omega: Series, precision: int) -> tuple[int, list[int], list[list[int]]]:
+    """``(s, A, rows)`` with ``rows[n][k] = s**(2n-k) * [x^n] T**k``, ``T = x*g(T)``,
+    ``g = x/omega``: :func:`_cofactor_rows` of ``A(y) = s*g(s*y)``.
+
     ``H = L*omega/x`` is integral for ``L`` the lcm of the denominators of
-    ``omega_1..omega_(precision+1)``, and ``g = L/H``, so the taps
-    ``A_i = g_i * s**(i+1)`` over ``s = L*omega_1 = H_0`` are integers.  They stop
-    at ``g``'s last nonzero coefficient, and each row follows from the one before
-    by ``rows[n+1][k+1] = sum_i A_i * rows[n][k+i]``: ``O(P**2 (d+1))`` for ``g``
-    of degree ``d``."""
+    ``omega_1..omega_(precision+1)``; over ``s = L*omega_1 = H_0`` the kernel's integer
+    column ``R_0[i] = s**(i+1) [x^i] 1/H`` gives the taps ``A_i = s**(i+1) g_i = L*R_0[i]``."""
     if precision < 0:
         raise ValueError("precision must be a natural number")
     if omega.order() != 1:
@@ -62,18 +72,10 @@ def _power_table(omega: Series, precision: int) -> tuple[int, tuple[int, ...], l
         raise PrecisionError(
             f"inverting to degree {precision} needs omega at precision {precision + 1}"
         )
-    g = reciprocal(Series.one(precision), omega.truncate(precision + 1).shift(-1), precision)
-    lcm = math.lcm(*(c.denominator for c in omega.coefficients[1 : precision + 2]))  # L
-    s = (lcm * omega[1]).numerator
-    taps, remainders = zip(*[divmod(c.numerator * s ** (i + 1), c.denominator)
-                             for i, c in enumerate(g.coefficients)])
-    if any(remainders):  # provably zero; nonzero signals an upstream bug
-        raise ArithmeticError("scaled cofactor has a non-integral coefficient")
-    taps = taps[: max(i for i, a in enumerate(taps) if a) + 1]  # A_0 = L, so one tap stays
-    rows = [[1]]
-    for n in range(precision):
-        rows.append([0] + [sum(map(mul, taps, rows[n][k:])) for k in range(n + 1)])
-    return s, taps, rows
+    h = omega.truncate(precision + 1).shift(-1)
+    _, lcm, scale, (r0,) = _integer_columns(Series.one(precision), h, precision, 1)
+    taps, rows = _cofactor_rows([lcm * r for r in r0], precision)  # A_0 = L, so one tap stays
+    return scale[1], taps, rows
 
 
 def invert_series(omega: Series, precision: int) -> Series:

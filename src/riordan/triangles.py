@@ -16,9 +16,9 @@ closed in parameter form:
 
 Neither is computed by composing series.  The matrix acts on ``h`` as
 ``(f/g) * h(x/g)``, which is its entry block times the coefficients of
-``h``.  For the inverse, ``w = x*g(w)`` gives ``g(w) = w/x``, read off the
-reversion of ``x/g``, and ``T(f|g) (1/f(w)) = 1/g``, solved by forward
-substitution on the entry rows.
+``h``.  For the inverse, ``w = x*g(w)`` makes ``g`` the A-sequence of
+``(1, w)``; the integer rows of that array give ``g(w) = w/x`` (column 1)
+and ``f(w)`` (their dot products with ``f``), and one division inverts each.
 
 The inverse is also expressible through the classical A- and Z-sequences,
 and multiplying the first parameter by powers of ``g`` prepends or deletes
@@ -32,8 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .fixpoint import _division_columns, reciprocal
-from .reversion import invert_series
+from .fixpoint import _division_columns, _integral, reciprocal
+# invert_series stays bound here for perfbench's tracer, which patches it in this module
+from .reversion import _cofactor_rows, invert_series  # noqa: F401
 from .series import DomainError, PrecisionError, Series
 
 __all__ = [
@@ -138,7 +139,8 @@ class RiordanMatrix:
     def inverse(self) -> RiordanMatrix:
         """Group inverse ``T(1/f(w) | 1/g(w))``, ``w`` the compositional
         inverse of ``x/g``.  Neither parameter is composed: ``w = x*g(w)``
-        gives ``g(w) = w/x``, and ``T(f|g)`` sends ``1/f(w)`` to ``1/g``.
+        makes ``g`` the A-sequence of ``(1, w)``, whose integer rows give
+        ``g(w) = w/x`` and ``f(w)`` (:meth:`_inverse_parameters`).
 
         >>> print(build_triangle(Series.one(3), Series([1, -1], 3), 4).inverse().to_csv())
         1
@@ -152,27 +154,26 @@ class RiordanMatrix:
     def _inverse_parameters(self) -> tuple[Series, Series]:
         """``(1/f(w), 1/g(w))``, ``w`` the compositional inverse of ``x/g``.
 
-        ``w`` is inverted one degree further than the result, from ``g``
-        padded with a zero at degree ``p + 1``; that is exact, since
-        ``w_(n+1) = [x^n] g(w)`` reads only ``g_0..g_n``.  Then
-        ``1/g(w) = 1/(w/x)``, and ``u = 1/f(w)`` solves ``T(f|g) u = 1/g``
-        (the padded reciprocal through degree ``p``) by forward substitution
-        on the entry rows, whose diagonal ``f0/g0**(n+1)`` is nonzero."""
+        ``w = x*g(w)``: over ``G = L*g`` (``L`` the lcm of ``den(g_0..g_p)``) the rows of
+        ``(1, w)`` are ``rows[n][k] = L**n [x^n] w**k``, so ``[x^m] (w/x) = rows[m+1][1]
+        / L**(m+1)`` (exact through ``m = p``: ``w_(m+1)`` reads only ``g_0..g_m``) and,
+        with ``F = M*f``, ``[x^n] f(w) = sum_j F_j rows[n][j] / (M*L**n)``."""
         p = self.depth - 1
-        inv_g = _inv(self.g.truncate(p).pad(p + 1), p + 1)
-        w = invert_series(inv_g.shift(1), p + 1)
-        u: list[Fraction] = []
-        for row, b in zip(self.entries, inv_g.coefficients):
-            u.append((b - sum(map(mul, row, u))) / row[-1])
-        return Series(u), _inv(w.shift(-1), p)
+        den_g, taps = _integral(self.g.coefficients[: p + 1])
+        _, rows = _cofactor_rows(taps, p + 1)
+        den_f, big_f = _integral(self.f.coefficients[: p + 1])
+        f_w = [Fraction(sum(map(mul, big_f, row)), den_f * den_g ** n)
+               for n, row in enumerate(rows[:-1])]
+        w_over_x = [Fraction(row[1], den_g ** n) for n, row in enumerate(rows) if n]
+        return _inv(Series(f_w), p), _inv(Series(w_over_x), p)
 
     # ------------------------------------------------------------------
     # A/Z sequences
     # ------------------------------------------------------------------
     def a_z_sequences(self) -> SequencePair:
         """``A = 1/g(w)`` and ``Z = (A - (f0/g0)/f(w)) / x`` with ``w`` as in
-        :meth:`inverse`: ``g(w) = w/x`` and ``T(f|g) (1/f(w)) = 1/g``, so
-        neither is composed.  ``A`` comes back at precision ``depth - 1`` and
+        :meth:`inverse`: ``g(w) = w/x`` and ``f(w)`` come off the rows of ``(1, w)``,
+        so neither is composed.  ``A`` comes back at precision ``depth - 1`` and
         ``Z`` one degree shorter (the division by ``x``)."""
         if self.depth < 2:
             raise ValueError("sequence extraction needs depth >= 2")
@@ -336,6 +337,11 @@ def from_json_dict(obj: dict) -> RiordanMatrix:
     depth = obj["depth"]
     if type(depth) is not int:  # bool is an int subclass, and not a depth
         raise ValueError(f"matrix JSON field 'depth' must be an integer, not {depth!r}")
+    for field in ("f", "g", "rows"):
+        if not isinstance(obj[field], list):
+            raise ValueError(f"matrix JSON field {field!r} must be a list, not {obj[field]!r}")
+    if not all(isinstance(row, list) for row in obj["rows"]):
+        raise ValueError("matrix JSON field 'rows' must be a list of lists")
     matrix = build_triangle(Series(obj["f"]), Series(obj["g"]), depth)
     rows = [[Fraction(e) for e in row] for row in obj["rows"]]
     if [list(row) for row in matrix.entries] != rows:

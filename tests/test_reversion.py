@@ -142,6 +142,28 @@ def test_invert_polynomial_a_sequences(g):
     assert y.shift(-1) == Series([F(c) for c in g], p).compose(y.truncate(p - 1))
     assert verify_lagrange(omega, 25).ok
 
+
+@pytest.mark.parametrize("omega", [
+    random_order_one(random.Random(63), 13),
+    Series([0] + divide([F(1)], [F(-3, 2), 0, 0, 0, F(2, 3)], 13)),
+], ids=["dense", "polynomial_g"])
+def test_power_table_taps_come_from_the_kernel_without_a_quotient(monkeypatch, omega):
+    # A_i = s**(i+1) g_i, cut after g's last nonzero coefficient, read off the
+    # kernel's integer column of L*omega/x: no Series quotient is built
+    def no_quotient(*args):
+        raise AssertionError("the power table divided through reciprocal")
+
+    monkeypatch.setattr(reversion, "reciprocal", no_quotient)
+    s, taps, rows = reversion._power_table(omega, 12)
+    scaled = [c * s ** (i + 1) for i, c in enumerate(coeffs(cofactor(omega, 12)))]
+    while not scaled[-1]:
+        scaled.pop()
+    assert taps == scaled
+    assert s == math.lcm(*(c.denominator for c in coeffs(omega)[1:])) * omega[1]
+    assert [row[1] for row in rows[1:]] == [
+        c * s ** (2 * n - 1) for n, c in enumerate(compositional_inverse(coeffs(omega), 12)) if n]
+
+
 def test_invert_rejects_wrong_order():
     with pytest.raises(DomainError, match="not invertible: order must be 1"):
         invert_series(Series([1, 1], 5), 4)

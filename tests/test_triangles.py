@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from riordan import triangles
 from riordan.fixpoint import reciprocal
 from riordan.reversion import invert_series, verify_lagrange
 from riordan.series import DomainError, PrecisionError, Series
@@ -275,6 +276,41 @@ def test_inverse_and_a_z_of_polynomial_cofactors_at_depth_40(g):
     pair = t.a_z_sequences()
     z_seq = (g_inv - f_inv * (t.f[0] / t.g[0])).shift(-1)
     assert (pair.a_seq, pair.z_seq) == (g_inv, z_seq)
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng, depth: bell(random_series(rng, depth - 1, nonzero_constant=True), depth),
+    lambda rng, depth: associated(random_series(rng, depth - 1, nonzero_constant=True), depth),
+    lambda rng, depth: from_classical(random_series(rng, depth - 1, nonzero_constant=True),
+                                      random_series(rng, depth - 1, nonzero_constant=True).shift(1),
+                                      depth),
+], ids=["bell", "associated", "from_classical"])
+def test_inverse_and_a_z_of_dense_cofactors_at_depth_30(build):
+    # g = 1/d, 1/h or x/h is dense, with denominators that grow with the degree
+    t = build(random.Random(47), 30)
+    f_inv, g_inv = composed_inverse(t)
+    inv = t.inverse()
+    assert (inv.f, inv.g) == (f_inv, g_inv)
+    pair = t.a_z_sequences()
+    z_seq = (g_inv - f_inv * (t.f[0] / t.g[0])).shift(-1)
+    assert (pair.a_seq, pair.z_seq) == (g_inv, z_seq)
+
+
+def test_inverse_parameters_make_two_divisions_and_no_reversion(monkeypatch):
+    # w/x and f(w) come off one integer table; only 1/f(w) and 1/g(w) divide
+    calls = {"reciprocal": 0, "invert_series": 0}
+    for name in calls:
+        original = getattr(triangles, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(triangles, name, counting)
+    for t in (pascal(8), ag_triangle(6), random_matrix(random.Random(48), 9)):
+        calls.update(dict.fromkeys(calls, 0))
+        t._inverse_parameters()
+        assert calls == {"reciprocal": 2, "invert_series": 0}
 
 
 @pytest.mark.parametrize("call", [
@@ -587,6 +623,16 @@ def test_json_rejects_a_depth_that_is_not_an_integer(depth):
     obj = pascal(2).to_json_dict()
     obj["depth"] = depth
     with pytest.raises(ValueError, match="^matrix JSON field 'depth' must be an integer"):
+        from_json_dict(obj)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rows", 5), ("f", 5), ("g", None), ("rows", [5, 6, 7]), ("f", "1"),
+], ids=["rows_int", "f_int", "g_none", "rows_of_ints", "f_string"])
+def test_json_rejects_a_field_that_is_not_a_list(field, value):
+    obj = pascal(3).to_json_dict()
+    obj[field] = value
+    with pytest.raises(ValueError, match=f"^matrix JSON field '{field}' must be a list"):
         from_json_dict(obj)
 
 
