@@ -12,8 +12,9 @@ Series division is the flagship instance: ``f/g`` is the fixed point of
 ``t -> ((g0 - g)/g0)*t + f/g0``, and the crossed iteration of its Taylor
 truncations computes it degree by degree.  :func:`reciprocal`, the one
 division kernel, applies it one degree per step, on integers: scaled by
-``G0**(n+1)``, degree ``n`` obeys the same map with the division by ``g0``
-multiplied out.  The reference path the tests check it against is one
+``M*delta_n*g0``, ``delta_n`` the least common denominator the taps ``g_j/g0``
+can give it, degree ``n`` obeys the same map with every division multiplied
+out.  The reference path the tests check it against is one
 division scheme, :func:`reciprocal_scheme`, run by one loop,
 :func:`iterate_crossed`: a triangle column is the division scheme of
 ``x * previous column``, and plain iteration is the crossed iteration of
@@ -25,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .series import DomainError, PrecisionError, Series
@@ -181,8 +184,9 @@ def reciprocal(f: Series, g: Series, precision: int) -> Series:
 
     Step ``n`` of the crossed iteration of :func:`reciprocal_scheme` only
     fixes coefficient ``n``, so the contraction is applied one degree per
-    step, ``q_n = (f_n - sum_{j>=1} g_j * q_(n-j)) / g0``, with the same
-    limit, on the integers ``q_n * G0**(n+1)`` (:func:`_division_columns`).
+    step, ``q_n = f_n/g0 - sum_{j>=1} (g_j/g0) * q_(n-j)``, with the same
+    limit, on the integers ``M*delta_n*g0*q_n`` (:func:`_integer_columns`),
+    ``M`` the lcm of the denominators of ``f``.
 
     >>> print(reciprocal(Series.one(3), Series(["-3/2", 1], 3), 3))
     -2/3-(4/9)x-(8/27)x^2-(16/81)x^3
@@ -192,56 +196,101 @@ def reciprocal(f: Series, g: Series, precision: int) -> Series:
 
 def _division_columns(f: Series, g: Series, precision: int, count: int) -> list[list[Fraction]]:
     """Columns ``k < count`` of ``x**k * f / g**(k+1)``, degrees ``k..precision``: over
-    the integers of :func:`_integer_columns`, entry ``(n, k)`` is the one Fraction
-    ``R_k[n]*L**(k+1) / (M*G0**(n+1))``."""
-    den_f, den_g, scale, columns = _integer_columns(f, g, precision, count)
-    lk = den_g
-    for k, r in enumerate(columns):  # in place, so the integers of done columns are freed
-        columns[k] = [Fraction(r[n] * lk, den_f * scale[n + 1]) for n in range(k, precision + 1)]
-        lk *= den_g
+    the integers of :func:`_integer_columns`, with ``g0 = a/b`` in lowest terms, entry
+    ``(n, k)`` is the one Fraction ``S_k[n-k]*b**(k+1) / (M*delta_(n-k)*a**(k+1))``."""
+    den_f, _, g0, delta, columns = _integer_columns(f, g, precision, count)
+    a, b = g0.numerator, g0.denominator
+    dens = [den_f * d for d in delta]
+    ak, bk = a, b
+    for k, s in enumerate(columns):  # in place, so the integers of done columns are freed
+        columns[k] = [Fraction(v * bk, d * ak) for v, d in zip(s, dens)]
+        ak, bk = ak * a, bk * b
     return columns
 
 
 def _integral(cs: Sequence[Fraction]) -> tuple[int, list[int]]:
     """``(D, [D*c for c in cs])`` with ``D`` the lcm of the denominators of ``cs``."""
-    den = math.lcm(*(c.denominator for c in cs))
-    return den, [c.numerator * (den // c.denominator) for c in cs]
+    dens = [c.denominator for c in cs]
+    den = math.lcm(*dens)
+    return den, [c.numerator * (den // d) for c, d in zip(cs, dens)]
 
 
 def _integer_columns(f: Series, g: Series, precision: int,
-                     count: int) -> tuple[int, int, list[int], list[list[int]]]:
-    """``(M, L, [G0**n for n <= precision+1], [R_k for k < count])``, the kernel's
-    integer stage, each ``R_k`` indexed by degree ``n <= precision`` (0 below ``k``).
+                     count: int) -> tuple[int, int, Fraction, list[int], list[list[int]]]:
+    """``(M, L, g0, delta, [S_k for k < count])``, the kernel's integer stage, each ``S_k``
+    indexed by ``m = n - k <= precision - k`` (0 below the order of ``f``).
 
-    Column ``k`` divides ``x * column(k-1)`` by ``g``, fraction-free: with
-    ``F = M*f`` and ``G = L*g`` integral through ``precision``, the scaled
-    ``R_k[n] = G0**(n+1) * [x^n] x**k F / G**(k+1)`` are the integers
-    ``R_0[n] = F_n*G0**n - sum_j H_j R_0[n-j]`` and
-    ``R_k[n] = R_(k-1)[n-1] - sum_j H_j R_k[n-j]``, ``H_j = G_j*G0**(j-1)``.
+    Column ``k`` divides ``x * column(k-1)`` by ``g``, fraction-free.  With ``F = M*f``
+    integral through ``precision`` and ``c_j = g_j/g0``, the scaled
+    ``S_k[m] = M*delta_m * [x^m] f / (g/g0)**(k+1)`` obey
+    ``S_k[m] = S_(k-1)[m] - sum_j t_(m,j) S_k[m-j]``, column 0 fed by ``F_m*delta_m``,
+    with integer taps ``t_(m,j) = c_j * delta_m/delta_(m-j)``: ``delta_0 = 1`` and
+    ``delta_m = lcm_j den(c_j)*delta_(m-j)`` (:func:`_scale_rows`), which divides
+    ``(L*g0)**m`` for ``L`` the lcm of ``g``'s denominators through ``precision``.
     """
     _check_division(f, g, precision)
     den_f, big_f = _integral(f.coefficients[: precision + 1])  # M, F
-    den_g, big_g = _integral(g.coefficients[: precision + 1])  # L, G
-    big_g0 = big_g[0]
-    taps = [(j, gj * big_g0 ** (j - 1)) for j, gj in enumerate(big_g) if j and gj]
-    scale = [big_g0 ** n for n in range(precision + 2)]
-    # column 0 is fed by F_n * G0**n, column k by x * column(k-1)
-    source = [c * s for c, s in zip(big_f, scale)]
+    g0 = g.coefficients[0]
+    a, b = g0.numerator, g0.denominator
+    den_g, taps = b, []  # L, and (j, num(c_j), den(c_j)) for the nonzero c_j = g_j/g0
+    for j, gj in enumerate(g.coefficients[1: precision + 1], 1):
+        if gj:
+            dj = gj.denominator
+            den_g = math.lcm(den_g, dj)
+            num, den = gj.numerator * b, dj * a
+            c = math.gcd(num, den) if a > 0 else -math.gcd(num, den)
+            taps.append((j, num // c, den // c))
+    delta, rows = _scale_rows(taps, precision)
+    # column 0 is fed by F_m * delta_m, column k by column k-1 at the same m
+    source = [c * d for c, d in zip(big_f, delta)]
     start = min(f.order(), precision + 1)  # leading zeros of every column
+    pad = taps[-1][0] if taps else 0  # zeros past the end, read by s[m - j] for m < j
     columns = []
     for k in range(count):
-        lo = start + k
-        r = [0] * (precision + 1)
-        for n in range(lo, precision + 1):
-            acc = source[n]
-            for j, h in taps:
-                if j > n - lo:
-                    break
-                acc -= h * r[n - j]
-            r[n] = acc
-        columns.append(r)
-        source = [0] + r
-    return den_f, den_g, scale, columns
+        top = precision - k + 1
+        s = [0] * (top + pad)
+        for m in range(start, top):
+            acc = source[m]
+            for j, t in rows[m]:
+                acc -= t * s[m - j]
+            s[m] = acc
+        del s[top:]
+        columns.append(s)
+        source = s
+    return den_f, den_g, g0, delta, columns
+
+
+def _scale_rows(taps: list[tuple[int, int, int]],
+                precision: int) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """``(delta, rows)`` for the taps ``(j, num(c_j), den(c_j))``: ``delta_m`` and the
+    integer taps ``rows[m] = [(j, t_(m,j))]`` of each degree ``m <= precision``.
+
+    If every ``den(c_j)`` divides ``e**j``, ``e = den(c_1)``, then ``delta_m = e**m``
+    and one row serves every degree.  Otherwise, from the last tap ``d`` on, the ratio
+    ``delta_m/delta_(m-1)`` and row ``m`` depend only on the ``d - 1`` ratios before
+    it, so once that window repeats, ratios and rows repeat with its period."""
+    e = taps[0][2] if taps and taps[0][0] == 1 else 1
+    if all(pow(e, j, den) == 0 for j, _, den in taps):
+        row = [(j, num * e ** j // den) for j, num, den in taps]
+        return list(accumulate(repeat(e, precision), mul, initial=1)), [row] * (precision + 1)
+    d = taps[-1][0]
+    delta, ratios, rows, seen = [1], [1], [[]], {}
+    for m in range(1, precision + 1):
+        key = tuple(ratios[m - d + 1:]) if m >= d else m  # a degree's own key below d
+        if key in seen:  # the window repeats: so do ratios and rows, with period c
+            c = m - seen[key]
+            step = delta[-1] // delta[-1 - c]
+            for i in range(m, precision + 1):
+                delta.append(delta[i - c] * step)
+                rows.append(rows[i - c])
+            break
+        seen[key] = m
+        prods = [den * delta[m - j] for j, _, den in taps if j <= m]
+        dm = math.lcm(*prods)
+        ratios.append(dm // delta[-1])
+        delta.append(dm)
+        rows.append([(j, num * (dm // p)) for (j, num, _), p in zip(taps, prods)])
+    return delta, rows
 
 
 def column_scheme(f: Series, g: Series, n: int, prev_column: Series) -> IterationScheme:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from operator import mul
 
 # reciprocal stays bound here for perfbench's tracer, which patches it in this module
@@ -61,9 +62,11 @@ def _power_table(omega: Series, precision: int) -> tuple[int, list[int], list[li
     """``(s, A, rows)`` with ``rows[n][k] = s**(2n-k) * [x^n] T**k``, ``T = x*g(T)``,
     ``g = x/omega``: :func:`_cofactor_rows` of ``A(y) = s*g(s*y)``.
 
-    ``H = L*omega/x`` is integral for ``L`` the lcm of the denominators of
-    ``omega_1..omega_(precision+1)``; over ``s = L*omega_1 = H_0`` the kernel's integer
-    column ``R_0[i] = s**(i+1) [x^i] 1/H`` gives the taps ``A_i = s**(i+1) g_i = L*R_0[i]``."""
+    ``L*omega/x`` is integral for ``L`` the lcm of the denominators of
+    ``omega_1..omega_(precision+1)``, and ``s = L*omega_1``.  The kernel's integer column
+    for ``1/h``, ``h = omega/x``, is ``S_0[i] = delta_i*omega_1*g_i``; each ``den(h_j/h_0)``
+    divides ``s``, so ``delta_i`` divides ``s**i`` and the taps are
+    ``A_i = s**(i+1) g_i = L*S_0[i]*(s**i // delta_i)``, with ``A_0 = L``."""
     if precision < 0:
         raise ValueError("precision must be a natural number")
     if omega.order() != 1:
@@ -72,10 +75,12 @@ def _power_table(omega: Series, precision: int) -> tuple[int, list[int], list[li
         raise PrecisionError(
             f"inverting to degree {precision} needs omega at precision {precision + 1}"
         )
-    h = omega.truncate(precision + 1).shift(-1)
-    _, lcm, scale, (r0,) = _integer_columns(Series.one(precision), h, precision, 1)
-    taps, rows = _cofactor_rows([lcm * r for r in r0], precision)  # A_0 = L, so one tap stays
-    return scale[1], taps, rows
+    h = Series(omega.coefficients[1: precision + 2])  # omega/x
+    _, lcm, h0, delta, (s0,) = _integer_columns(Series.one(precision), h, precision, 1)
+    s = h0.numerator * (lcm // h0.denominator)
+    powers = accumulate(repeat(s, precision), mul, initial=lcm)  # L*s**i
+    taps, rows = _cofactor_rows([a * (p // d) for a, p, d in zip(s0, powers, delta)], precision)
+    return s, taps, rows
 
 
 def invert_series(omega: Series, precision: int) -> Series:

@@ -7,6 +7,7 @@ purpose avoiding the library code paths they are used to check.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -53,6 +54,28 @@ def divide(f: list[Fraction], g: list[Fraction], upto: int) -> list[Fraction]:
             acc -= q[i] * gj
         q.append(acc / g0)
     return q
+
+
+def divided_columns(f: list[Fraction], g: list[Fraction], upto: int,
+                    count: int) -> list[list[Fraction]]:
+    """Coefficients 0..upto of ``x**k * f / g**(k+1)`` for ``k < count``: column 0
+    by back substitution, then each column from the one before, shifted and
+    divided by ``g`` again."""
+    columns = [divide(f, g, upto)]
+    while len(columns) < count:
+        columns.append(divide([Fraction(0)] + columns[-1][:upto], g, upto))
+    return columns
+
+
+def division_scale(g: list[Fraction], upto: int) -> list[int]:
+    """``delta_0..delta_upto`` by their definition: ``delta_0 = 1`` and
+    ``delta_m`` the lcm of ``den(g_j/g_0)*delta_(m-j)`` over the nonzero
+    ``g_j``, ``1 <= j <= m``."""
+    taps = [(j, (c / g[0]).denominator) for j, c in enumerate(g) if j and c]
+    delta = [1]
+    for m in range(1, upto + 1):
+        delta.append(math.lcm(*(den * delta[m - j] for j, den in taps if j <= m)))
+    return delta
 
 
 def cofactor(omega: Series, upto: int) -> Series:

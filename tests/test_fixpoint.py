@@ -9,6 +9,8 @@ from riordan.fixpoint import (
     AffineMap,
     IterationScheme,
     NotContractiveError,
+    _division_columns,
+    _integer_columns,
     column_scheme,
     iterate_crossed,
     iterate_fixed,
@@ -18,7 +20,15 @@ from riordan.fixpoint import (
 from riordan.series import DomainError, PrecisionError, Series, distance
 from riordan.triangles import build_triangle
 
-from oracles import divide, coeffs, past_precision, random_fraction, random_series
+from oracles import (
+    coeffs,
+    divide,
+    divided_columns,
+    division_scale,
+    past_precision,
+    random_fraction,
+    random_series,
+)
 
 GEOMETRIC_MAP_PRECISION = 6
 
@@ -186,9 +196,10 @@ def test_reciprocal_matches_division_oracle():
         assert coeffs(reciprocal(f, g, 9)) == divide(coeffs(f), coeffs(g), 9)
 
 
-# The kernel runs on integers scaled by powers of G0 and builds each
-# output as one Fraction; these panels reach bigint sizes and signed,
-# fractional leading coefficients.
+# The kernel runs on integers scaled by the least common denominator that
+# the taps g_j/g0 can give each degree, and builds each output as one
+# Fraction; these panels reach bigint sizes and signed, fractional leading
+# coefficients.
 KERNEL_G0 = (1, -1, 3, F(-3, 2), F(2, 3))
 KERNEL_PRECISION = 39
 
@@ -211,6 +222,67 @@ def test_reciprocal_matches_oracle_at_bigint_sizes(g0):
         assert coeffs(q) == expected
         assert all(type(c) is F for c in q.coefficients)
         assert reciprocal(past_precision(num, p), past_precision(g, p), p) == q
+
+
+KERNEL_PANEL_PRECISION = 60
+
+
+def alternating(numerators, denominator, precision):
+    """``1 + sum_j (-1)**j * a_j/denominator(j) * x**j``, the ``a_j`` cycling
+    through ``numerators`` (all prime to the denominators)."""
+    return Series([1] + [F((-1) ** j * numerators[j % len(numerators)], denominator(j))
+                         for j in range(1, precision + 1)])
+
+
+KERNEL_COFACTORS = {
+    # scales that are not a power of one integer: delta_m = 3**(m//2), then
+    # lcm(3*delta_(m-2), 2*delta_(m-3)), and for g0 = -3/2 the taps g_j/g0
+    # have denominators 3, 9, 15 and 21 at degrees 2, 5, 7 and 11
+    "gapped": Series([1, 0, F(1, 3), F(-1, 2)], KERNEL_PANEL_PRECISION),
+    "g0=-3/2": Series([F(-3, 2), 0, F(1, 2), 0, 0, F(-2, 3), 0, F(4, 5), 0, 0, 0, F(-5, 7)],
+                      KERNEL_PANEL_PRECISION),
+    # geometric scales with large denominators: den(g_j) = 3**j and 20**j
+    "3**j": alternating((1, 2, 4, 5, 7), lambda j: 3 ** j, KERNEL_PANEL_PRECISION),
+    "2**(2j)*5**j": alternating((1, 3, 7, 9), lambda j: 2 ** (2 * j) * 5 ** j,
+                                KERNEL_PANEL_PRECISION),
+}
+
+
+@pytest.mark.parametrize("g", KERNEL_COFACTORS.values(), ids=KERNEL_COFACTORS)
+def test_kernel_matches_oracle_on_the_cofactors_own_denominators(g):
+    rng = random.Random(30)
+    p = KERNEL_PANEL_PRECISION
+    f = dense_rational(rng, random_fraction(rng, maxden=7, nonzero=True), p)
+    gc = coeffs(g)
+    expected = divided_columns(coeffs(f), gc, p, p + 1)
+    t = build_triangle(f, g, p + 1)
+    assert [coeffs(t.column_series(k)) for k in range(p + 1)] == expected
+    # x**3 * f has columns x**3 * column(k); the zero series has zero columns
+    for num, shifted in ((f.shift(3).truncate(p), 3), (Series.zero(p), p + 1)):
+        columns = [[F(0)] * shifted + col[: p + 1 - shifted] for col in expected]
+        assert coeffs(reciprocal(num, g, p)) == columns[0] == divide(coeffs(num), gc, p)
+        assert _division_columns(num, g, p, p + 1) == [col[k:] for k, col in enumerate(columns)]
+
+
+def kernel_scale(g, p):
+    """The kernel's ``delta_0..delta_p`` for the cofactor ``g``."""
+    return _integer_columns(Series.one(p), g, p, 1)[3]
+
+
+def test_kernel_scale_is_one_for_integral_cofactors_with_unit_constant():
+    p = KERNEL_PANEL_PRECISION
+    for g in (Series([1, -2, 0, 3, 0, 0, 5], p), Series([-1, 0, 4, 1], p), Series([1] * (p + 1))):
+        assert kernel_scale(g, p) == [1] * (p + 1)
+
+
+def test_kernel_scale_follows_the_cofactors_denominators():
+    p = KERNEL_PANEL_PRECISION
+    # den(g_j) = 3**j: delta_m = 3**m, where (L*g0)**(m+1) with L = 3**p
+    # would carry p*(m+1) factors of 3
+    assert kernel_scale(KERNEL_COFACTORS["3**j"], p) == [3 ** m for m in range(p + 1)]
+    assert kernel_scale(Series([1, 0, F(1, 3)], p), p) == [3 ** (m // 2) for m in range(p + 1)]
+    for g in (KERNEL_COFACTORS["gapped"], KERNEL_COFACTORS["g0=-3/2"]):
+        assert kernel_scale(g, p) == division_scale(coeffs(g), p)
 
 
 def test_reciprocal_at_precision_zero():

@@ -1,7 +1,8 @@
 """Property tests of the Riordan group (products, inverses, shifts and the
-JSON round trip) and its action on series, at depths 1..8, and of
+JSON round trip) and its action on series, at depths 1..8, of
 compositional inversion, at precisions 1..10, with sparse
-small-integer and dense rational parameters.
+small-integer and dense rational parameters, and of the division kernel,
+at precisions 0..40, on cofactors with random zero patterns.
 
 Every example is derandomized, so the suite draws the same cases on every
 run."""
@@ -15,11 +16,12 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st
 
+from riordan.fixpoint import _integer_columns, reciprocal
 from riordan.reversion import invert_series
 from riordan.series import Series
 from riordan.triangles import build_triangle, from_json_dict, identity
 
-from oracles import coeffs, divide, list_power
+from oracles import coeffs, divide, divided_columns, division_scale, list_power
 from test_triangles import composed_product
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
@@ -136,3 +138,35 @@ def test_reversion_is_two_sided(case):
     assert y.compose(omega.truncate(p)) == Series.x(p)
     for k in range(p + 1):
         assert invert_series(omega, k) == y.truncate(k)
+
+
+TAP = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def quotients(draw):
+    """A precision ``p`` in 0..40, a cofactor ``g`` whose constant may be
+    fractional or negative and whose nonzero taps sit at random degrees (so
+    with gaps before, between and after them), and ``f`` of any order."""
+    p = draw(st.integers(0, 40))
+    g = [draw(TAP.filter(bool))] + [F(0)] * p
+    if p:  # taps within a short reach repeat their scale pattern well inside p
+        reach = draw(st.sampled_from((min(p, 4), min(p, 8), p)))
+        for j in draw(st.lists(st.integers(1, reach), max_size=6, unique=True)):
+            g[j] = draw(TAP.filter(bool))
+    order = draw(st.integers(0, p + 1))
+    f = [F(0)] * order + draw(st.lists(DENSE, min_size=p + 1 - order, max_size=p + 1 - order))
+    return Series(f), Series(g), p
+
+
+@PROPERTY
+@given(quotients())
+def test_division_kernel_matches_back_substitution(case):
+    f, g, p = case
+    fc, gc = coeffs(f), coeffs(g)
+    assert coeffs(reciprocal(f, g, p)) == divide(fc, gc, p)
+    head = [fc[0] or F(1)] + fc[1:]  # a triangle needs f0 != 0
+    t = build_triangle(Series(head), g, p + 1)
+    assert [coeffs(t.column_series(k)) for k in range(p + 1)] == divided_columns(head, gc, p, p + 1)
+    # the scale is delta_m = lcm_j den(g_j/g0)*delta_(m-j), whatever the zero pattern
+    assert _integer_columns(f, g, p, 1)[3] == division_scale(gc, p)

@@ -6,11 +6,12 @@ import json
 import math
 import random
 from fractions import Fraction as F
+from itertools import chain
 
 import pytest
 
 from riordan import triangles
-from riordan.fixpoint import reciprocal
+from riordan.fixpoint import _integer_columns, reciprocal
 from riordan.reversion import invert_series, verify_lagrange
 from riordan.series import DomainError, PrecisionError, Series
 from riordan.triangles import (
@@ -28,6 +29,7 @@ from oracles import (
     compositional_inverse,
     convolve,
     divide,
+    divided_columns,
     invert_lower_triangular,
     list_power,
     matmul_lower,
@@ -294,6 +296,54 @@ def test_inverse_and_a_z_of_dense_cofactors_at_depth_30(build):
     pair = t.a_z_sequences()
     z_seq = (g_inv - f_inv * (t.f[0] / t.g[0])).shift(-1)
     assert (pair.a_seq, pair.z_seq) == (g_inv, z_seq)
+
+
+DENSE_DEPTH = 60
+# d = 1 + x/3 + 2x^2 - 2x^3/7 and friends: 1/d, 1/h and x/h are dense, with
+# denominators that grow with the degree, and the group operations pass
+# such parameters on
+DENSE_D = Series([1, F(1, 3), 2, F(-2, 7)], DENSE_DEPTH - 1)
+DENSE_H = Series([F(-3, 2), 1, F(2, 5)], DENSE_DEPTH - 1)
+DENSE_CLASSICAL_H = Series([0, 2, F(1, 7), -1], DENSE_DEPTH)
+
+
+def assert_columns_divide(t):
+    """Every column of ``t`` is ``x**k f / g**(k+1)`` by back substitution."""
+    p = t.depth - 1
+    expected = divided_columns(coeffs(t.f), coeffs(t.g), p, t.depth)
+    assert [coeffs(t.column_series(k)) for k in range(t.depth)] == expected
+
+
+def test_dense_group_operations_at_depth_60():
+    p = DENSE_DEPTH - 1
+    d, h = coeffs(DENSE_D), coeffs(DENSE_H)
+    b = bell(DENSE_D, DENSE_DEPTH)
+    a = associated(DENSE_H, DENSE_DEPTH)
+    c = from_classical(DENSE_D, DENSE_CLASSICAL_H, DENSE_DEPTH)
+    h_over_x = coeffs(DENSE_CLASSICAL_H)[1:]
+    assert (coeffs(b.f), coeffs(b.g)) == ([1] + [0] * p, divide([F(1)], d, p))
+    assert coeffs(a.f) == coeffs(a.g) == divide([F(1)], h, p)
+    assert (coeffs(c.f), coeffs(c.g)) == (divide(d, h_over_x, p), divide([F(1)], h_over_x, p))
+    ab = b @ a
+    assert (ab.f, ab.g) == composed_product(b, a)
+    shifted = ab.shift(-3)
+    assert shifted.entries == tuple(row[3:] for row in ab.entries[3:])
+    for t in (b, a, c, ab, shifted):
+        assert_columns_divide(t)
+    # composed_inverse checks the inverse at depth 30; here the group law does
+    assert c @ c.inverse() == identity(DENSE_DEPTH)
+
+
+def test_kernel_integers_stay_near_the_size_of_the_entries():
+    # a scale of (L*g0)**(n+1) made the kernel's integers 6582 bits long
+    # here, against entries of at most 117 bits
+    p = DENSE_DEPTH - 1
+    g = reciprocal(Series.one(p), DENSE_D, p)
+    t = build_triangle(Series.one(p), g, DENSE_DEPTH)
+    entry_bits = max(max(e.numerator.bit_length(), e.denominator.bit_length())
+                     for row in t.entries for e in row)
+    _, _, _, delta, columns = _integer_columns(Series.one(p), g, p, DENSE_DEPTH)
+    assert max(v.bit_length() for v in chain(delta, *columns)) <= 2 * entry_bits
 
 
 def test_inverse_parameters_make_two_divisions_and_no_reversion(monkeypatch):
