@@ -198,7 +198,7 @@ def _division_columns(f: Series, g: Series, precision: int, count: int) -> list[
     """Columns ``k < count`` of ``x**k * f / g**(k+1)``, degrees ``k..precision``: over
     the integers of :func:`_integer_columns`, with ``g0 = a/b`` in lowest terms, entry
     ``(n, k)`` is the one Fraction ``S_k[n-k]*b**(k+1) / (M*delta_(n-k)*a**(k+1))``."""
-    den_f, _, g0, delta, columns = _integer_columns(f, g, precision, count)
+    den_f, g0, delta, columns = _integer_columns(f, g, precision, count)
     a, b = g0.numerator, g0.denominator
     dens = [den_f * d for d in delta]
     ak, bk = a, b
@@ -216,8 +216,8 @@ def _integral(cs: Sequence[Fraction]) -> tuple[int, list[int]]:
 
 
 def _integer_columns(f: Series, g: Series, precision: int,
-                     count: int) -> tuple[int, int, Fraction, list[int], list[list[int]]]:
-    """``(M, L, g0, delta, [S_k for k < count])``, the kernel's integer stage, each ``S_k``
+                     count: int) -> tuple[int, Fraction, list[int], list[list[int]]]:
+    """``(M, g0, delta, [S_k for k < count])``, the kernel's integer stage, each ``S_k``
     indexed by ``m = n - k <= precision - k`` (0 below the order of ``f``).
 
     Column ``k`` divides ``x * column(k-1)`` by ``g``, fraction-free.  With ``F = M*f``
@@ -225,19 +225,16 @@ def _integer_columns(f: Series, g: Series, precision: int,
     ``S_k[m] = M*delta_m * [x^m] f / (g/g0)**(k+1)`` obey
     ``S_k[m] = S_(k-1)[m] - sum_j t_(m,j) S_k[m-j]``, column 0 fed by ``F_m*delta_m``,
     with integer taps ``t_(m,j) = c_j * delta_m/delta_(m-j)``: ``delta_0 = 1`` and
-    ``delta_m = lcm_j den(c_j)*delta_(m-j)`` (:func:`_scale_rows`), which divides
-    ``(L*g0)**m`` for ``L`` the lcm of ``g``'s denominators through ``precision``.
+    ``delta_m = lcm_j den(c_j)*delta_(m-j)`` (:func:`_scale_rows`).
     """
     _check_division(f, g, precision)
     den_f, big_f = _integral(f.coefficients[: precision + 1])  # M, F
     g0 = g.coefficients[0]
     a, b = g0.numerator, g0.denominator
-    den_g, taps = b, []  # L, and (j, num(c_j), den(c_j)) for the nonzero c_j = g_j/g0
+    taps = []  # (j, num(c_j), den(c_j)) for the nonzero c_j = g_j/g0
     for j, gj in enumerate(g.coefficients[1: precision + 1], 1):
         if gj:
-            dj = gj.denominator
-            den_g = math.lcm(den_g, dj)
-            num, den = gj.numerator * b, dj * a
+            num, den = gj.numerator * b, gj.denominator * a
             c = math.gcd(num, den) if a > 0 else -math.gcd(num, den)
             taps.append((j, num // c, den // c))
     delta, rows = _scale_rows(taps, precision)
@@ -257,7 +254,7 @@ def _integer_columns(f: Series, g: Series, precision: int,
         del s[top:]
         columns.append(s)
         source = s
-    return den_f, den_g, g0, delta, columns
+    return den_f, g0, delta, columns
 
 
 def _scale_rows(taps: list[tuple[int, int, int]],
@@ -268,7 +265,7 @@ def _scale_rows(taps: list[tuple[int, int, int]],
     If every ``den(c_j)`` divides ``e**j``, ``e = den(c_1)``, then ``delta_m = e**m``
     and one row serves every degree.  Otherwise, from the last tap ``d`` on, the ratio
     ``delta_m/delta_(m-1)`` and row ``m`` depend only on the ``d - 1`` ratios before
-    it, so once that window repeats, ratios and rows repeat with its period."""
+    it, so each window is computed once and its ratio and row are looked up after."""
     e = taps[0][2] if taps and taps[0][0] == 1 else 1
     if all(pow(e, j, den) == 0 for j, _, den in taps):
         row = [(j, num * e ** j // den) for j, num, den in taps]
@@ -277,19 +274,15 @@ def _scale_rows(taps: list[tuple[int, int, int]],
     delta, ratios, rows, seen = [1], [1], [[]], {}
     for m in range(1, precision + 1):
         key = tuple(ratios[m - d + 1:]) if m >= d else m  # a degree's own key below d
-        if key in seen:  # the window repeats: so do ratios and rows, with period c
-            c = m - seen[key]
-            step = delta[-1] // delta[-1 - c]
-            for i in range(m, precision + 1):
-                delta.append(delta[i - c] * step)
-                rows.append(rows[i - c])
-            break
-        seen[key] = m
-        prods = [den * delta[m - j] for j, _, den in taps if j <= m]
-        dm = math.lcm(*prods)
-        ratios.append(dm // delta[-1])
-        delta.append(dm)
-        rows.append([(j, num * (dm // p)) for (j, num, _), p in zip(taps, prods)])
+        if key not in seen:
+            prods = [den * delta[m - j] for j, _, den in taps if j <= m]
+            dm = math.lcm(*prods)
+            row = [(j, num * (dm // p)) for (j, num, _), p in zip(taps, prods)]
+            seen[key] = dm // delta[-1], row
+        ratio, row = seen[key]
+        ratios.append(ratio)
+        delta.append(delta[-1] * ratio)
+        rows.append(row)
     return delta, rows
 
 

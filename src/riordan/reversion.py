@@ -14,8 +14,8 @@ So stage ``k`` only adds one coefficient.  Since ``T**(k+1) = x * T**k * g(T)``,
 the table of ``[x^n] T**k`` is the Riordan array ``(1, T)`` with A-sequence
 ``g``, and the A-sequence rule fills it a row at a time in ``O(P**2 (d+1))``
 for ``g`` of degree ``d`` (O(P**3) when ``g`` is dense); the tests' reference
-path recomposes every stage by Horner, O(P**4).  The rows run on integers
-scaled by powers of one integer ``s`` (:func:`_power_table`).
+path recomposes every stage by Horner, O(P**4).  The rows and their taps, by the
+division contraction, run on integers scaled by powers of one ``s`` (:func:`_power_table`).
 The same fixed-point equation yields the coefficient identities
 
     ``n * [x^n] (omega^{-1})**k == k * [x^(n-k)] g**n``
@@ -28,11 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
 from operator import mul
 
 # reciprocal stays bound here for perfbench's tracer, which patches it in this module
-from .fixpoint import _integer_columns, reciprocal  # noqa: F401
+from .fixpoint import _integral, reciprocal  # noqa: F401
 from .series import DomainError, PrecisionError, Series
 
 __all__ = [
@@ -62,11 +61,10 @@ def _power_table(omega: Series, precision: int) -> tuple[int, list[int], list[li
     """``(s, A, rows)`` with ``rows[n][k] = s**(2n-k) * [x^n] T**k``, ``T = x*g(T)``,
     ``g = x/omega``: :func:`_cofactor_rows` of ``A(y) = s*g(s*y)``.
 
-    ``L*omega/x`` is integral for ``L`` the lcm of the denominators of
-    ``omega_1..omega_(precision+1)``, and ``s = L*omega_1``.  The kernel's integer column
-    for ``1/h``, ``h = omega/x``, is ``S_0[i] = delta_i*omega_1*g_i``; each ``den(h_j/h_0)``
-    divides ``s``, so ``delta_i`` divides ``s**i`` and the taps are
-    ``A_i = s**(i+1) g_i = L*S_0[i]*(s**i // delta_i)``, with ``A_0 = L``."""
+    ``W = L*omega/x`` is integral through ``precision`` for ``L`` the lcm of the
+    denominators of ``omega_1..omega_(precision+1)``, and ``s = W_0 = L*omega_1``.
+    ``g = L/W``, so the taps are ``A_i = s**(i+1) g_i = s**i [x^i] L*s/W``: the division
+    contraction at the table's own scale, ``A_0 = L``, ``A_i = -sum_j W_j*s**(j-1)*A_(i-j)``."""
     if precision < 0:
         raise ValueError("precision must be a natural number")
     if omega.order() != 1:
@@ -75,11 +73,13 @@ def _power_table(omega: Series, precision: int) -> tuple[int, list[int], list[li
         raise PrecisionError(
             f"inverting to degree {precision} needs omega at precision {precision + 1}"
         )
-    h = Series(omega.coefficients[1: precision + 2])  # omega/x
-    _, lcm, h0, delta, (s0,) = _integer_columns(Series.one(precision), h, precision, 1)
-    s = h0.numerator * (lcm // h0.denominator)
-    powers = accumulate(repeat(s, precision), mul, initial=lcm)  # L*s**i
-    taps, rows = _cofactor_rows([a * (p // d) for a, p, d in zip(s0, powers, delta)], precision)
+    lcm, big_w = _integral(omega.coefficients[1: precision + 2])
+    s = big_w[0]
+    terms = [(j, c * s ** (j - 1)) for j, c in enumerate(big_w) if j and c]
+    taps = [lcm]
+    for i in range(1, precision + 1):
+        taps.append(-sum(t * taps[i - j] for j, t in terms if j <= i))
+    taps, rows = _cofactor_rows(taps, precision)
     return s, taps, rows
 
 

@@ -342,6 +342,12 @@ def from_json_dict(obj: dict) -> RiordanMatrix:
             raise ValueError(f"matrix JSON field {field!r} must be a list, not {obj[field]!r}")
     if not all(isinstance(row, list) for row in obj["rows"]):
         raise ValueError("matrix JSON field 'rows' must be a list of lists")
+    for field, entries in (("f", obj["f"]), ("g", obj["g"]),
+                           ("rows", [e for row in obj["rows"] for e in row])):
+        for e in entries:
+            if type(e) not in (int, str):  # bool is an int subclass, and not an entry
+                raise ValueError(
+                    f"matrix JSON field {field!r} entries must be integers or strings, not {e!r}")
     matrix = build_triangle(Series(obj["f"]), Series(obj["g"]), depth)
     rows = [[Fraction(e) for e in row] for row in obj["rows"]]
     if [list(row) for row in matrix.entries] != rows:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from riordan import fixpoint
 from riordan.fixpoint import (
     AffineMap,
     IterationScheme,
@@ -266,7 +267,7 @@ def test_kernel_matches_oracle_on_the_cofactors_own_denominators(g):
 
 def kernel_scale(g, p):
     """The kernel's ``delta_0..delta_p`` for the cofactor ``g``."""
-    return _integer_columns(Series.one(p), g, p, 1)[3]
+    return _integer_columns(Series.one(p), g, p, 1)[2]
 
 
 def test_kernel_scale_is_one_for_integral_cofactors_with_unit_constant():
@@ -283,6 +284,28 @@ def test_kernel_scale_follows_the_cofactors_denominators():
     assert kernel_scale(Series([1, 0, F(1, 3)], p), p) == [3 ** (m // 2) for m in range(p + 1)]
     for g in (KERNEL_COFACTORS["gapped"], KERNEL_COFACTORS["g0=-3/2"]):
         assert kernel_scale(g, p) == division_scale(coeffs(g), p)
+
+
+@pytest.mark.parametrize("g, most", [
+    (Series([1, 0, F(1, 3)]), 4), (KERNEL_COFACTORS["gapped"], 9),
+], ids=["1+x^2/3", "gapped"])
+def test_kernel_builds_one_tap_row_per_window(monkeypatch, g, most):
+    # a degree's ratio and row depend only on the window of d - 1 ratios before
+    # it, so degrees with the same window share one row: per-degree rows would
+    # give the same quotient from 201 rows at P = 200, and slower
+    p = 200
+    distinct = []
+    scale_rows = fixpoint._scale_rows
+
+    def counted(taps, precision):
+        delta, rows = scale_rows(taps, precision)
+        distinct.append(len({id(row) for row in rows}))
+        return delta, rows
+
+    monkeypatch.setattr(fixpoint, "_scale_rows", counted)
+    g = g.pad(p)
+    assert coeffs(reciprocal(Series.one(p), g, p)) == divide([F(1)], coeffs(g), p)
+    assert len(distinct) == 1 and distinct[0] <= most
 
 
 def test_reciprocal_at_precision_zero():

@@ -169,4 +169,4 @@ def test_division_kernel_matches_back_substitution(case):
     t = build_triangle(Series(head), g, p + 1)
     assert [coeffs(t.column_series(k)) for k in range(p + 1)] == divided_columns(head, gc, p, p + 1)
     # the scale is delta_m = lcm_j den(g_j/g0)*delta_(m-j), whatever the zero pattern
-    assert _integer_columns(f, g, p, 1)[3] == division_scale(gc, p)
+    assert _integer_columns(f, g, p, 1)[2] == division_scale(gc, p)

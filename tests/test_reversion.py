@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from riordan import reversion
+from riordan import fixpoint, reversion
 from riordan.reversion import invert_series, lagrange_coefficient, verify_lagrange
 from riordan.series import DomainError, PrecisionError, Series, distance
 
@@ -143,25 +143,32 @@ def test_invert_polynomial_a_sequences(g):
     assert verify_lagrange(omega, 25).ok
 
 
-@pytest.mark.parametrize("omega", [
-    random_order_one(random.Random(63), 13),
-    Series([0] + divide([F(1)], [F(-3, 2), 0, 0, 0, F(2, 3)], 13)),
-], ids=["dense", "polynomial_g"])
-def test_power_table_taps_come_from_the_kernel_without_a_quotient(monkeypatch, omega):
-    # A_i = s**(i+1) g_i, cut after g's last nonzero coefficient, read off the
-    # kernel's integer column of L*omega/x: no Series quotient is built
-    def no_quotient(*args):
-        raise AssertionError("the power table divided through reciprocal")
+@pytest.mark.parametrize("omega, p", [
+    (random_order_one(random.Random(63), 13), 12),
+    (Series([0] + divide([F(1)], [F(-3, 2), 0, 0, 0, F(2, 3)], 13)), 12),
+    # omega_2.. are read by no table of degree 0
+    (Series([0, F(5, 3), F(1, 7), F(-2, 11)]), 0),
+    # L = 2*3*5*7, not den(omega_1) = 2
+    (Series([0, F(1, 2), 0, 0, F(1, 3), 0, 0, 0, F(-2, 5), 0, 0, F(4, 7)], 13), 12),
+    (Series([0, F(-3, 4), F(1, 6), F(-2, 5), 0, F(7, 3)], 13), 12),
+], ids=["dense", "polynomial_g", "precision_0", "gapped_lcm", "negative_omega_1"])
+def test_power_table_taps_come_from_omega_without_the_kernel(monkeypatch, omega, p):
+    # A_i = s**(i+1) g_i, cut after g's last nonzero coefficient, by integer
+    # division of s by s*omega/(x*omega_1): no kernel column and no Series quotient
+    def no_division(*args):
+        raise AssertionError("the power table divided through the kernel")
 
-    monkeypatch.setattr(reversion, "reciprocal", no_quotient)
-    s, taps, rows = reversion._power_table(omega, 12)
-    scaled = [c * s ** (i + 1) for i, c in enumerate(coeffs(cofactor(omega, 12)))]
+    monkeypatch.setattr(reversion, "reciprocal", no_division)
+    monkeypatch.setattr(fixpoint, "_integer_columns", no_division)
+    monkeypatch.setattr(reversion, "_integer_columns", no_division, raising=False)
+    s, taps, rows = reversion._power_table(omega, p)
+    scaled = [c * s ** (i + 1) for i, c in enumerate(coeffs(cofactor(omega, p)))]
     while not scaled[-1]:
         scaled.pop()
     assert taps == scaled
-    assert s == math.lcm(*(c.denominator for c in coeffs(omega)[1:])) * omega[1]
-    assert [row[1] for row in rows[1:]] == [
-        c * s ** (2 * n - 1) for n, c in enumerate(compositional_inverse(coeffs(omega), 12)) if n]
+    assert s == math.lcm(*(c.denominator for c in coeffs(omega)[1: p + 2])) * omega[1]
+    inverse = compositional_inverse(coeffs(omega), p)[: p + 1]
+    assert [row[1] for row in rows[1:]] == [c * s ** (2 * n - 1) for n, c in enumerate(inverse) if n]
 
 
 def test_invert_rejects_wrong_order():

@@ -342,7 +342,7 @@ def test_kernel_integers_stay_near_the_size_of_the_entries():
     t = build_triangle(Series.one(p), g, DENSE_DEPTH)
     entry_bits = max(max(e.numerator.bit_length(), e.denominator.bit_length())
                      for row in t.entries for e in row)
-    _, _, _, delta, columns = _integer_columns(Series.one(p), g, p, DENSE_DEPTH)
+    _, _, delta, columns = _integer_columns(Series.one(p), g, p, DENSE_DEPTH)
     assert max(v.bit_length() for v in chain(delta, *columns)) <= 2 * entry_bits
 
 
@@ -684,6 +684,22 @@ def test_json_rejects_a_field_that_is_not_a_list(field, value):
     obj[field] = value
     with pytest.raises(ValueError, match=f"^matrix JSON field '{field}' must be a list"):
         from_json_dict(obj)
+
+
+@pytest.mark.parametrize("value", [None, {}, [], 1.0, True],
+                         ids=["none", "dict", "list", "float", "bool"])
+@pytest.mark.parametrize("field", ["f", "g", "rows"])
+def test_json_rejects_an_entry_that_is_not_an_integer_or_a_string(field, value):
+    obj = pascal(3).to_json_dict()  # T(1|1-x): f_0, g_0 and rows[1][0] are all "1"
+    (obj["rows"][1] if field == "rows" else obj[field])[0] = value
+    with pytest.raises(ValueError, match=f"^matrix JSON field '{field}' entries must be"):
+        from_json_dict(obj)
+
+
+def test_json_accepts_integer_entries():
+    obj = pascal(3).to_json_dict()
+    obj["f"][0] = obj["g"][0] = obj["rows"][1][0] = 1
+    assert from_json_dict(obj) == pascal(3)
 
 
 def test_csv_format():
