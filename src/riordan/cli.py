@@ -7,9 +7,10 @@ string, with an exponent of at most 4300 in magnitude.  Literals are read
 as polynomials and padded with exact zeros up to the working precision.
 
 Exit codes: 0 on success, 2 for argument/literal parse failures (a literal
-nested past the recursion limit included), 3 for mathematical domain errors
-(zero constant divisor, wrong order, missing precision, a ``--depth`` or
-``--precision`` below its minimum, an output coefficient over 4300 digits).
+nested past the recursion limit and a size flag over ``MAX_SIZE`` included),
+3 for mathematical domain errors (zero constant divisor, wrong order, missing
+precision, a ``--depth`` or ``--precision`` below its minimum, an output
+coefficient over 4300 digits).
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ from .series import Series, SeriesError
 from .triangles import RiordanMatrix, SequencePair, build_triangle
 
 __all__ = ["main"]
+
+# the largest --depth, --precision or --steps: a dense invert or product at 200 takes seconds
+MAX_SIZE = 200
 
 
 class SeriesParseError(ValueError):
@@ -156,10 +160,12 @@ class Command:
     def add_arguments(self, parser: argparse.ArgumentParser) -> None:
         for flag in self.series:
             parser.add_argument(f"--{flag}", required=True)
-        parser.add_argument(f"--{self.size}", type=int, default=10)
+        parser.add_argument(f"--{self.size}", type=int, default=10, help=f"at most {MAX_SIZE}")
 
     def run(self, args: argparse.Namespace) -> str:
         size = getattr(args, self.size)
+        if size > MAX_SIZE:
+            raise SeriesParseError(f"--{self.size}: must be at most {MAX_SIZE}")
         if size < self.floor:
             raise ValueError(f"--{self.size}: must be at least {self.floor}")
         degree = self.degree(size)
@@ -175,12 +181,14 @@ class Trace:
     def add_arguments(self, parser: argparse.ArgumentParser) -> None:
         parser.add_argument("--scheme", choices=("geometric", "arithgeo", "column", "curious"),
                             required=True)
-        parser.add_argument("--steps", type=int, default=6)
+        parser.add_argument("--steps", type=int, default=6, help=f"at most {MAX_SIZE}")
         parser.add_argument("--n", type=int, default=3,
                             help="column index for --scheme column (default: 3)")
 
     def run(self, args: argparse.Namespace) -> str:
         steps = args.steps
+        if steps > MAX_SIZE:
+            raise SeriesParseError(f"--steps: must be at most {MAX_SIZE}")
         if steps < 1:
             raise SeriesParseError("--steps: must be at least 1")
         if args.scheme in ("geometric", "curious"):

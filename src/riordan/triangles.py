@@ -17,8 +17,8 @@ closed in parameter form:
 Neither is computed by composing series.  The matrix acts on ``h`` as
 ``(f/g) * h(x/g)``, which is its entry block times the coefficients of
 ``h``.  For the inverse, ``w = x*g(w)`` makes ``g`` the A-sequence of
-``(1, w)``; the integer rows of that array give ``g(w) = w/x`` (column 1)
-and ``f(w)`` (their dot products with ``f``), and one division inverts each.
+``(1, w)``; its integer rows give ``x/w = 1/g(w)`` (the rule one column to
+the left) and ``(1/f)(w)`` (dot products with ``1/f``): only ``f`` is divided.
 
 The inverse is also expressible through the classical A- and Z-sequences,
 and multiplying the first parameter by powers of ``g`` prepends or deletes
@@ -140,7 +140,7 @@ class RiordanMatrix:
         """Group inverse ``T(1/f(w) | 1/g(w))``, ``w`` the compositional
         inverse of ``x/g``.  Neither parameter is composed: ``w = x*g(w)``
         makes ``g`` the A-sequence of ``(1, w)``, whose integer rows give
-        ``g(w) = w/x`` and ``f(w)`` (:meth:`_inverse_parameters`).
+        ``x/w`` and ``(1/f)(w)`` (:meth:`_inverse_parameters`).
 
         >>> print(build_triangle(Series.one(3), Series([1, -1], 3), 4).inverse().to_csv())
         1
@@ -152,27 +152,27 @@ class RiordanMatrix:
         return build_triangle(f_new, g_new, self.depth)
 
     def _inverse_parameters(self) -> tuple[Series, Series]:
-        """``(1/f(w), 1/g(w))``, ``w`` the compositional inverse of ``x/g``.
-
-        ``w = x*g(w)``: over ``G = L*g`` (``L`` the lcm of ``den(g_0..g_p)``) the rows of
-        ``(1, w)`` are ``rows[n][k] = L**n [x^n] w**k``, so ``[x^m] (w/x) = rows[m+1][1]
-        / L**(m+1)`` (exact through ``m = p``: ``w_(m+1)`` reads only ``g_0..g_m``) and,
-        with ``F = M*f``, ``[x^n] f(w) = sum_j F_j rows[n][j] / (M*L**n)``."""
+        """``(1/f(w), 1/g(w))``, ``w`` the compositional inverse of ``x/g``, off the rows
+        ``rows[n][k] = L**n [x^n] w**k`` of ``(1, w)``, ``G = L*g`` integral (``L = lcm den g``).
+        ``w = x*g(w)`` gives ``x/w = (1 - x*sum_(i>=1) g_i w**(i-1))/g0``, so the A-sequence
+        ``1/g(w)`` has ``[x^(n+1)] = -sum_(i>=1) G_i rows[n][i-1] / (G_0*L**n)``, and with
+        ``R = M/f`` integral, ``[x^n] (1/f)(w) = sum_j R_j rows[n][j] / (M*L**n)``."""
         p = self.depth - 1
         den_g, taps = _integral(self.g.coefficients[: p + 1])
-        _, rows = _cofactor_rows(taps, p + 1)
-        den_f, big_f = _integral(self.f.coefficients[: p + 1])
-        f_w = [Fraction(sum(map(mul, big_f, row)), den_f * den_g ** n)
-               for n, row in enumerate(rows[:-1])]
-        w_over_x = [Fraction(row[1], den_g ** n) for n, row in enumerate(rows) if n]
-        return _inv(Series(f_w), p), _inv(Series(w_over_x), p)
+        (head, *tail), rows = _cofactor_rows(taps, p)
+        den_f, big_r = _integral(_inv(self.f, p).coefficients)
+        f_inv = [Fraction(sum(map(mul, big_r, row)), den_f * den_g ** n)
+                 for n, row in enumerate(rows)]
+        g_inv = [Fraction(-sum(map(mul, tail, row)), head * den_g ** n)
+                 for n, row in enumerate(rows[:-1])]
+        return Series(f_inv), Series([Fraction(den_g, head)] + g_inv)
 
     # ------------------------------------------------------------------
     # A/Z sequences
     # ------------------------------------------------------------------
     def a_z_sequences(self) -> SequencePair:
         """``A = 1/g(w)`` and ``Z = (A - (f0/g0)/f(w)) / x`` with ``w`` as in
-        :meth:`inverse`: ``g(w) = w/x`` and ``f(w)`` come off the rows of ``(1, w)``,
+        :meth:`inverse`: ``1/g(w) = x/w`` and ``(1/f)(w)`` come off the rows of ``(1, w)``,
         so neither is composed.  ``A`` comes back at precision ``depth - 1`` and
         ``Z`` one degree shorter (the division by ``x``)."""
         if self.depth < 2:

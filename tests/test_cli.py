@@ -322,6 +322,21 @@ def test_size_below_minimum_names_the_flag(capsys, argv, message):
     assert err.strip() == f"error: {message}"
 
 
+@pytest.mark.parametrize("size", [cli.MAX_SIZE + 1, 10 ** 20])
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_size_over_the_cap_exits_2_before_any_work(capsys, command, size):
+    # a call at the cap itself takes seconds, so only the rejection is run here
+    spec = cli.COMMANDS[command]
+    if isinstance(spec, cli.Command):
+        flag, argv = f"--{spec.size}", [a for name in spec.series for a in (f"--{name}", "one")]
+    else:
+        flag, argv = "--steps", ["--scheme", "column"]
+    code, out, err = run(capsys, command, *argv, flag, str(size))
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: {flag}: must be at most {cli.MAX_SIZE}"
+
+
 # ----------------------------------------------------------------------
 # argparse-level failures
 # ----------------------------------------------------------------------

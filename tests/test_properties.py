@@ -1,13 +1,16 @@
 """Property tests of the Riordan group (products, inverses, shifts and the
 JSON round trip) and its action on series, at depths 1..8, of
 compositional inversion, at precisions 1..10, with sparse
-small-integer and dense rational parameters, and of the division kernel,
-at precisions 0..40, on cofactors with random zero patterns.
+small-integer and dense rational parameters, of the division kernel,
+at precisions 0..40, on cofactors with random zero patterns, and of the
+command line: every argv exits 0, 2 or 3, and a literal reads back its series.
 
 Every example is derandomized, so the suite draws the same cases on every
 run."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +19,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st
 
+from riordan import cli
 from riordan.fixpoint import _integer_columns, reciprocal
 from riordan.reversion import invert_series
 from riordan.series import Series
@@ -170,3 +174,56 @@ def test_division_kernel_matches_back_substitution(case):
     assert [coeffs(t.column_series(k)) for k in range(p + 1)] == divided_columns(head, gc, p, p + 1)
     # the scale is delta_m = lcm_j den(g_j/g0)*delta_(m-j), whatever the zero pattern
     assert _integer_columns(f, g, p, 1)[2] == division_scale(gc, p)
+
+
+SIZES = st.one_of(st.integers(-2, 30), st.sampled_from((cli.MAX_SIZE + 1, 10 ** 20)))
+LITERALS = st.one_of(
+    st.sampled_from(sorted(cli.PRESETS)),
+    st.lists(SPARSE, min_size=1, max_size=8).map(lambda cs: json.dumps([int(c) for c in cs])),
+    st.lists(DENSE, min_size=1, max_size=8).map(lambda cs: json.dumps([str(c) for c in cs])),
+    st.sampled_from(("[1.5]", "[true]", "[[1]]", '["1/0"]', "[]", "{1", "x", '["1/2", null]')),
+)
+
+
+@st.composite
+def argvs(draw):
+    """An argv for ``riordan``: a known or unknown subcommand, each of its
+    flags present or missing, sizes in -2..30 or over the cap, literals valid
+    or not, any format, and now and then a flag no subcommand has."""
+    command = draw(st.sampled_from((*cli.COMMANDS, "frobnicate")))
+    spec = cli.COMMANDS.get(command)
+    if isinstance(spec, cli.Command):
+        flags = [(f"--{name}", LITERALS) for name in spec.series] + [(f"--{spec.size}", SIZES)]
+    else:
+        schemes = st.sampled_from(("geometric", "arithgeo", "column", "curious", "spiral"))
+        flags = [("--scheme", schemes), ("--steps", SIZES), ("--n", SIZES)]
+    flags += [("--format", st.sampled_from(("json", "csv", "pretty") * 3 + ("xml",))),
+              ("--bogus", st.just("1"))]
+    argv = [command]
+    for flag, values in flags:
+        if draw(st.integers(0, 19)) < (1 if flag == "--bogus" else 19):
+            argv += [flag, str(draw(values))]
+    return argv
+
+
+@settings(PROPERTY, max_examples=200)
+@given(argvs())
+def test_cli_exits_0_2_or_3_on_any_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            assert exc.code == 2
+            return
+    assert code in (0, 2, 3)
+    assert bool(out.getvalue()) == (code == 0)
+    assert err.getvalue().startswith("error: ") == (code != 0)
+
+
+@PROPERTY
+@given(st.sampled_from((SPARSE, DENSE)).flatmap(lambda kind: st.lists(kind, min_size=1,
+                                                                      max_size=12)))
+def test_cli_literal_reads_back_its_series(coefficients):
+    s = Series(coefficients)
+    assert cli.parse_series_arg(json.dumps(s.to_strings()), s.precision, "f") == s

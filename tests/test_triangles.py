@@ -266,8 +266,9 @@ def test_inverse_and_a_z_match_the_composition_formula(make_series, extra):
             assert (pair.a_seq, pair.z_seq) == (g_inv, z_seq)
 
 
-@pytest.mark.parametrize("g", [[F(-3, 2), 1, F(2, 5)], [1, 0, 0, -2]],
-                         ids=["quadratic", "cubic"])
+@pytest.mark.parametrize("g", [[F(-3, 2), 1, F(2, 5)], [1, 0, 0, -2],
+                               [F(-2, 3), 0, F(1, 5), 0, -1]],
+                         ids=["quadratic", "cubic", "gapped"])
 def test_inverse_and_a_z_of_polynomial_cofactors_at_depth_40(g):
     # the reversion of x/g runs on g's deg g + 1 taps only
     depth = 40
@@ -346,21 +347,23 @@ def test_kernel_integers_stay_near_the_size_of_the_entries():
     assert max(v.bit_length() for v in chain(delta, *columns)) <= 2 * entry_bits
 
 
-def test_inverse_parameters_make_two_divisions_and_no_reversion(monkeypatch):
-    # w/x and f(w) come off one integer table; only 1/f(w) and 1/g(w) divide
-    calls = {"reciprocal": 0, "invert_series": 0}
+def test_inverse_parameters_make_one_division_of_f_and_no_reversion(monkeypatch):
+    # x/w and (1/f)(w) come off one integer table; only the input f is divided
+    calls = {"reciprocal": [], "invert_series": []}
     for name in calls:
         original = getattr(triangles, name)
 
         def counting(*args, name=name, original=original):
-            calls[name] += 1
+            calls[name].append(args)
             return original(*args)
 
         monkeypatch.setattr(triangles, name, counting)
     for t in (pascal(8), ag_triangle(6), random_matrix(random.Random(48), 9)):
-        calls.update(dict.fromkeys(calls, 0))
+        calls.update({name: [] for name in calls})
         t._inverse_parameters()
-        assert calls == {"reciprocal": 2, "invert_series": 0}
+        assert len(calls["reciprocal"]) == 1
+        assert calls["reciprocal"][0][1] is t.f
+        assert calls["invert_series"] == []
 
 
 @pytest.mark.parametrize("call", [
