@@ -19,7 +19,6 @@ import argparse
 import functools
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -33,7 +32,7 @@ from .fixpoint import (
     reciprocal,
 )
 from .reversion import invert_series
-from .series import Series, SeriesError
+from .series import Series, SeriesError, _literal
 from .triangles import RiordanMatrix, SequencePair, build_triangle
 
 __all__ = ["main"]
@@ -69,19 +68,10 @@ def parse_series_arg(text: str, precision: int, name: str) -> Series:
         raise SeriesParseError(f"--{name}: {exc}") from exc
     if not isinstance(raw, list) or not raw:
         raise SeriesParseError(f"--{name}: literal must be a non-empty JSON array")
-    for i, item in enumerate(raw):
-        if isinstance(item, bool) or not isinstance(item, (int, str)):
-            raise SeriesParseError(
-                f"--{name}: entry {i} must be an integer or a 'p/q' string"
-            )
-        # Fraction would build 10**exponent first: cap it as Python caps integer digits
-        exponent = isinstance(item, str) and re.search(r"E([-+]?\d+(_\d+)*)\s*\Z", item, re.I)
-        if exponent and abs(float(exponent[1])) > 4300:
-            raise SeriesParseError(f"--{name}: entry {i} has an exponent beyond 4300")
     try:
-        return Series(raw, max(precision, len(raw) - 1))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SeriesParseError(f"--{name}: {exc}") from exc
+        return Series([_literal(item, f"--{name}:") for item in raw], max(precision, len(raw) - 1))
+    except ValueError as exc:
+        raise SeriesParseError(str(exc)) from exc
 
 
 # ----------------------------------------------------------------------
@@ -146,15 +136,14 @@ def render_pair(pair: SequencePair, fmt: str) -> str:
 
 @dataclass(frozen=True)
 class Command:
-    """A subcommand that parses its series flags at ``degree(size)`` and
-    prints ``output(fmt, size, *series)``, where ``size`` is the value of
-    its size flag and exits 3 below ``floor``."""
+    """A subcommand that parses its series flags at the degree its size flag
+    reaches (``size - 1`` for ``--depth``, ``size`` for ``--precision``) and
+    prints ``output(fmt, size, *series)``; it exits 3 below ``floor``."""
 
     help: str
     series: tuple[str, ...]
     size: str
     floor: int
-    degree: Callable[[int], int]
     output: Callable[..., str]
 
     def add_arguments(self, parser: argparse.ArgumentParser) -> None:
@@ -168,7 +157,7 @@ class Command:
             raise SeriesParseError(f"--{self.size}: must be at most {MAX_SIZE}")
         if size < self.floor:
             raise ValueError(f"--{self.size}: must be at least {self.floor}")
-        degree = self.degree(size)
+        degree = size - 1 if self.size == "depth" else size
         series = [parse_series_arg(getattr(args, flag), degree, flag) for flag in self.series]
         return self.output(args.format, size, *series)
 
@@ -211,22 +200,20 @@ class Trace:
 
 # outputs look names up when they run, so a name rebound later (by a tracer) is called
 COMMANDS: dict[str, Command | Trace] = {
-    "triangle": Command("build T(f|g)", ("f", "g"), "depth", 1, lambda n: n - 1,
+    "triangle": Command("build T(f|g)", ("f", "g"), "depth", 1,
                         lambda fmt, n, f, g: render_matrix(build_triangle(f, g, n), fmt)),
-    "recip": Command("series quotient f/g", ("f", "g"), "precision", 0, lambda n: n,
+    "recip": Command("series quotient f/g", ("f", "g"), "precision", 0,
                      lambda fmt, n, f, g: render_series(reciprocal(f, g, n), fmt)),
-    # one spare degree pays for the division that produces x/omega
-    "invert": Command("compositional inverse", ("omega",), "precision", 0, lambda n: n + 1,
+    "invert": Command("compositional inverse", ("omega",), "precision", 0,
                       lambda fmt, n, omega: render_series(invert_series(omega, n), fmt)),
     "trace": Trace(),
     # A needs one degree past its constant term
-    "azseq": Command("A- and Z-sequences of T(f|g)", ("f", "g"), "precision", 1, lambda n: n,
+    "azseq": Command("A- and Z-sequences of T(f|g)", ("f", "g"), "precision", 1,
                      lambda fmt, n, f, g: render_pair(
                          build_triangle(f, g, n + 1).a_z_sequences(), fmt)),
-    "inverse": Command("group inverse of T(f|g)", ("f", "g"), "depth", 1, lambda n: n - 1,
+    "inverse": Command("group inverse of T(f|g)", ("f", "g"), "depth", 1,
                        lambda fmt, n, f, g: render_matrix(build_triangle(f, g, n).inverse(), fmt)),
     "product": Command("group product of two triangles", ("f1", "g1", "f2", "g2"), "depth", 1,
-                       lambda n: n - 1,
                        lambda fmt, n, f1, g1, f2, g2: render_matrix(
                            build_triangle(f1, g1, n) @ build_triangle(f2, g2, n), fmt)),
 }

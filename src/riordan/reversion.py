@@ -10,7 +10,8 @@ algorithm by truncating stage ``k`` to degree ``k``:
     ``T_1 = g0*x``, then ``T_k = (x * g(T_(k-1)))`` truncated to degree k,
 
 after which ``T_k`` agrees with the inverse through degree ``k`` exactly.
-So stage ``k`` only adds one coefficient.  Since ``T**(k+1) = x * T**k * g(T)``,
+So stage ``k`` only adds one coefficient, and it reads ``g`` below degree ``k``:
+``omega`` only through ``k``.  Since ``T**(k+1) = x * T**k * g(T)``,
 the table of ``[x^n] T**k`` is the Riordan array ``(1, T)`` with A-sequence
 ``g``, and the A-sequence rule fills it a row at a time in ``O(P**2 (d+1))``
 for ``g`` of degree ``d`` (O(P**3) when ``g`` is dense); the tests' reference
@@ -61,23 +62,23 @@ def _power_table(omega: Series, precision: int) -> tuple[int, list[int], list[li
     """``(s, A, rows)`` with ``rows[n][k] = s**(2n-k) * [x^n] T**k``, ``T = x*g(T)``,
     ``g = x/omega``: :func:`_cofactor_rows` of ``A(y) = s*g(s*y)``.
 
-    ``W = L*omega/x`` is integral through ``precision`` for ``L`` the lcm of the
-    denominators of ``omega_1..omega_(precision+1)``, and ``s = W_0 = L*omega_1``.
+    The rows through ``precision`` and ``A**n`` below it read only the taps below
+    ``precision``, so only those are built, from ``W = L*omega/x`` below ``precision``:
+    ``L`` is the lcm of the denominators of ``omega_1..omega_max(precision, 1)``, ``s = W_0``.
     ``g = L/W``, so the taps are ``A_i = s**(i+1) g_i = s**i [x^i] L*s/W``: the division
     contraction at the table's own scale, ``A_0 = L``, ``A_i = -sum_j W_j*s**(j-1)*A_(i-j)``."""
     if precision < 0:
         raise ValueError("precision must be a natural number")
     if omega.order() != 1:
         raise DomainError("not invertible: order must be 1")
-    if omega.precision < precision + 1:
+    if omega.precision < precision:
         raise PrecisionError(
-            f"inverting to degree {precision} needs omega at precision {precision + 1}"
-        )
-    lcm, big_w = _integral(omega.coefficients[1: precision + 2])
+            f"inverting to degree {precision} needs omega at precision {precision}")
+    lcm, big_w = _integral(omega.coefficients[1: max(precision, 1) + 1])
     s = big_w[0]
     terms = [(j, c * s ** (j - 1)) for j, c in enumerate(big_w) if j and c]
     taps = [lcm]
-    for i in range(1, precision + 1):
+    for i in range(1, precision):
         taps.append(-sum(t * taps[i - j] for j, t in terms if j <= i))
     taps, rows = _cofactor_rows(taps, precision)
     return s, taps, rows
@@ -86,8 +87,8 @@ def _power_table(omega: Series, precision: int) -> tuple[int, list[int], list[li
 def invert_series(omega: Series, precision: int) -> Series:
     """The compositional inverse of ``omega`` through ``precision``.
 
-    Requires ``order(omega) == 1`` and ``omega.precision >= precision + 1``
-    (one spare degree pays for the division that produces ``g``).  The
+    Requires ``order(omega) == 1`` and ``omega.precision >= precision``:
+    ``omega`` is read through ``precision`` and no further.  The
     result ``y`` satisfies ``omega(y) == y(omega) == x`` through the
     requested degree; it is column 1 of the power table's rows, unscaled.
     """
@@ -143,7 +144,7 @@ class LagrangeReport:
 
 def verify_lagrange(omega: Series, max_n: int) -> LagrangeReport:
     """Check ``n*[x^n](omega^{-1})**k == k*[x^(n-k)]g**n`` for all
-    ``1 <= k <= n <= max_n``, exactly.
+    ``1 <= k <= n <= max_n``, exactly, from ``omega`` known through ``max_n``.
 
     With the power table's ``s`` and taps ``A`` (cut at ``g``'s degree),
     ``[x^m] g**n = [y^m] A**n / s**(n+m)``, so a cell compares ``n*rows[n][k]``

@@ -18,6 +18,7 @@ truncations coincide.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -58,6 +59,23 @@ def _coerce(value: Rational) -> Fraction:
             "float coefficients are not supported; use int, Fraction or 'p/q' strings"
         )
     return Fraction(value)
+
+
+def _literal(entry: object, where: str) -> Fraction:
+    """``entry`` of a coefficient list read from outside the program: an int (not a bool) or a
+    string with an exponent at most 4300 in magnitude, else a ValueError that names ``where``."""
+    if isinstance(entry, bool) or not isinstance(entry, (int, str)):
+        raise ValueError(f"{where} entries must be integers or 'p/q' strings, not {entry!r}")
+    # Fraction would build 10**exponent first: cap it as Python caps integer digits
+    exponent = isinstance(entry, str) and re.search(r"E([-+]?\d+(_\d+)*)\s*\Z", entry, re.I)
+    if exponent and abs(float(exponent[1])) > 4300:
+        raise ValueError(f"{where} entries must have an exponent of at most 4300, not {entry!r}")
+    try:
+        return Fraction(entry)
+    except ZeroDivisionError:
+        raise ValueError(f"{where} entries must have nonzero denominators, not {entry!r}") from None
+    except ValueError as exc:  # not a number, or over 4300 digits
+        raise ValueError(f"{where} entries must be rational numbers ({exc})") from None
 
 
 class Series:

@@ -35,7 +35,7 @@ from operator import mul
 from .fixpoint import _division_columns, _integral, reciprocal
 # invert_series stays bound here for perfbench's tracer, which patches it in this module
 from .reversion import _cofactor_rows, invert_series  # noqa: F401
-from .series import DomainError, PrecisionError, Series
+from .series import DomainError, PrecisionError, Series, _literal
 
 __all__ = [
     "RiordanMatrix",
@@ -329,8 +329,10 @@ def associated(h: Series, depth: int) -> RiordanMatrix:
 
 
 def from_json_dict(obj: dict) -> RiordanMatrix:
-    """Rebuild a matrix from its JSON form, validating its fields and the
-    stored rows."""
+    """Rebuild a matrix from its JSON form.  Entries of ``f``, ``g`` and ``rows`` follow
+    the CLI's literal rule (an integer, or a string with an exponent at most 4300 and no
+    zero denominator); ``rows`` must hold ``depth`` rows, row ``n`` of ``n + 1`` entries,
+    checked before the triangle is built, and match it."""
     for field in ("f", "g", "depth", "rows"):
         if field not in obj:
             raise ValueError(f"matrix JSON has no {field!r} field")
@@ -342,14 +344,12 @@ def from_json_dict(obj: dict) -> RiordanMatrix:
             raise ValueError(f"matrix JSON field {field!r} must be a list, not {obj[field]!r}")
     if not all(isinstance(row, list) for row in obj["rows"]):
         raise ValueError("matrix JSON field 'rows' must be a list of lists")
-    for field, entries in (("f", obj["f"]), ("g", obj["g"]),
-                           ("rows", [e for row in obj["rows"] for e in row])):
-        for e in entries:
-            if type(e) not in (int, str):  # bool is an int subclass, and not an entry
-                raise ValueError(
-                    f"matrix JSON field {field!r} entries must be integers or strings, not {e!r}")
-    matrix = build_triangle(Series(obj["f"]), Series(obj["g"]), depth)
-    rows = [[Fraction(e) for e in row] for row in obj["rows"]]
+    f, g = (Series([_literal(e, f"matrix JSON field {k!r}") for e in obj[k]]) for k in ("f", "g"))
+    rows = [[_literal(e, "matrix JSON field 'rows'") for e in row] for row in obj["rows"]]
+    # the triangle costs O(depth**3): a stored block of the wrong shape is refused first
+    if len(rows) != depth or any(len(row) != n + 1 for n, row in enumerate(rows)):
+        raise ValueError(f"matrix JSON field 'rows' must hold {depth} rows, row n of n + 1 entries")
+    matrix = build_triangle(f, g, depth)
     if [list(row) for row in matrix.entries] != rows:
         raise ValueError("stored rows do not match the parameter series")
     return matrix

@@ -71,7 +71,8 @@ def test_triangle_bad_literal_names_argument(capsys):
     "[" * 5000,                    # nested past the recursion limit
     "[" + "9" * 4301 + "]",        # past the 4300-digit limit on integer strings
     '["1e-99999999"]',             # an exponent that would build 10**99999999
-], ids=["deep", "long_integer", "huge_exponent"])
+    '["1/0"]',                     # a zero denominator
+], ids=["deep", "long_integer", "huge_exponent", "zero_denominator"])
 def test_unreadable_literal_exits_2_and_names_the_flag(capsys, literal):
     code, out, err = run(capsys, "recip", "--f", literal, "--g", "one")
     assert code == 2
@@ -158,6 +159,12 @@ def test_invert_wrong_order(capsys):
     code, _, err = run(capsys, "invert", "--omega", "[1,1]")
     assert code == 3
     assert "not invertible: order must be 1" in err
+
+
+def test_invert_reads_the_literal_through_precision_and_no_further(capsys):
+    # omega is parsed at --precision, and a longer literal keeps its tail unread
+    for literal in ("[0,1,-1]", "[0,1,-1,5,7]"):
+        assert run(capsys, "invert", "--omega", literal, "--precision", "2") == (0, "x+x^2\n", "")
 
 
 def test_invert_json_round_trip(capsys):

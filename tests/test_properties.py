@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from riordan import cli
 from riordan.fixpoint import _integer_columns, reciprocal
-from riordan.reversion import invert_series
+from riordan.reversion import invert_series, verify_lagrange
 from riordan.series import Series
 from riordan.triangles import build_triangle, from_json_dict, identity
 
@@ -142,6 +142,16 @@ def test_reversion_is_two_sided(case):
     assert y.compose(omega.truncate(p)) == Series.x(p)
     for k in range(p + 1):
         assert invert_series(omega, k) == y.truncate(k)
+
+
+@PROPERTY
+@given(order_one(), st.lists(DENSE, min_size=1, max_size=3))
+def test_reversion_reads_omega_only_through_its_degree(case, tail):
+    omega, p = case
+    cut = omega.truncate(p)
+    longer = Series(coeffs(cut) + tail)
+    assert invert_series(longer, p) == invert_series(cut, p)
+    assert verify_lagrange(longer, p) == verify_lagrange(cut, p)
 
 
 TAP = st.fractions(min_value=-9, max_value=9, max_denominator=7)

@@ -124,9 +124,9 @@ def test_invert_matches_oracle_at_bigint_sizes(omega1):
     y = invert_series(omega, p)
     assert coeffs(y) == compositional_inverse(coeffs(omega), p)
     assert all(type(c) is F for c in y.coefficients)
-    assert invert_series(past_precision(omega, p + 1), p) == y
+    assert invert_series(past_precision(omega, p), p) == y
     assert verify_lagrange(omega, 30).ok
-    assert verify_lagrange(past_precision(omega, 31), 30).ok
+    assert verify_lagrange(past_precision(omega, 30), 30).ok
 
 
 
@@ -153,8 +153,9 @@ def test_invert_polynomial_a_sequences(g):
     (Series([0, F(-3, 4), F(1, 6), F(-2, 5), 0, F(7, 3)], 13), 12),
 ], ids=["dense", "polynomial_g", "precision_0", "gapped_lcm", "negative_omega_1"])
 def test_power_table_taps_come_from_omega_without_the_kernel(monkeypatch, omega, p):
-    # A_i = s**(i+1) g_i, cut after g's last nonzero coefficient, by integer
-    # division of s by s*omega/(x*omega_1): no kernel column and no Series quotient
+    # A_i = s**(i+1) g_i for i < p (A_0 alone at p = 0), cut after g's last nonzero
+    # coefficient, by integer division of s by s*omega/(x*omega_1): no kernel column
+    # and no Series quotient; omega is read through p (omega_1 at p = 0) and no further
     def no_division(*args):
         raise AssertionError("the power table divided through the kernel")
 
@@ -162,11 +163,12 @@ def test_power_table_taps_come_from_omega_without_the_kernel(monkeypatch, omega,
     monkeypatch.setattr(fixpoint, "_integer_columns", no_division)
     monkeypatch.setattr(reversion, "_integer_columns", no_division, raising=False)
     s, taps, rows = reversion._power_table(omega, p)
-    scaled = [c * s ** (i + 1) for i, c in enumerate(coeffs(cofactor(omega, p)))]
+    read = max(p, 1)
+    scaled = [c * s ** (i + 1) for i, c in enumerate(coeffs(cofactor(omega, read - 1)))]
     while not scaled[-1]:
         scaled.pop()
     assert taps == scaled
-    assert s == math.lcm(*(c.denominator for c in coeffs(omega)[1: p + 2])) * omega[1]
+    assert s == math.lcm(*(c.denominator for c in coeffs(omega)[1: read + 1])) * omega[1]
     inverse = compositional_inverse(coeffs(omega), p)[: p + 1]
     assert [row[1] for row in rows[1:]] == [c * s ** (2 * n - 1) for n, c in enumerate(inverse) if n]
 
@@ -176,9 +178,23 @@ def test_invert_rejects_wrong_order():
         invert_series(Series([1, 1], 5), 4)
 
 
-def test_invert_needs_one_spare_degree():
-    with pytest.raises(PrecisionError):
-        invert_series(Series([0, 1, -1], 5), 5)
+def test_invert_needs_omega_through_the_returned_degree():
+    # no stage reads omega past the degree it returns: precision P is enough, P - 1 is not
+    omega = Series([0, 1, -1], 5)
+    message = "^inverting to degree 6 needs omega at precision 6$"
+    for check in (verify_lagrange, invert_series):
+        with pytest.raises(PrecisionError, match=message):
+            check(omega, 6)
+    assert invert_series(omega, 5) == Series([0, 1, 1, 2, 5, 14])
+    assert verify_lagrange(omega, 5).ok
+
+
+def test_power_table_reads_omega_only_through_its_degree():
+    rng = random.Random(64)
+    for p in range(16):
+        omega = random_order_one(rng, p + 3)
+        read = omega.truncate(max(p, 1))
+        assert reversion._power_table(omega, p) == reversion._power_table(read, p)
 
 
 def test_invert_precision_zero():
@@ -293,8 +309,8 @@ def test_lagrange_ignores_precision_beyond_the_grid():
     rng = random.Random(60)
     for _ in range(3):
         omega = random_order_one(rng, 30)
-        assert verify_lagrange(omega, 6) == verify_lagrange(omega.truncate(7), 6)
-        assert invert_series(omega, 6) == invert_series(omega.truncate(7), 6)
+        assert verify_lagrange(omega, 6) == verify_lagrange(omega.truncate(6), 6)
+        assert invert_series(omega, 6) == invert_series(omega.truncate(6), 6)
         g = cofactor(omega, 29)
         for n, k in ((1, 1), (5, 2), (6, 1)):
             assert lagrange_coefficient(g, n, k) == lagrange_coefficient(g.truncate(n - k), n, k)
@@ -331,7 +347,7 @@ def test_a_failing_cell_is_reported_unscaled(monkeypatch):
 @pytest.mark.parametrize("omega, max_n, error, message", [
     (Series([1, 1], 5), 3, DomainError, "not invertible: order must be 1"),
     (Series([0, 0, 1], 5), 2, DomainError, "not invertible: order must be 1"),
-    (Series([0, 1], 3), 5, PrecisionError, "inverting to degree 5 needs omega at precision 6"),
+    (Series([0, 1], 4), 5, PrecisionError, "inverting to degree 5 needs omega at precision 5"),
     (Series([0, 1], 3), -1, ValueError, "precision must be a natural number"),
 ])
 def test_verify_lagrange_rejects_what_invert_series_rejects(omega, max_n, error, message):

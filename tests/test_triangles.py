@@ -699,6 +699,35 @@ def test_json_rejects_an_entry_that_is_not_an_integer_or_a_string(field, value):
         from_json_dict(obj)
 
 
+@pytest.mark.parametrize("entry", ["1/0", "1e999999999", "oops"],
+                         ids=["zero_denominator", "huge_exponent", "not_a_number"])
+@pytest.mark.parametrize("field", ["f", "g", "rows"])
+def test_json_rejects_an_entry_fraction_cannot_read(field, entry):
+    # Fraction raises ZeroDivisionError on "1/0" and builds 10**999999999 for "1e999999999"
+    obj = {"f": ["1"], "g": ["1"], "depth": 1, "rows": [["1"]]}
+    (obj["rows"][0] if field == "rows" else obj[field])[0] = entry
+    with pytest.raises(ValueError, match=f"^matrix JSON field '{field}' entries must"):
+        from_json_dict(obj)
+
+
+@pytest.mark.parametrize("depth, rows", [
+    (400, []),
+    (10 ** 18, []),
+    (3, [["1"], ["1", "1"]]),
+    (2, [["1"], ["1", "1"], ["1", "2", "1"]]),
+    (3, [["1"], ["1", "1", "0"], ["1", "2", "1"]]),
+    (3, [["1"], ["1"], ["1", "2", "1"]]),
+], ids=["empty", "huge_depth", "row_missing", "row_extra", "row_long", "row_short"])
+def test_json_checks_the_rows_shape_before_building_the_triangle(monkeypatch, depth, rows):
+    def no_build(*args):
+        raise AssertionError("the triangle was built before the rows' shape was checked")
+
+    monkeypatch.setattr(triangles, "build_triangle", no_build)
+    obj = {"f": ["1/3"] * 400, "g": ["2/7", "1/5"] * 200, "depth": depth, "rows": rows}
+    with pytest.raises(ValueError, match="^matrix JSON field 'rows' must hold"):
+        from_json_dict(obj)
+
+
 def test_json_accepts_integer_entries():
     obj = pascal(3).to_json_dict()
     obj["f"][0] = obj["g"][0] = obj["rows"][1][0] = 1
