@@ -13,22 +13,30 @@ after which ``T_k`` agrees with the inverse through degree ``k`` exactly.
 So stage ``k`` only adds one coefficient, and it reads ``g`` below degree ``k``:
 ``omega`` only through ``k``.  Since ``T**(k+1) = x * T**k * g(T)``,
 the table of ``[x^n] T**k`` is the Riordan array ``(1, T)`` with A-sequence
-``g``, and the A-sequence rule fills it a row at a time in ``O(P**2 (d+1))``
-for ``g`` of degree ``d`` (O(P**3) when ``g`` is dense); the tests' reference
-path recomposes every stage by Horner, O(P**4).  The rows and their taps, by the
-division contraction, run on integers scaled by powers of one ``s`` (:func:`_power_table`).
+``g``, and the A-sequence rule fills it a row at a time.  Read backwards, the
+same equation ``omega(T) = x`` gives a second row rule whose taps are
+``omega``'s own coefficients (Merlini, Rogers, Sprugnoli and Verri, Canad. J.
+Math. 1997).  :func:`_power_table` runs whichever reads fewer taps, so the
+table costs ``O(P**2 d)`` for ``d`` the smaller of ``omega``'s count of nonzero
+terms and ``g``'s degree plus one: ``g = x/omega`` is dense for every polynomial
+``omega`` of degree >= 2, and ``omega = x/(1-x)`` has ``g = 1 - x``.  The tests'
+reference path recomposes every stage by Horner, O(P**4).  The rows and their
+taps run on integers scaled by powers of one ``s``.
 The same fixed-point equation yields the coefficient identities
 
     ``n * [x^n] (omega^{-1})**k == k * [x^(n-k)] g**n``
 
 which :func:`verify_lagrange` checks exhaustively on a grid and
-:func:`lagrange_coefficient` evaluates directly.
+:func:`lagrange_coefficient` evaluates directly.  Both take ``[x^m] g**n`` from
+J.C.P. Miller's recurrence for the coefficients of a power, at one product per
+nonzero tap, so the grid also costs ``O(P**2 d)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
 
 # reciprocal stays bound here for perfbench's tracer, which patches it in this module
@@ -58,15 +66,12 @@ def _cofactor_rows(taps: list[int], precision: int) -> tuple[list[int], list[lis
     return taps, rows
 
 
-def _power_table(omega: Series, precision: int) -> tuple[int, list[int], list[list[int]]]:
-    """``(s, A, rows)`` with ``rows[n][k] = s**(2n-k) * [x^n] T**k``, ``T = x*g(T)``,
-    ``g = x/omega``: :func:`_cofactor_rows` of ``A(y) = s*g(s*y)``.
+def _omega_taps(omega: Series, precision: int) -> tuple[int, int, list[int]]:
+    """``(s, L, H)``: ``L`` the lcm of the denominators of ``omega_1..omega_max(precision, 1)``,
+    ``s = L*omega_1`` and the integers ``H_j = L*omega_(j+1)*s**(j-1)``, ``H_0 = 1``, so that
+    ``H(y) = L*omega(s*y)/(s**2*y)``.  ``omega`` is read through ``precision`` and no further.
 
-    The rows through ``precision`` and ``A**n`` below it read only the taps below
-    ``precision``, so only those are built, from ``W = L*omega/x`` below ``precision``:
-    ``L`` is the lcm of the denominators of ``omega_1..omega_max(precision, 1)``, ``s = W_0``.
-    ``g = L/W``, so the taps are ``A_i = s**(i+1) g_i = s**i [x^i] L*s/W``: the division
-    contraction at the table's own scale, ``A_0 = L``, ``A_i = -sum_j W_j*s**(j-1)*A_(i-j)``."""
+    ``A(y) = s*g(s*y) = L/H`` is then the integral A-sequence of the scaled ``(1, T)``."""
     if precision < 0:
         raise ValueError("precision must be a natural number")
     if omega.order() != 1:
@@ -76,12 +81,77 @@ def _power_table(omega: Series, precision: int) -> tuple[int, list[int], list[li
             f"inverting to degree {precision} needs omega at precision {precision}")
     lcm, big_w = _integral(omega.coefficients[1: max(precision, 1) + 1])
     s = big_w[0]
-    terms = [(j, c * s ** (j - 1)) for j, c in enumerate(big_w) if j and c]
+    return s, lcm, [1] + [c * s ** j for j, c in enumerate(big_w[1:])]
+
+
+def _g_taps(lcm: int, big_h: list[int], precision: int) -> list[int]:
+    """The taps ``A_i = s**(i+1) g_i`` of ``(1, T)``, ``i < max(precision, 1)``, cut after
+    the last nonzero one: ``A = L/H`` by the division contraction at the table's own
+    scale, ``A_0 = L``, ``A_i = -sum_(j>=1) H_j*A_(i-j)``."""
+    terms = [(j, c) for j, c in enumerate(big_h) if j and c]
     taps = [lcm]
     for i in range(1, precision):
-        taps.append(-sum(t * taps[i - j] for j, t in terms if j <= i))
-    taps, rows = _cofactor_rows(taps, precision)
-    return s, taps, rows
+        taps.append(-sum(c * taps[i - j] for j, c in terms if j <= i))
+    while not taps[-1]:
+        taps.pop()
+    return taps
+
+
+def _omega_rows(lcm: int, big_h: list[int], precision: int) -> list[list[int]]:
+    """The rows of :func:`_power_table` from ``omega``'s own taps ``H``.
+
+    ``omega(T) = x`` gives ``sum_j omega_j T**(k+j) = x*T**k``, the A-sequence rule read
+    one column to the left; at the table's scale that is
+    ``R[n][k+1] = L*R[n-1][k] - sum_(i>=1) H_i*R[n][k+1+i]``, with no division and one
+    product per nonzero ``H_i``.  Along the diagonals ``D_e[k] = R[k+e][k]`` it reads
+    ``D_e[k] = L*D_e[k-1] - sum_(i>=1) H_i*D_(e-i)[k+i]`` from ``D_0[k] = L**k`` and
+    ``D_e[0] = 0``: each diagonal is one scan over the products of those below it."""
+    terms = [(i, c) for i, c in enumerate(big_h) if i and c]
+    diagonals = [[lcm ** k for k in range(precision + 1)]]
+    for e in range(1, precision + 1):
+        # sum_i H_i*D_(e-i)[k+i] for k = 1..precision-e; the zeros fix the length
+        # when no tap reaches below e
+        drive = zip(repeat(0, precision - e), *(map(mul, repeat(c), diagonals[e - i][i + 1:])
+                                               for i, c in terms if i <= e))
+        entry, diagonal = 0, [0]
+        for total in map(sum, drive):
+            entry = lcm * entry - total
+            diagonal.append(entry)
+        diagonals.append(diagonal)
+    return [[diagonals[n - k][k] for k in range(n + 1)] for n in range(precision + 1)]
+
+
+def _power_table(omega: Series, precision: int
+                 ) -> tuple[int, int, list[int], int, list[list[int]]]:
+    """``(s, L, h, sign, rows)`` with ``rows[n][k] = s**(2n-k) * [x^n] T**k``, ``T = x*g(T)``,
+    ``g = x/omega``, for ``k <= n <= precision``; ``s``, ``L`` as in :func:`_omega_taps`.
+
+    The rows are filled by whichever rule reads fewer taps: :func:`_omega_rows` from the
+    nonzero ``H_i`` (``h = H``, ``sign = -1``), or :func:`_cofactor_rows` from the
+    A-sequence ``A = L/H`` cut at ``g``'s degree (``h = A``, ``sign = 1``).  Either way
+    ``A = L*(h/h_0)**sign``, and the fill costs ``O(P**2 d)`` for ``d`` taps: ``g`` is dense
+    for every polynomial ``omega`` of degree ``>= 2``, while ``omega = x/(1-x)``, read as a
+    dense series, has ``g = 1 - x``."""
+    s, lcm, big_h = _omega_taps(omega, precision)
+    taps = _g_taps(lcm, big_h, precision)
+    if sum(map(bool, big_h)) < len(taps):
+        return s, lcm, big_h, -1, _omega_rows(lcm, big_h, precision)
+    return s, lcm, taps, 1, _cofactor_rows(taps, precision)[1]
+
+
+def _power_coefficients(h: list[int], alpha: int, first: int, count: int) -> list[int]:
+    """``P_m = first * [x^m] (h/h_0)**alpha`` for ``m < max(count, 1)``.
+
+    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7), from ``h*p' = alpha*h'*p``
+    for ``p = h**alpha``: ``m*h_0*P_m = sum_(j>=1) ((alpha+1)*j - m) * h_j * P_(m-j)``, one
+    product per nonzero ``h_j``.  Callers choose ``first`` so that every ``P_m`` is an
+    integer; then each division by ``m*h_0`` is exact."""
+    terms = [(j, c) for j, c in enumerate(h) if j and c]
+    powers = [first]
+    for m in range(1, count):
+        powers.append(sum(((alpha + 1) * j - m) * c * powers[m - j]
+                          for j, c in terms if j <= m) // (m * h[0]))
+    return powers
 
 
 def invert_series(omega: Series, precision: int) -> Series:
@@ -92,7 +162,7 @@ def invert_series(omega: Series, precision: int) -> Series:
     result ``y`` satisfies ``omega(y) == y(omega) == x`` through the
     requested degree; it is column 1 of the power table's rows, unscaled.
     """
-    s, _, rows = _power_table(omega, precision)
+    s, *_, rows = _power_table(omega, precision)
     return Series([0] + [Fraction(row[1], s ** (2 * n - 1)) for n, row in enumerate(rows) if n])
 
 
@@ -102,7 +172,10 @@ def lagrange_coefficient(g: Series, n: int, k: int) -> Fraction:
 
     For ``k > n`` both sides of the identity vanish, so 0 is returned.
     With ``k == 1`` this is the classical coefficient formula for the
-    compositional inverse itself.
+    compositional inverse itself.  ``g`` is read through degree ``n - k``, and
+    ``[x^(n-k)] g**n = [x^(n-k)] G**n / D**n`` comes from :func:`_power_coefficients` on
+    the integers ``G = D*g``, ``D`` the lcm of their denominators: ``O((n-k) d)`` products
+    for ``d`` nonzero coefficients.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
@@ -110,7 +183,9 @@ def lagrange_coefficient(g: Series, n: int, k: int) -> Fraction:
         raise DomainError("cofactor must have a nonzero constant term")
     if k > n:
         return Fraction(0)
-    return Fraction(k, n) * (g.truncate(n - k) ** n).coefficient(n - k)
+    den, big_g = _integral(g.truncate(n - k).coefficients)
+    power = _power_coefficients(big_g, n, big_g[0] ** n, n - k + 1)[-1]  # [x^(n-k)] G**n
+    return Fraction(k * power, n * den ** n)
 
 
 @dataclass(frozen=True)
@@ -146,17 +221,16 @@ def verify_lagrange(omega: Series, max_n: int) -> LagrangeReport:
     """Check ``n*[x^n](omega^{-1})**k == k*[x^(n-k)]g**n`` for all
     ``1 <= k <= n <= max_n``, exactly, from ``omega`` known through ``max_n``.
 
-    With the power table's ``s`` and taps ``A`` (cut at ``g``'s degree),
-    ``[x^m] g**n = [y^m] A**n / s**(n+m)``, so a cell compares ``n*rows[n][k]``
-    with ``k*[y^(n-k)] A**n``, integers over the same ``s**(2n-k)``.  Violations
-    are collected into the report, unscaled, not raised; an empty list means the
-    identity holds on the whole grid.
+    The left side is read off the power table's rows.  The right side comes from a
+    second recurrence on the table's taps: ``[x^m] g**n = [y^m] A**n / s**(n+m)`` with
+    ``A = L*(h/h_0)**sign``, and :func:`_power_coefficients` gives ``[y^m] A**n`` for
+    ``m < n`` at one product per nonzero tap.  So a cell compares ``n*rows[n][k]`` with
+    ``k*[y^(n-k)] A**n``, integers over the same ``s**(2n-k)``, and the grid costs
+    ``O(max_n**2 d)``.  Violations are collected into the report, unscaled, not raised;
+    an empty list means the identity holds on the whole grid.
     """
-    s, taps, rows = _power_table(omega, max_n)
-    a_powers = [[1] + [0] * (max_n - 1)]  # A**n through degree max_n - 1
-    for _ in range(max_n):
-        last = a_powers[-1]
-        a_powers.append([sum(map(mul, taps, last[m::-1])) for m in range(max_n)])
+    s, lcm, taps, sign, rows = _power_table(omega, max_n)
+    a_powers = [_power_coefficients(taps, sign * n, lcm ** n, n) for n in range(max_n + 1)]
     violations: list[LagrangeViolation] = []
     for k in range(1, max_n + 1):
         for n in range(k, max_n + 1):

@@ -331,8 +331,9 @@ def associated(h: Series, depth: int) -> RiordanMatrix:
 def from_json_dict(obj: dict) -> RiordanMatrix:
     """Rebuild a matrix from its JSON form.  Entries of ``f``, ``g`` and ``rows`` follow
     the CLI's literal rule (an integer, or a string with an exponent at most 4300 and no
-    zero denominator); ``rows`` must hold ``depth`` rows, row ``n`` of ``n + 1`` entries,
-    checked before the triangle is built, and match it."""
+    zero denominator); ``f`` and ``g`` must start with nonzero constant terms, and ``rows``
+    must hold ``depth`` rows, row ``n`` of ``n + 1`` entries, both checked before the
+    triangle is built, and match it."""
     for field in ("f", "g", "depth", "rows"):
         if field not in obj:
             raise ValueError(f"matrix JSON has no {field!r} field")
@@ -344,7 +345,11 @@ def from_json_dict(obj: dict) -> RiordanMatrix:
             raise ValueError(f"matrix JSON field {field!r} must be a list, not {obj[field]!r}")
     if not all(isinstance(row, list) for row in obj["rows"]):
         raise ValueError("matrix JSON field 'rows' must be a list of lists")
-    f, g = (Series([_literal(e, f"matrix JSON field {k!r}") for e in obj[k]]) for k in ("f", "g"))
+    params = {k: [_literal(e, f"matrix JSON field {k!r}") for e in obj[k]] for k in ("f", "g")}
+    for field, cs in params.items():
+        if not cs or not cs[0]:
+            raise ValueError(f"matrix JSON field {field!r} must start with a nonzero constant term")
+    f, g = Series(params["f"]), Series(params["g"])
     rows = [[_literal(e, "matrix JSON field 'rows'") for e in row] for row in obj["rows"]]
     # the triangle costs O(depth**3): a stored block of the wrong shape is refused first
     if len(rows) != depth or any(len(row) != n + 1 for n, row in enumerate(rows)):

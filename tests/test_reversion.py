@@ -162,15 +162,38 @@ def test_power_table_taps_come_from_omega_without_the_kernel(monkeypatch, omega,
     monkeypatch.setattr(reversion, "reciprocal", no_division)
     monkeypatch.setattr(fixpoint, "_integer_columns", no_division)
     monkeypatch.setattr(reversion, "_integer_columns", no_division, raising=False)
-    s, taps, rows = reversion._power_table(omega, p)
+    s, lcm, big_h = reversion._omega_taps(omega, p)
+    taps = reversion._g_taps(lcm, big_h, p)
+    table = reversion._power_table(omega, p)
     read = max(p, 1)
     scaled = [c * s ** (i + 1) for i, c in enumerate(coeffs(cofactor(omega, read - 1)))]
     while not scaled[-1]:
         scaled.pop()
     assert taps == scaled
-    assert s == math.lcm(*(c.denominator for c in coeffs(omega)[1: read + 1])) * omega[1]
+    assert lcm == math.lcm(*(c.denominator for c in coeffs(omega)[1: read + 1]))
+    assert table[:2] == (s, lcm) and s == lcm * omega[1]
     inverse = compositional_inverse(coeffs(omega), p)[: p + 1]
-    assert [row[1] for row in rows[1:]] == [c * s ** (2 * n - 1) for n, c in enumerate(inverse) if n]
+    column = [c * s ** (2 * n - 1) for n, c in enumerate(inverse) if n]
+    assert [row[1] for row in table[-1][1:]] == column
+
+
+def test_both_row_rules_fill_the_same_table():
+    # the omega-side rule and the A-sequence rule, each forced, on sparse polynomial
+    # omega (g dense) and on dense omega, against the table _power_table returns
+    rng = random.Random(65)
+    for p in range(31):
+        degree = 1 + p % 8
+        sparse = [F(0), random_fraction(rng, nonzero=True)]
+        sparse += [random_fraction(rng) * rng.randint(0, 1) for _ in range(degree - 1)]
+        sparse += [F(0)] * (p + 1 - len(sparse))
+        dense = random_order_one(rng, max(p, 1))
+        for omega in (Series(sparse), dense, Series([0] + [1] * max(p, 1))):
+            s, lcm, big_h = reversion._omega_taps(omega, p)
+            by_omega = reversion._omega_rows(lcm, big_h, p)
+            _, by_g = reversion._cofactor_rows(reversion._g_taps(lcm, big_h, p), p)
+            assert by_omega == by_g
+            table = reversion._power_table(omega, p)
+            assert table[:2] == (s, lcm) and table[-1] == by_omega
 
 
 def test_invert_rejects_wrong_order():
@@ -325,12 +348,12 @@ def test_report_json_shape():
 def test_a_failing_cell_is_reported_unscaled(monkeypatch):
     omega = random_order_one(random.Random(62), 8)
     build = reversion._power_table
-    scale, _, _ = build(omega, 7)
+    scale, *_ = build(omega, 7)
 
     def perturbed(omega, precision):
-        s, taps, rows = build(omega, precision)
+        *head, rows = build(omega, precision)
         rows[5][2] += 1  # s**8 * [x^5] T**2, off by one
-        return s, taps, rows
+        return *head, rows
 
     monkeypatch.setattr(reversion, "_power_table", perturbed)
     report = verify_lagrange(omega, 7)
@@ -342,6 +365,29 @@ def test_a_failing_cell_is_reported_unscaled(monkeypatch):
         "max_n": 7,
         "violations": [{"n": 5, "k": 2, "lhs": str(v.lhs), "rhs": str(v.rhs)}],
     }
+
+
+@pytest.mark.parametrize("omega, sign", [
+    (Series([0] + [F(1, 3)] * 8), 1),  # x/(3-3x): g = 3 - 3x, shorter than omega
+    (Series([0, F(-2, 3), 0, 1, F(1, 5)], 8), -1),
+], ids=["g_taps", "omega_taps"])
+def test_a_failing_power_is_reported_at_its_cell(monkeypatch, omega, sign):
+    # [y^3] A**5, off by one on either side of the table's rule: the cell n = 5, k = 2 fails
+    scale, _, _, table_sign, _ = reversion._power_table(omega, 7)
+    assert table_sign == sign
+    build = reversion._power_coefficients
+
+    def perturbed(h, alpha, first, count):
+        powers = build(h, alpha, first, count)
+        if abs(alpha) == 5:
+            powers[3] += 1  # s**8 * [x^3] g**5
+        return powers
+
+    monkeypatch.setattr(reversion, "_power_coefficients", perturbed)
+    (v,) = verify_lagrange(omega, 7).violations
+    assert (v.n, v.k) == (5, 2)
+    assert v.lhs == 2 * list_power(coeffs(cofactor(omega, 5)), 5, 3)[3]
+    assert v.rhs == v.lhs + F(2, scale ** 8)
 
 
 @pytest.mark.parametrize("omega, max_n, error, message", [

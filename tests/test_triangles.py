@@ -710,6 +710,18 @@ def test_json_rejects_an_entry_fraction_cannot_read(field, entry):
         from_json_dict(obj)
 
 
+@pytest.mark.parametrize("field, value", [("f", []), ("g", ["0"]), ("f", [0, "1"]), ("g", [])],
+                         ids=["f_empty", "g_zero", "f_zero", "g_empty"])
+def test_json_names_a_parameter_without_a_constant_term(monkeypatch, field, value):
+    def no_build(*args):
+        raise AssertionError("the triangle was built from a parameter without a constant term")
+
+    monkeypatch.setattr(triangles, "build_triangle", no_build)
+    obj = {"f": ["1"], "g": ["1"], "depth": 1, "rows": [["1"]], field: value}
+    with pytest.raises(ValueError, match=f"^matrix JSON field '{field}' must start with a nonzero"):
+        from_json_dict(obj)
+
+
 @pytest.mark.parametrize("depth, rows", [
     (400, []),
     (10 ** 18, []),
