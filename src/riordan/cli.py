@@ -37,7 +37,8 @@ from .triangles import RiordanMatrix, SequencePair, build_triangle
 
 __all__ = ["main"]
 
-# the largest --depth, --precision or --steps: a dense invert or product at 200 takes seconds
+# the largest --depth, --precision or --steps: a dense product at 200 takes 1-2 seconds,
+# and the cost grows a little faster than the cube of the size
 MAX_SIZE = 200
 
 

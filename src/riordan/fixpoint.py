@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
-from .series import DomainError, PrecisionError, Series
+from .series import DomainError, PrecisionError, Series, _integral
 
 __all__ = [
     "AffineMap",
@@ -206,13 +206,6 @@ def _division_columns(f: Series, g: Series, precision: int, count: int) -> list[
         columns[k] = [Fraction(v * bk, d * ak) for v, d in zip(s, dens)]
         ak, bk = ak * a, bk * b
     return columns
-
-
-def _integral(cs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """``(D, [D*c for c in cs])`` with ``D`` the lcm of the denominators of ``cs``."""
-    dens = [c.denominator for c in cs]
-    den = math.lcm(*dens)
-    return den, [c.numerator * (den // d) for c, d in zip(cs, dens)]
 
 
 def _integer_columns(f: Series, g: Series, precision: int,

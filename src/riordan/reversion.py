@@ -40,8 +40,8 @@ from itertools import repeat
 from operator import mul
 
 # reciprocal stays bound here for perfbench's tracer, which patches it in this module
-from .fixpoint import _integral, reciprocal  # noqa: F401
-from .series import DomainError, PrecisionError, Series
+from .fixpoint import reciprocal  # noqa: F401
+from .series import DomainError, PrecisionError, Series, _integral
 
 __all__ = [
     "LagrangeReport",

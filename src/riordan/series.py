@@ -7,6 +7,12 @@ exact.  Results carry the most conservative precision their inputs justify:
 the minimum of the operand precisions for ring operations and composition,
 one degree less for differentiation.
 
+The ring operations run on integers: each operand is scaled once by the lcm
+of its denominators, the sum or the convolution is taken on those integers,
+and one reduced Fraction is built per output coefficient (with no gcd when
+the scale is 1).  The entries are canonical, so the result is the same
+series the schoolbook Fraction sums give.
+
 The module also provides the non-Archimedean metric that drives the
 iteration engine: ``distance(f, g) == Fraction(1, 2**k)`` where ``k`` is
 the order (index of the first nonzero coefficient) of ``f - g``, and ``0``
@@ -20,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Union[int, str, Fraction]
 
@@ -59,6 +65,22 @@ def _coerce(value: Rational) -> Fraction:
             "float coefficients are not supported; use int, Fraction or 'p/q' strings"
         )
     return Fraction(value)
+
+
+def _integral(cs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``(D, [D*c for c in cs])`` with ``D`` the lcm of the denominators of ``cs``."""
+    dens = [c.denominator for c in cs]
+    den = math.lcm(*dens)
+    if den == 1:
+        return 1, [c.numerator for c in cs]
+    return den, [c.numerator * (den // d) for c, d in zip(cs, dens)]
+
+
+def _over(ints: list[int], den: int) -> list[Fraction]:
+    """``[Fraction(c, den) for c in ints]``, reduced; over ``den == 1`` no gcd is taken."""
+    if den == 1:
+        return [Fraction(c) for c in ints]
+    return [Fraction(c, den) for c in ints]
 
 
 def _literal(entry: object, where: str) -> Fraction:
@@ -216,9 +238,11 @@ class Series:
     def __add__(self, other: Series | Rational) -> Series:
         if isinstance(other, Series):
             p = min(self.precision, other.precision)
-            return Series(
-                tuple(self._coeffs[i] + other._coeffs[i] for i in range(p + 1))
-            )
+            da, a = _integral(self._coeffs[: p + 1])
+            db, b = _integral(other._coeffs[: p + 1])
+            den = math.lcm(da, db)
+            sa, sb = den // da, den // db
+            return Series(_over([x * sa + y * sb for x, y in zip(a, b)], den))
         if isinstance(other, (int, Fraction)):
             values = list(self._coeffs)
             values[0] += other
@@ -238,16 +262,17 @@ class Series:
     def __mul__(self, other: Series | Rational) -> Series:
         if isinstance(other, Series):
             p = min(self.precision, other.precision)
-            a, b = self._coeffs, other._coeffs
-            out = [Fraction(0)] * (p + 1)
-            for i in range(min(len(a), p + 1)):
-                ai = a[i]
-                if not ai:
-                    continue
-                for j in range(min(len(b), p + 1 - i)):
-                    if b[j]:
-                        out[i + j] += ai * b[j]
-            return Series(out)
+            da, a = _integral(self._coeffs[: p + 1])
+            db, b = _integral(other._coeffs[: p + 1])
+            taps = [(j, bj) for j, bj in enumerate(b) if bj]
+            out = [0] * (p + 1)
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in taps:
+                        if i + j > p:
+                            break
+                        out[i + j] += ai * bj
+            return Series(_over(out, da * db))
         if isinstance(other, (int, Fraction)):
             return Series(tuple(c * other for c in self._coeffs))
         return NotImplemented

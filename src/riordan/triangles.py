@@ -28,14 +28,15 @@ leading rows and columns; both are provided here as operations.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .fixpoint import _division_columns, _integral, reciprocal
+from .fixpoint import _division_columns, reciprocal
 # invert_series stays bound here for perfbench's tracer, which patches it in this module
 from .reversion import _cofactor_rows, invert_series  # noqa: F401
-from .series import DomainError, PrecisionError, Series, _literal
+from .series import DomainError, PrecisionError, Series, _integral, _literal
 
 __all__ = [
     "RiordanMatrix",
@@ -113,12 +114,20 @@ class RiordanMatrix:
     def apply(self, h: Series) -> Series:
         """The matrix acting on a series: ``(f/g) * h(x/g)``, read off the
         entries as the product of the entry block with the coefficient
-        vector of ``h``, truncated to degree ``depth - 1``."""
+        vector of ``h``, truncated to degree ``depth - 1``.  On integers: ``h`` is
+        scaled once, row ``n`` by the lcm of the denominators of its entries that meet
+        a nonzero ``h_k``, and each row's dot product gives one Fraction."""
         p = self.depth - 1
         if h.precision < p:
             raise PrecisionError(f"apply needs the argument at precision {p}")
-        return Series([sum(e * c for e, c in zip(row, h.coefficients) if c)
-                       for row in self.entries])
+        den_h, big_h = _integral(h.coefficients[: p + 1])
+        support = [k for k, c in enumerate(big_h) if c]
+        taps = [big_h[k] for k in support]
+        out = []
+        for n, row in enumerate(self.entries):
+            den, ints = _integral([row[k] for k in support[: bisect_right(support, n)]])
+            out.append(Fraction(sum(map(mul, ints, taps)), den * den_h))
+        return Series(out)
 
     def product(self, other: RiordanMatrix) -> RiordanMatrix:
         """Group product ``T(f1 * f2(x/g1) | g1 * g2(x/g1))``, read off this

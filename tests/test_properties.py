@@ -1,4 +1,5 @@
-"""Property tests of the Riordan group (products, inverses, shifts and the
+"""Property tests of the series ring (``*``, ``+`` and ``-`` against plain Fraction
+sums and convolution), of the Riordan group (products, inverses, shifts and the
 JSON round trip) and its action on series, at depths 1..8, of
 compositional inversion, at precisions 1..10, with sparse
 small-integer and dense rational parameters, of the division kernel,
@@ -17,7 +18,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from riordan import cli
 from riordan.fixpoint import _integer_columns, reciprocal
@@ -25,13 +26,55 @@ from riordan.reversion import invert_series, verify_lagrange
 from riordan.series import Series
 from riordan.triangles import build_triangle, from_json_dict, identity
 
-from oracles import coeffs, divide, divided_columns, division_scale, list_power
+from oracles import coeffs, convolve, divide, divided_columns, division_scale, list_power
 from test_triangles import composed_product
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
 
 SPARSE = st.sampled_from((0, 0, 0, -1, 1, 2)).map(F)
 DENSE = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+# primes near 10**4 and two Mersenne primes: every denominator coprime to every other
+PRIMES = (10007, 10009, 10037, 10039, 10061, 10067, 2**61 - 1, 2**89 - 1)
+RING_KINDS = (
+    SPARSE,
+    DENSE,
+    st.integers(-9, 9).map(F),  # integers only: the operands' scale is 1
+    st.builds(F, st.integers(-10**6, 10**6), st.sampled_from(PRIMES)),
+)
+
+
+@st.composite
+def ring_operands(draw):
+    """Two series of independent precisions 0..12, each on its own coefficient kind."""
+    def series():
+        kind = draw(st.sampled_from(RING_KINDS))
+        return Series(draw(st.lists(kind, min_size=1, max_size=13)), draw(st.integers(0, 12)))
+
+    return series(), series()
+
+
+@settings(PROPERTY, max_examples=200)
+@given(ring_operands())
+@example((Series.zero(5), Series([F(1, 3), -2, F(5, 7)], 3)))  # an all-zero operand
+@example((Series.zero(4), Series.zero(6)))
+@example((Series([3, -1, 0, 4], 8), Series([-2, 5, 7], 6)))  # all integers
+@example((Series([F(-1, p) for p in PRIMES]), Series([F(p + 1, q) for p, q in zip(PRIMES, PRIMES[1:])])))
+def test_ring_operations_match_fraction_arithmetic(pair):
+    a, b = pair
+    p = min(a.precision, b.precision)
+    ac, bc = coeffs(a), coeffs(b)
+    product = convolve(ac, bc, p)
+    for got, expected in (
+        (a * b, product),
+        (b * a, product),
+        (a + b, [x + y for x, y in zip(ac, bc)]),
+        (a - b, [x - y for x, y in zip(ac, bc)]),
+    ):
+        assert got.precision == p
+        assert coeffs(got) == expected
+        assert all(type(c) is F for c in got.coefficients)
 
 
 @st.composite

@@ -226,6 +226,46 @@ def test_apply_pascal_sums_first_two_columns():
     assert got == expected
 
 
+def matrix_times(t, hc):
+    """The entry block times the coefficient list ``hc``, in plain Fraction sums."""
+    return [sum((t.entry(n, k) * hc[k] for k in range(n + 1)), F(0)) for n in range(t.depth)]
+
+
+MIXED_ROWS = {  # rows whose entries have different denominators
+    "bell": bell(Series([1, F(1, 3), 2, F(-2, 7)]).pad(9), 10),
+    "from_classical": from_classical(Series([F(1, 2), F(-1, 3), 0, F(5, 11)], 9),
+                                     Series([0, 1, F(2, 5), 0, F(-1, 7)], 10), 10),
+}
+
+
+@pytest.mark.parametrize("name", MIXED_ROWS)
+@pytest.mark.parametrize("hc", [
+    [F(1, 2), 0, 0, F(-3, 5), 0, 0, 0, 4, 0, F(7, 9)],  # zero gaps
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, F(1, 13)],  # only the last row reads h
+    [0] * 10,
+    [3, -1, 4, 1, -5, 9, 2, -6, 5, 3],  # integers
+], ids=["gaps", "last", "zero", "integers"])
+def test_apply_on_rows_of_mixed_denominators(name, hc):
+    t = MIXED_ROWS[name]
+    assert len({e.denominator for e in t.row(9)}) > 1
+    got = t.apply(Series(hc))
+    assert got.precision == t.depth - 1
+    assert coeffs(got) == matrix_times(t, [F(c) for c in hc])
+    assert all(type(c) is F for c in got.coefficients)
+
+
+def test_apply_reads_h_only_through_the_last_row():
+    t = MIXED_ROWS["bell"]
+    h = Series([F(1, 2), 0, 3, 0, 0, F(-1, 4), 0, 0, 0, 1])
+    assert t.apply(past_precision(h, 9)) == t.apply(h)
+    assert t.apply(Series(coeffs(h) + [F(1, 10**30)], 14)).precision == 9
+
+
+def test_apply_needs_h_through_the_last_row():
+    with pytest.raises(PrecisionError, match="apply needs the argument at precision 9"):
+        MIXED_ROWS["bell"].apply(Series([1, 2, 3], 8))
+
+
 @pytest.mark.parametrize("make_series", [
     sparse_series,
     functools.partial(random_series, nonzero_constant=True),
