@@ -16,12 +16,14 @@ the table of ``[x^n] T**k`` is the Riordan array ``(1, T)`` with A-sequence
 ``g``, and the A-sequence rule fills it a row at a time.  Read backwards, the
 same equation ``omega(T) = x`` gives a second row rule whose taps are
 ``omega``'s own coefficients (Merlini, Rogers, Sprugnoli and Verri, Canad. J.
-Math. 1997).  :func:`_power_table` runs whichever reads fewer taps, so the
-table costs ``O(P**2 d)`` for ``d`` the smaller of ``omega``'s count of nonzero
-terms and ``g``'s degree plus one: ``g = x/omega`` is dense for every polynomial
-``omega`` of degree >= 2, and ``omega = x/(1-x)`` has ``g = 1 - x``.  The tests'
-reference path recomposes every stage by Horner, O(P**4).  The rows and their
-taps run on integers scaled by powers of one ``s``.
+Math. 1997).  At the table's scale ``g``'s taps are ``A = L/H``, ``H`` ``omega``'s,
+by J.C.P. Miller's power recurrence at exponent -1, the routine that also gives
+every ``A**n`` below.  :func:`_power_table` runs whichever rule reads fewer taps,
+so the table costs ``O(P**2 d)`` for ``d`` the smaller of ``omega``'s count of
+nonzero terms and ``g``'s degree plus one: ``g = x/omega`` is dense for every
+polynomial ``omega`` of degree >= 2, and ``omega = x/(1-x)`` has ``g = 1 - x``.
+The tests' reference path recomposes every stage by Horner, O(P**4).  The rows
+and their taps run on integers scaled by powers of one ``s``.
 The same fixed-point equation yields the coefficient identities
 
     ``n * [x^n] (omega^{-1})**k == k * [x^(n-k)] g**n``
@@ -84,19 +86,6 @@ def _omega_taps(omega: Series, precision: int) -> tuple[int, int, list[int]]:
     return s, lcm, [1] + [c * s ** j for j, c in enumerate(big_w[1:])]
 
 
-def _g_taps(lcm: int, big_h: list[int], precision: int) -> list[int]:
-    """The taps ``A_i = s**(i+1) g_i`` of ``(1, T)``, ``i < max(precision, 1)``, cut after
-    the last nonzero one: ``A = L/H`` by the division contraction at the table's own
-    scale, ``A_0 = L``, ``A_i = -sum_(j>=1) H_j*A_(i-j)``."""
-    terms = [(j, c) for j, c in enumerate(big_h) if j and c]
-    taps = [lcm]
-    for i in range(1, precision):
-        taps.append(-sum(c * taps[i - j] for j, c in terms if j <= i))
-    while not taps[-1]:
-        taps.pop()
-    return taps
-
-
 def _omega_rows(lcm: int, big_h: list[int], precision: int) -> list[list[int]]:
     """The rows of :func:`_power_table` from ``omega``'s own taps ``H``.
 
@@ -128,12 +117,16 @@ def _power_table(omega: Series, precision: int
 
     The rows are filled by whichever rule reads fewer taps: :func:`_omega_rows` from the
     nonzero ``H_i`` (``h = H``, ``sign = -1``), or :func:`_cofactor_rows` from the
-    A-sequence ``A = L/H`` cut at ``g``'s degree (``h = A``, ``sign = 1``).  Either way
-    ``A = L*(h/h_0)**sign``, and the fill costs ``O(P**2 d)`` for ``d`` taps: ``g`` is dense
-    for every polynomial ``omega`` of degree ``>= 2``, while ``omega = x/(1-x)``, read as a
-    dense series, has ``g = 1 - x``."""
+    A-sequence ``A_i = s**(i+1) g_i``, ``i < max(precision, 1)``, cut at ``g``'s degree
+    (``h = A``, ``sign = 1``).  ``A = L/H`` is :func:`_power_coefficients` at exponent -1:
+    with ``H_0 = 1``, Miller's recurrence reads ``A_i = -sum_(j>=1) H_j*A_(i-j)``.  Either
+    way ``A = L*(h/h_0)**sign``, and the fill costs ``O(P**2 d)`` for ``d`` taps: ``g`` is
+    dense for every polynomial ``omega`` of degree ``>= 2``, while ``omega = x/(1-x)``, read
+    as a dense series, has ``g = 1 - x``."""
     s, lcm, big_h = _omega_taps(omega, precision)
-    taps = _g_taps(lcm, big_h, precision)
+    taps = _power_coefficients(big_h, -1, lcm, precision)
+    while not taps[-1]:
+        taps.pop()
     if sum(map(bool, big_h)) < len(taps):
         return s, lcm, big_h, -1, _omega_rows(lcm, big_h, precision)
     return s, lcm, taps, 1, _cofactor_rows(taps, precision)[1]

@@ -89,6 +89,8 @@ class RiordanMatrix:
         return self.entries[n][k]
 
     def row(self, n: int) -> tuple[Fraction, ...]:
+        if not (0 <= n < self.depth):
+            raise IndexError(f"row {n} outside a depth-{self.depth} matrix")
         return self.entries[n]
 
     def column_series(self, k: int) -> Series:
@@ -313,10 +315,8 @@ def from_classical(d: Series, h: Series, depth: int) -> RiordanMatrix:
         raise PrecisionError(
             f"classical construction at depth {depth} needs d at precision {p} and h at {p + 1}"
         )
-    shifted = h.shift(-1)  # h/x, nonzero constant
-    f = reciprocal(d, shifted, p)
-    g = _inv(shifted, p)
-    return build_triangle(f, g, depth)
+    g = _inv(h.shift(-1), p)  # x/h
+    return build_triangle(d.truncate(p) * g, g, depth)
 
 
 def appell(d: Series, depth: int) -> RiordanMatrix:
@@ -325,45 +325,45 @@ def appell(d: Series, depth: int) -> RiordanMatrix:
 
 
 def bell(d: Series, depth: int) -> RiordanMatrix:
-    """Bell element ``T(1|1/d)`` for the classical pair ``(d, x*d)``."""
-    p = _degree(depth)
-    return build_triangle(Series.one(p), _inv(d, p), depth)
+    """Bell element ``T(1|1/d)``: :func:`from_classical` of the pair ``(d, x*d)``."""
+    return from_classical(d, d.shift(1), depth)
 
 
 def associated(h: Series, depth: int) -> RiordanMatrix:
-    """Associated (Lagrange) element ``T(1/h|1/h)`` for the classical
+    """Associated (Lagrange) element ``T(1/h|1/h)``: :func:`from_classical` of the
     pair ``(1, x*h)``."""
-    r = _inv(h, _degree(depth))
-    return build_triangle(r, r, depth)
+    return from_classical(Series.one(_degree(depth)), h.shift(1), depth)
 
 
 def from_json_dict(obj: dict) -> RiordanMatrix:
     """Rebuild a matrix from its JSON form.  Entries of ``f``, ``g`` and ``rows`` follow
     the CLI's literal rule (an integer, or a string with an exponent at most 4300 and no
-    zero denominator); ``f`` and ``g`` must start with nonzero constant terms, and ``rows``
-    must hold ``depth`` rows, row ``n`` of ``n + 1`` entries, both checked before the
-    triangle is built, and match it."""
+    zero denominator); ``depth`` must be at least 1, ``rows`` must hold ``depth`` rows, row
+    ``n`` of ``n + 1`` entries, and ``f`` and ``g`` at least ``depth`` coefficients with
+    nonzero constant terms, all checked before the triangle is built; the rows must match it."""
     for field in ("f", "g", "depth", "rows"):
         if field not in obj:
             raise ValueError(f"matrix JSON has no {field!r} field")
     depth = obj["depth"]
-    if type(depth) is not int:  # bool is an int subclass, and not a depth
-        raise ValueError(f"matrix JSON field 'depth' must be an integer, not {depth!r}")
+    if type(depth) is not int or depth < 1:  # bool is an int subclass, and not a depth
+        raise ValueError(f"matrix JSON field 'depth' must be an integer, at least 1, not {depth!r}")
     for field in ("f", "g", "rows"):
         if not isinstance(obj[field], list):
             raise ValueError(f"matrix JSON field {field!r} must be a list, not {obj[field]!r}")
     if not all(isinstance(row, list) for row in obj["rows"]):
         raise ValueError("matrix JSON field 'rows' must be a list of lists")
     params = {k: [_literal(e, f"matrix JSON field {k!r}") for e in obj[k]] for k in ("f", "g")}
-    for field, cs in params.items():
-        if not cs or not cs[0]:
-            raise ValueError(f"matrix JSON field {field!r} must start with a nonzero constant term")
-    f, g = Series(params["f"]), Series(params["g"])
     rows = [[_literal(e, "matrix JSON field 'rows'") for e in row] for row in obj["rows"]]
     # the triangle costs O(depth**3): a stored block of the wrong shape is refused first
     if len(rows) != depth or any(len(row) != n + 1 for n, row in enumerate(rows)):
         raise ValueError(f"matrix JSON field 'rows' must hold {depth} rows, row n of n + 1 entries")
-    matrix = build_triangle(f, g, depth)
+    for field, cs in params.items():
+        if not cs or not cs[0]:
+            raise ValueError(f"matrix JSON field {field!r} must start with a nonzero constant term")
+        if len(cs) < depth:
+            raise ValueError(f"matrix JSON field {field!r} must hold at least {depth} "
+                             f"coefficients, not {len(cs)}")
+    matrix = build_triangle(Series(params["f"]), Series(params["g"]), depth)
     if [list(row) for row in matrix.entries] != rows:
         raise ValueError("stored rows do not match the parameter series")
     return matrix

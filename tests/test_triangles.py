@@ -191,6 +191,9 @@ def test_entry_and_row_access():
     assert t.row(2) == (1, 2, 1)
     with pytest.raises(IndexError):
         t.entry(5, 0)
+    for n in (-1, 5):
+        with pytest.raises(IndexError, match=f"^row {n} outside a depth-5 matrix$"):
+            t.row(n)
 
 
 # ----------------------------------------------------------------------
@@ -777,6 +780,35 @@ def test_json_checks_the_rows_shape_before_building_the_triangle(monkeypatch, de
     monkeypatch.setattr(triangles, "build_triangle", no_build)
     obj = {"f": ["1/3"] * 400, "g": ["2/7", "1/5"] * 200, "depth": depth, "rows": rows}
     with pytest.raises(ValueError, match="^matrix JSON field 'rows' must hold"):
+        from_json_dict(obj)
+
+
+@pytest.mark.parametrize("depth", [0, -2])
+def test_json_names_a_depth_below_one(monkeypatch, depth):
+    obj = identity(3).to_json_dict()
+
+    def no_build(*args):
+        raise AssertionError("the triangle was built at a depth below 1")
+
+    monkeypatch.setattr(triangles, "build_triangle", no_build)
+    obj["depth"] = depth
+    with pytest.raises(ValueError, match=f"^matrix JSON field 'depth' must be an integer, at "
+                                         f"least 1, not {depth}$"):
+        from_json_dict(obj)
+
+
+@pytest.mark.parametrize("field, value", [("f", ["1"]), ("g", ["1", "0"])],
+                         ids=["f_one", "g_two"])
+def test_json_names_a_parameter_shorter_than_the_depth(monkeypatch, field, value):
+    obj = identity(3).to_json_dict()
+
+    def no_build(*args):
+        raise AssertionError("the triangle was built from a parameter shorter than the depth")
+
+    monkeypatch.setattr(triangles, "build_triangle", no_build)
+    obj[field] = value
+    with pytest.raises(ValueError, match=f"^matrix JSON field '{field}' must hold at least 3 "
+                                         f"coefficients, not {len(value)}$"):
         from_json_dict(obj)
 
 
