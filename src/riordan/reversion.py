@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from operator import mul
 
 # reciprocal stays bound here for perfbench's tracer, which patches it in this module
@@ -54,9 +53,9 @@ __all__ = [
 ]
 
 
-def _cofactor_rows(taps: list[int], precision: int) -> tuple[list[int], list[list[int]]]:
-    """``(A, rows)``: ``taps`` (``A_0 != 0``) cut after the last nonzero one, and the rows
-    ``rows[n][k] = [x^n] U**k`` (``k <= n <= precision``) of ``(1, U)``, ``U = x*A(U)``.
+def _cofactor_rows(taps: list[int], precision: int) -> list[list[int]]:
+    """The rows ``rows[n][k] = [x^n] U**k`` (``k <= n <= precision``) of ``(1, U)``,
+    ``U = x*A(U)``, from the taps ``A`` (``A_0 != 0``) cut after the last nonzero one.
 
     ``U**(k+1) = x * U**k * A(U)``, so ``A`` is the A-sequence of ``(1, U)`` and
     ``rows[n+1][k+1] = sum_i A_i * rows[n][k+i]``: ``O(P**2 (d+1))`` products for
@@ -65,7 +64,7 @@ def _cofactor_rows(taps: list[int], precision: int) -> tuple[list[int], list[lis
     rows = [[1]]
     for n in range(precision):
         rows.append([0] + [sum(map(mul, taps, rows[n][k:])) for k in range(n + 1)])
-    return taps, rows
+    return rows
 
 
 def _omega_taps(omega: Series, precision: int) -> tuple[int, int, list[int]]:
@@ -91,23 +90,19 @@ def _omega_rows(lcm: int, big_h: list[int], precision: int) -> list[list[int]]:
 
     ``omega(T) = x`` gives ``sum_j omega_j T**(k+j) = x*T**k``, the A-sequence rule read
     one column to the left; at the table's scale that is
-    ``R[n][k+1] = L*R[n-1][k] - sum_(i>=1) H_i*R[n][k+1+i]``, with no division and one
-    product per nonzero ``H_i``.  Along the diagonals ``D_e[k] = R[k+e][k]`` it reads
-    ``D_e[k] = L*D_e[k-1] - sum_(i>=1) H_i*D_(e-i)[k+i]`` from ``D_0[k] = L**k`` and
-    ``D_e[0] = 0``: each diagonal is one scan over the products of those below it."""
-    terms = [(i, c) for i, c in enumerate(big_h) if i and c]
-    diagonals = [[lcm ** k for k in range(precision + 1)]]
-    for e in range(1, precision + 1):
-        # sum_i H_i*D_(e-i)[k+i] for k = 1..precision-e; the zeros fix the length
-        # when no tap reaches below e
-        drive = zip(repeat(0, precision - e), *(map(mul, repeat(c), diagonals[e - i][i + 1:])
-                                               for i, c in terms if i <= e))
-        entry, diagonal = 0, [0]
-        for total in map(sum, drive):
-            entry = lcm * entry - total
-            diagonal.append(entry)
-        diagonals.append(diagonal)
-    return [[diagonals[n - k][k] for k in range(n + 1)] for n in range(precision + 1)]
+    ``R[n][k] = L*R[n-1][k-1] - sum_(i>=1) H_i*R[n][k+i]`` for ``k >= 1``, with no division,
+    and ``R[n][0] = 0``.  Row ``n`` is filled right to left from ``R[n][n] = L**n``, each
+    entry one dot product of ``H_1..``, cut after its last nonzero tap, with the entries
+    already to its right."""
+    tail = big_h[1: max(i for i, c in enumerate(big_h) if c) + 1]
+    rows = [[1]]
+    for n in range(1, precision + 1):
+        above, rev = rows[-1], []
+        for k in range(n, 0, -1):
+            rev.append(lcm * above[k - 1] - sum(map(mul, tail, reversed(rev))))
+        rev.append(0)
+        rows.append(rev[::-1])
+    return rows
 
 
 def _power_table(omega: Series, precision: int
@@ -115,21 +110,22 @@ def _power_table(omega: Series, precision: int
     """``(s, L, h, sign, rows)`` with ``rows[n][k] = s**(2n-k) * [x^n] T**k``, ``T = x*g(T)``,
     ``g = x/omega``, for ``k <= n <= precision``; ``s``, ``L`` as in :func:`_omega_taps`.
 
-    The rows are filled by whichever rule reads fewer taps: :func:`_omega_rows` from the
-    nonzero ``H_i`` (``h = H``, ``sign = -1``), or :func:`_cofactor_rows` from the
-    A-sequence ``A_i = s**(i+1) g_i``, ``i < max(precision, 1)``, cut at ``g``'s degree
-    (``h = A``, ``sign = 1``).  ``A = L/H`` is :func:`_power_coefficients` at exponent -1:
-    with ``H_0 = 1``, Miller's recurrence reads ``A_i = -sum_(j>=1) H_j*A_(i-j)``.  Either
-    way ``A = L*(h/h_0)**sign``, and the fill costs ``O(P**2 d)`` for ``d`` taps: ``g`` is
-    dense for every polynomial ``omega`` of degree ``>= 2``, while ``omega = x/(1-x)``, read
-    as a dense series, has ``g = 1 - x``."""
+    The rows are filled by whichever rule reads fewer taps: :func:`_omega_rows` from ``H``
+    (``h = H``, ``sign = -1``), or :func:`_cofactor_rows` from the A-sequence
+    ``A_i = s**(i+1) g_i``, ``i < max(precision, 1)``, cut at ``g``'s degree (``h = A``,
+    ``sign = 1``).  The choice counts ``H``'s nonzero terms against ``A``'s cut length,
+    while the omega filler reads ``H`` through its last nonzero term.  ``A = L/H`` is
+    :func:`_power_coefficients` at exponent -1: with ``H_0 = 1``, Miller's recurrence reads
+    ``A_i = -sum_(j>=1) H_j*A_(i-j)``.  Either way ``A = L*(h/h_0)**sign``, and the fill
+    costs ``O(P**2 d)`` for ``d`` taps: ``g`` is dense for every polynomial ``omega`` of
+    degree ``>= 2``, while ``omega = x/(1-x)``, read as a dense series, has ``g = 1 - x``."""
     s, lcm, big_h = _omega_taps(omega, precision)
     taps = _power_coefficients(big_h, -1, lcm, precision)
     while not taps[-1]:
         taps.pop()
     if sum(map(bool, big_h)) < len(taps):
         return s, lcm, big_h, -1, _omega_rows(lcm, big_h, precision)
-    return s, lcm, taps, 1, _cofactor_rows(taps, precision)[1]
+    return s, lcm, taps, 1, _cofactor_rows(taps, precision)
 
 
 def _power_coefficients(h: list[int], alpha: int, first: int, count: int) -> list[int]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
@@ -64,7 +64,7 @@ class SequencePair:
     z_seq: Series
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RiordanMatrix:
     """A materialised ``depth x depth`` block of ``T(f|g)``.
 
@@ -73,10 +73,10 @@ class RiordanMatrix:
     Use :func:`build_triangle` to construct.
     """
 
-    f: Series
-    g: Series
+    f: Series = field(compare=False)
+    g: Series = field(compare=False)
     depth: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[Fraction, ...], ...] = field(repr=False)
 
     # ------------------------------------------------------------------
     # access
@@ -98,17 +98,6 @@ class RiordanMatrix:
         if not (0 <= k < self.depth):
             raise IndexError(f"column {k} outside a depth-{self.depth} matrix")
         return Series([self.entry(n, k) for n in range(self.depth)])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RiordanMatrix):
-            return NotImplemented
-        return self.depth == other.depth and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.depth, self.entries))
-
-    def __repr__(self) -> str:
-        return f"RiordanMatrix(f={self.f!r}, g={self.g!r}, depth={self.depth})"
 
     # ------------------------------------------------------------------
     # the linear map and the group structure
@@ -170,7 +159,8 @@ class RiordanMatrix:
         ``R = M/f`` integral, ``[x^n] (1/f)(w) = sum_j R_j rows[n][j] / (M*L**n)``."""
         p = self.depth - 1
         den_g, taps = _integral(self.g.coefficients[: p + 1])
-        (head, *tail), rows = _cofactor_rows(taps, p)
+        head, *tail = taps
+        rows = _cofactor_rows(taps, p)
         den_f, big_r = _integral(_inv(self.f, p).coefficients)
         f_inv = [Fraction(sum(map(mul, big_r, row)), den_f * den_g ** n)
                  for n, row in enumerate(rows)]
@@ -341,15 +331,17 @@ def from_json_dict(obj: dict) -> RiordanMatrix:
     zero denominator); ``depth`` must be at least 1, ``rows`` must hold ``depth`` rows, row
     ``n`` of ``n + 1`` entries, and ``f`` and ``g`` at least ``depth`` coefficients with
     nonzero constant terms, all checked before the triangle is built; the rows must match it."""
-    for field in ("f", "g", "depth", "rows"):
-        if field not in obj:
-            raise ValueError(f"matrix JSON has no {field!r} field")
+    if not isinstance(obj, dict):
+        raise ValueError(f"matrix JSON must be an object, not {type(obj).__name__}")
+    for name in ("f", "g", "depth", "rows"):
+        if name not in obj:
+            raise ValueError(f"matrix JSON has no {name!r} field")
     depth = obj["depth"]
     if type(depth) is not int or depth < 1:  # bool is an int subclass, and not a depth
         raise ValueError(f"matrix JSON field 'depth' must be an integer, at least 1, not {depth!r}")
-    for field in ("f", "g", "rows"):
-        if not isinstance(obj[field], list):
-            raise ValueError(f"matrix JSON field {field!r} must be a list, not {obj[field]!r}")
+    for name in ("f", "g", "rows"):
+        if not isinstance(obj[name], list):
+            raise ValueError(f"matrix JSON field {name!r} must be a list, not {obj[name]!r}")
     if not all(isinstance(row, list) for row in obj["rows"]):
         raise ValueError("matrix JSON field 'rows' must be a list of lists")
     params = {k: [_literal(e, f"matrix JSON field {k!r}") for e in obj[k]] for k in ("f", "g")}
@@ -357,11 +349,11 @@ def from_json_dict(obj: dict) -> RiordanMatrix:
     # the triangle costs O(depth**3): a stored block of the wrong shape is refused first
     if len(rows) != depth or any(len(row) != n + 1 for n, row in enumerate(rows)):
         raise ValueError(f"matrix JSON field 'rows' must hold {depth} rows, row n of n + 1 entries")
-    for field, cs in params.items():
+    for name, cs in params.items():
         if not cs or not cs[0]:
-            raise ValueError(f"matrix JSON field {field!r} must start with a nonzero constant term")
+            raise ValueError(f"matrix JSON field {name!r} must start with a nonzero constant term")
         if len(cs) < depth:
-            raise ValueError(f"matrix JSON field {field!r} must hold at least {depth} "
+            raise ValueError(f"matrix JSON field {name!r} must hold at least {depth} "
                              f"coefficients, not {len(cs)}")
     matrix = build_triangle(Series(params["f"]), Series(params["g"]), depth)
     if [list(row) for row in matrix.entries] != rows:

@@ -181,7 +181,8 @@ def test_power_table_taps_come_from_omega_without_the_kernel(monkeypatch, omega,
 
 def test_both_row_rules_fill_the_same_table():
     # the omega-side rule and the A-sequence rule, each forced, on sparse polynomial
-    # omega (g dense) and on dense omega, against the table _power_table returns
+    # omega (g dense), on dense omega, on long gaps inside H's tail and on omega = c*x
+    # (H has no tail), against the table _power_table returns
     rng = random.Random(65)
     for p in range(31):
         degree = 1 + p % 8
@@ -189,10 +190,14 @@ def test_both_row_rules_fill_the_same_table():
         sparse += [random_fraction(rng) * rng.randint(0, 1) for _ in range(degree - 1)]
         sparse += [F(0)] * (p + 1 - len(sparse))
         dense = random_order_one(rng, max(p, 1))
-        for omega in (Series(sparse), dense, Series([0] + [1] * max(p, 1))):
+        read = max(p, 1)
+        for omega in (Series(sparse), dense, Series([0] + [1] * read),
+                      Series([0, 1, 0, 0, 0, 0, 0, -1], read),
+                      Series([0, F(1, 2), 0, 0, 3, 0, 0, F(-2, 5)], read),
+                      Series([0, sparse[1]], read)):
             s, lcm, big_h = reversion._omega_taps(omega, p)
             by_omega = reversion._omega_rows(lcm, big_h, p)
-            _, by_g = reversion._cofactor_rows(reversion._power_coefficients(big_h, -1, lcm, p), p)
+            by_g = reversion._cofactor_rows(reversion._power_coefficients(big_h, -1, lcm, p), p)
             assert by_omega == by_g
             table = reversion._power_table(omega, p)
             assert table[:2] == (s, lcm) and table[-1] == by_omega

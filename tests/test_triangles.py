@@ -699,10 +699,31 @@ def test_json_round_trip():
     assert again == t
 
 
+def test_matrix_equality_hash_and_repr_read_the_block():
+    # parameters at different precisions that give the same block are one matrix
+    a, b = pascal(3), build_triangle(Series.one(5), Series([1, -1], 5), 3)
+    assert repr(a) == ("RiordanMatrix(f=Series(['1', '0', '0']), "
+                       "g=Series(['1', '-1', '0']), depth=3)")
+    assert a == b and hash(a) == hash(b)
+    assert a != 5 and a != pascal(4)
+
+
 def test_json_rejects_tampered_rows():
     obj = pascal(4).to_json_dict()
     obj["rows"][2][1] = "99"
     with pytest.raises(ValueError):
+        from_json_dict(obj)
+
+
+@pytest.mark.parametrize("obj", ["fgdepthrows", 5, None, True, ["f", "g", "depth", "rows"]],
+                         ids=["str", "int", "none", "bool", "list"])
+def test_json_rejects_a_document_that_is_not_an_object(monkeypatch, obj):
+    def no_build(*args):
+        raise AssertionError("the triangle was built from a document that is not an object")
+
+    monkeypatch.setattr(triangles, "build_triangle", no_build)
+    message = f"^matrix JSON must be an object, not {type(obj).__name__}$"
+    with pytest.raises(ValueError, match=message):
         from_json_dict(obj)
 
 
