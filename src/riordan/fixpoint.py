@@ -191,7 +191,7 @@ def reciprocal(f: Series, g: Series, precision: int) -> Series:
     >>> print(reciprocal(Series.one(3), Series(["-3/2", 1], 3), 3))
     -2/3-(4/9)x-(8/27)x^2-(16/81)x^3
     """
-    return Series(_division_columns(f, g, precision, 1)[0])
+    return Series._of(_division_columns(f, g, precision, 1)[0])
 
 
 def _division_columns(f: Series, g: Series, precision: int, count: int) -> list[list[Fraction]]:

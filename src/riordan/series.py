@@ -149,6 +149,14 @@ class Series:
     def x(cls, precision: int = 1) -> Series:
         return cls((0, 1), precision)
 
+    @classmethod
+    def _of(cls, values: list[Fraction]) -> Series:
+        """The series of ``values``, a non-empty list of reduced Fractions that the
+        library just computed, stored as it is: no coercion, no float check."""
+        s = object.__new__(cls)
+        s._coeffs = tuple(values)
+        return s
+
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
@@ -242,7 +250,7 @@ class Series:
             db, b = _integral(other._coeffs[: p + 1])
             den = math.lcm(da, db)
             sa, sb = den // da, den // db
-            return Series(_over([x * sa + y * sb for x, y in zip(a, b)], den))
+            return Series._of(_over([x * sa + y * sb for x, y in zip(a, b)], den))
         if isinstance(other, (int, Fraction)):
             values = list(self._coeffs)
             values[0] += other
@@ -272,7 +280,7 @@ class Series:
                         if i + j > p:
                             break
                         out[i + j] += ai * bj
-            return Series(_over(out, da * db))
+            return Series._of(_over(out, da * db))
         if isinstance(other, (int, Fraction)):
             return Series(tuple(c * other for c in self._coeffs))
         return NotImplemented

@@ -23,17 +23,23 @@ the left) and ``(1/f)(w)`` (dot products with ``1/f``): only ``f`` is divided.
 The inverse is also expressible through the classical A- and Z-sequences,
 and multiplying the first parameter by powers of ``g`` prepends or deletes
 leading rows and columns; both are provided here as operations.
+
+A matrix builds its entries on first read, while :func:`build_triangle` builds
+them at once.  ``inverse``, ``a_z_sequences`` and the right operand of ``@``
+read only ``(f, g, depth)``, so a matrix used only there never builds its block:
+the CLI's ``inverse``, ``azseq`` and ``product`` build only what they read.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
-from .fixpoint import _division_columns, reciprocal
+from .fixpoint import _check_division, _division_columns, reciprocal
 # invert_series stays bound here for perfbench's tracer, which patches it in this module
 from .reversion import _cofactor_rows, invert_series  # noqa: F401
 from .series import DomainError, PrecisionError, Series, _integral, _literal
@@ -64,19 +70,43 @@ class SequencePair:
     z_seq: Series
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RiordanMatrix:
-    """A materialised ``depth x depth`` block of ``T(f|g)``.
+    """The ``depth x depth`` block of ``T(f|g)``.
+
+    The parameters are checked at construction; the entries are built on first
+    read, so ``inverse``, ``a_z_sequences`` and the right operand of ``@``, which
+    read only ``(f, g, depth)``, never build them.  :func:`build_triangle`
+    constructs and builds the entries at once.
 
     Equality compares the entry blocks (and depth): parameter series of
     different precisions describing the same matrix compare equal.
-    Use :func:`build_triangle` to construct.
     """
 
-    f: Series = field(compare=False)
-    g: Series = field(compare=False)
+    f: Series
+    g: Series
     depth: int
-    entries: tuple[tuple[Fraction, ...], ...] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        p = _degree(self.depth)
+        if self.f.coefficient(0) == 0:
+            raise DomainError("division domain error: f must have a nonzero constant term")
+        _check_division(self.f, self.g, p)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Row ``n`` is ``(entry(n, 0), ..., entry(n, n))``, read off the columns of
+        one kernel run (see :func:`build_triangle`)."""
+        columns = _division_columns(self.f, self.g, self.depth - 1, self.depth)
+        return tuple(tuple(columns[k][n - k] for k in range(n + 1)) for n in range(self.depth))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RiordanMatrix):
+            return NotImplemented
+        return self.depth == other.depth and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.depth, self.entries))
 
     # ------------------------------------------------------------------
     # access
@@ -97,7 +127,7 @@ class RiordanMatrix:
         """Column ``k`` read as a series (zeros above the diagonal)."""
         if not (0 <= k < self.depth):
             raise IndexError(f"column {k} outside a depth-{self.depth} matrix")
-        return Series([self.entry(n, k) for n in range(self.depth)])
+        return Series._of([self.entry(n, k) for n in range(self.depth)])
 
     # ------------------------------------------------------------------
     # the linear map and the group structure
@@ -118,7 +148,7 @@ class RiordanMatrix:
         for n, row in enumerate(self.entries):
             den, ints = _integral([row[k] for k in support[: bisect_right(support, n)]])
             out.append(Fraction(sum(map(mul, ints, taps)), den * den_h))
-        return Series(out)
+        return Series._of(out)
 
     def product(self, other: RiordanMatrix) -> RiordanMatrix:
         """Group product ``T(f1 * f2(x/g1) | g1 * g2(x/g1))``, read off this
@@ -166,7 +196,7 @@ class RiordanMatrix:
                  for n, row in enumerate(rows)]
         g_inv = [Fraction(-sum(map(mul, tail, row)), head * den_g ** n)
                  for n, row in enumerate(rows[:-1])]
-        return Series(f_inv), Series([Fraction(den_g, head)] + g_inv)
+        return Series._of(f_inv), Series._of([Fraction(den_g, head)] + g_inv)
 
     # ------------------------------------------------------------------
     # A/Z sequences
@@ -256,23 +286,18 @@ class RiordanMatrix:
 
 
 def build_triangle(f: Series, g: Series, depth: int) -> RiordanMatrix:
-    """Materialise the ``depth x depth`` block of ``T(f|g)`` by repeated
+    """Materialise the ``depth x depth`` block of ``T(f|g)`` at once, by repeated
     division: column 0 is ``f/g`` and column ``k`` is ``x * column(k-1) / g``,
     all from one integer run of the kernel behind :func:`~riordan.fixpoint.reciprocal`
     (the tests compare them with the crossed iteration of
     :func:`riordan.fixpoint.column_scheme`).
 
     Both parameters need nonzero constant terms and precision at least
-    ``depth - 1``; the division kernel enforces the conditions on ``g``.
+    ``depth - 1``, checked by the :class:`RiordanMatrix` constructor.
     """
-    p = _degree(depth)
-    if f.coefficient(0) == 0:
-        raise DomainError("division domain error: f must have a nonzero constant term")
-    columns = _division_columns(f, g, p, depth)
-    rows = tuple(
-        tuple(columns[k][n - k] for k in range(n + 1)) for n in range(depth)
-    )
-    return RiordanMatrix(f, g, depth, rows)
+    matrix = RiordanMatrix(f, g, depth)
+    matrix.entries  # built now, not on first read
+    return matrix
 
 
 def _degree(depth: int) -> int:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from riordan import cli
+from riordan import cli, triangles
 from riordan.cli import main
 from riordan.fixpoint import column_scheme, iterate_crossed, reciprocal
 from riordan.series import Series
@@ -307,6 +307,43 @@ def test_product_subcommand_pascal_squared(capsys):
     assert code == 0
     parsed = from_json_dict(json.loads(out))
     assert parsed == build_triangle(Series.one(4), Series([1, -2], 4), 5)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("inverse", "--f", "one", "--g", "[0,2]"), "divisor has zero constant term"),
+    (("azseq", "--f", "[0,1]", "--g", "one"), "f must have a nonzero constant term"),
+    (("product", "--f1", "one", "--g1", "one", "--f2", "one", "--g2", "[0,1]"),
+     "divisor has zero constant term"),
+])
+def test_group_commands_refuse_a_zero_constant_term_with_exit_3(capsys, argv, message):
+    # the matrices these commands never build still check their parameters
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: division domain error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (("triangle", "--f", "one", "--g", "pascal_g"), 1),
+    (("inverse", "--f", "one", "--g", "pascal_g"), 1),
+    (("azseq", "--f", "one", "--g", "pascal_g"), 0),
+    (("product", "--f1", "one", "--g1", "pascal_g", "--f2", "arithgeo", "--g2", "[2,1]"), 2),
+], ids=["triangle", "inverse", "azseq", "product"])
+def test_group_commands_build_only_the_blocks_they_read(capsys, monkeypatch, argv, builds):
+    # inverse and azseq read only (f, g, depth) of their input, and product reads only
+    # (f, g) of its right operand: the entry blocks built are the outputs and product's
+    # left operand, which it reads through apply
+    calls = []
+    original = triangles._division_columns
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(triangles, "_division_columns", counting)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == builds
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -312,6 +312,22 @@ def test_ring_axioms_random():
         assert a * (b + c) == a * b + a * c
 
 
+def test_ring_results_equal_the_coerced_path_fraction_for_fraction():
+    # products and sums store their fresh Fractions without the public constructor's
+    # coercion; the schoolbook Fraction sums, coerced by Series(...), give the same series
+    rng = random.Random(18)
+    for p in range(9):
+        a, b = random_series(rng, p), random_series(rng, p)
+        ints = Series([rng.randint(-5, 5) for _ in range(p + 1)])  # one scale, 1
+        for x, y in ((a, b), (a, ints), (ints, ints)):
+            product = Series([sum(x[i] * y[n - i] for i in range(n + 1)) for n in range(p + 1)])
+            total = Series([x[n] + y[n] for n in range(p + 1)])
+            for got, want in ((x * y, product), (x + y, total)):
+                # Fraction equality compares numerator and denominator as stored
+                assert all(type(c) is F for c in got.coefficients)
+                assert got.coefficients == want.coefficients
+
+
 # ----------------------------------------------------------------------
 # rendering
 # ----------------------------------------------------------------------

@@ -197,6 +197,81 @@ def test_entry_and_row_access():
 
 
 # ----------------------------------------------------------------------
+# entries built on first read
+# ----------------------------------------------------------------------
+
+def sparse_gapped_dense(rng, depth):
+    """Parameters ``(f, g)`` for a depth-``depth`` matrix: a sparse pair, a pair with a
+    gap of zeros after the constant term, and a dense pair."""
+    p = depth - 1
+
+    def sparse(gap):
+        cs = [random_fraction(rng, nonzero=True)] + [F(0)] * p
+        for i in rng.sample(range(gap + 1, depth), min(2, p - gap)):
+            cs[i] = random_fraction(rng, nonzero=True)
+        return Series(cs)
+
+    return [(sparse(0), sparse(0)), (sparse(depth // 2), sparse(depth // 2)),
+            (random_series(rng, p, True), random_series(rng, p, True))]
+
+
+def test_entries_built_on_first_read_equal_the_eager_build():
+    rng = random.Random(21)
+    for depth in range(1, 16):
+        for f, g in sparse_gapped_dense(rng, depth):
+            lazy, eager = triangles.RiordanMatrix(f, g, depth), build_triangle(f, g, depth)
+            assert "entries" not in vars(lazy) and "entries" in vars(eager)
+            assert lazy == eager and hash(lazy) == hash(eager)
+            assert lazy.entries == eager.entries
+
+
+@pytest.mark.parametrize("read", [
+    lambda m: m.inverse(),
+    lambda m: m.a_z_sequences(),
+    lambda m: m.inverse_via_sequences(),
+    lambda m: pascal(m.depth) @ m,
+], ids=["inverse", "a_z_sequences", "inverse_via_sequences", "right operand of @"])
+def test_parameter_operations_leave_the_entries_unbuilt(read):
+    rng = random.Random(22)
+    for depth in (2, 5, 9):
+        for f, g in sparse_gapped_dense(rng, depth):
+            m = triangles.RiordanMatrix(f, g, depth)
+            result = read(m)
+            assert "entries" not in vars(m)
+            assert result == read(build_triangle(f, g, depth))
+
+
+def test_build_triangle_builds_the_entries_at_once():
+    # the quotients benchmark times build_triangle: its entries must not wait for a reader
+    assert "entries" in vars(build_triangle(Series([1, 2], 3), Series([3, -1], 3), 4))
+    assert "entries" in vars(pascal(1))
+
+
+@pytest.mark.parametrize("f, g, depth, error, message", [
+    (Series([0, 1], 3), Series([1, 1], 3), 4, DomainError,
+     "division domain error: f must have a nonzero constant term"),
+    (Series([1, 1], 3), Series([0, 1], 3), 4, DomainError,
+     "division domain error: divisor has zero constant term"),
+    (Series.one(3), Series.one(3), 0, ValueError, "depth must be at least 1"),
+    (Series.one(3), Series.one(3), -2, ValueError, "depth must be at least 1"),
+    (Series.one(2), Series([1, -1], 3), 4, PrecisionError,
+     "division to degree 3 needs both operands at that precision"),
+    (Series.one(3), Series([1, -1], 2), 4, PrecisionError,
+     "division to degree 3 needs both operands at that precision"),
+], ids=["f0", "g0", "depth0", "depth-2", "f-precision", "g-precision"])
+def test_construction_checks_the_parameters_before_any_entry(monkeypatch, f, g, depth,
+                                                              error, message):
+    def no_build(*args):
+        raise AssertionError("an entry was built before the parameters were checked")
+
+    monkeypatch.setattr(triangles, "_division_columns", no_build)
+    for make in (triangles.RiordanMatrix, build_triangle):
+        with pytest.raises(error) as raised:
+            make(f, g, depth)
+        assert type(raised.value) is error and str(raised.value) == message
+
+
+# ----------------------------------------------------------------------
 # the linear-map action
 # ----------------------------------------------------------------------
 
