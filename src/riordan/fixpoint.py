@@ -2,11 +2,13 @@
 
 In the ultrametric of :mod:`riordan.series`, the map ``t -> a*t + b`` is a
 1/2-contraction whenever ``order(a) >= 1``, so plain iteration converges to
-its unique fixed point from any start.  Iterating a *sequence* of such maps
-(the "crossed" iteration, applying map ``m`` at step ``m``) converges to
-the fixed point of the pointwise limit map while only ever touching Taylor
-data of degree ``m`` at step ``m`` -- which is what turns the limit
-statements into finite, exact algorithms.
+its unique fixed point from any start.  One step is one integer pass: ``a``,
+``t`` and ``b`` are scaled to integers once each, ``a*t`` is convolved onto the
+scaled ``b``, and one reduced Fraction is built per coefficient of the iterate.
+Iterating a *sequence* of such maps (the "crossed" iteration, applying map
+``m`` at step ``m``) converges to the fixed point of the pointwise limit map
+while only ever touching Taylor data of degree ``m`` at step ``m`` -- which is
+what turns the limit statements into finite, exact algorithms.
 
 Series division is the flagship instance: ``f/g`` is the fixed point of
 ``t -> ((g0 - g)/g0)*t + f/g0``, and the crossed iteration of its Taylor
@@ -30,7 +32,7 @@ from itertools import accumulate, repeat
 from operator import mul
 from typing import Callable, Iterator
 
-from .series import DomainError, PrecisionError, Series, _integral
+from .series import DomainError, PrecisionError, Series, _integral, _mul_add
 
 __all__ = [
     "AffineMap",
@@ -54,7 +56,10 @@ class AffineMap:
     """The map ``t -> slope*t + offset`` on series.
 
     ``order(slope) >= 1`` is enforced at construction; it guarantees
-    ``distance(map(t1), map(t2)) <= distance(t1, t2) / 2``.
+    ``distance(map(t1), map(t2)) <= distance(t1, t2) / 2``.  Applying the map is
+    one integer pass (``series._mul_add``), at the least precision of ``slope``,
+    ``t`` and ``offset``: the same series as ``slope*t + offset``, with one
+    Fraction built per coefficient instead of two.
     """
 
     slope: Series
@@ -67,7 +72,7 @@ class AffineMap:
             )
 
     def __call__(self, t: Series) -> Series:
-        return self.slope * t + self.offset
+        return _mul_add(self.slope, t, self.offset)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ one degree less for differentiation.
 The ring operations run on integers: each operand is scaled once by the lcm
 of its denominators, the sum or the convolution is taken on those integers,
 and one reduced Fraction is built per output coefficient (with no gcd when
-the scale is 1).  The entries are canonical, so the result is the same
-series the schoolbook Fraction sums give.
+the scale is 1).  The affine step ``a*b + c`` of the iteration engine is one
+such pass: the convolution is added straight onto the scaled ``c``.  The
+entries are canonical, so the result is the same series the schoolbook
+Fraction sums give.
 
 The module also provides the non-Archimedean metric that drives the
 iteration engine: ``distance(f, g) == Fraction(1, 2**k)`` where ``k`` is
@@ -44,6 +46,8 @@ __all__ = [
 #: At finite precision this means "order exceeds precision".
 INFINITE_ORDER = math.inf
 
+_ZERO = Fraction(0)  # immutable: every zero that padding adds is this one
+
 
 class SeriesError(Exception):
     """Base class for errors raised by series arithmetic."""
@@ -68,12 +72,27 @@ def _coerce(value: Rational) -> Fraction:
 
 
 def _integral(cs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """``(D, [D*c for c in cs])`` with ``D`` the lcm of the denominators of ``cs``."""
-    dens = [c.denominator for c in cs]
-    den = math.lcm(*dens)
+    """``(D, [D*c for c in cs])`` with ``D`` the lcm of the denominators of ``cs``,
+    each coefficient read once, by ``as_integer_ratio()``."""
+    pairs = [c.as_integer_ratio() for c in cs]
+    den = math.lcm(*[d for _, d in pairs])
     if den == 1:
-        return 1, [c.numerator for c in cs]
-    return den, [c.numerator * (den // d) for c, d in zip(cs, dens)]
+        return 1, [n for n, _ in pairs]
+    return den, [n * (den // d) for n, d in pairs]
+
+
+def _convolve(a: list[int], b: list[int], out: list[int]) -> list[int]:
+    """``out`` plus the product of ``a`` and ``b`` through degree ``len(out) - 1``, added
+    in place; zero coefficients of either factor are skipped."""
+    p = len(out) - 1
+    taps = [(j, bj) for j, bj in enumerate(b) if bj]
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in taps:
+                if i + j > p:
+                    break
+                out[i + j] += ai * bj
+    return out
 
 
 def _over(ints: list[int], den: int) -> list[Fraction]:
@@ -131,7 +150,7 @@ class Series:
         if precision < 0:
             raise ValueError("precision must be a natural number")
         if len(values) <= precision:
-            values.extend([Fraction(0)] * (precision + 1 - len(values)))
+            values.extend([_ZERO] * (precision + 1 - len(values)))
         self._coeffs = tuple(values[: precision + 1])
 
     # ------------------------------------------------------------------
@@ -150,9 +169,9 @@ class Series:
         return cls((0, 1), precision)
 
     @classmethod
-    def _of(cls, values: list[Fraction]) -> Series:
-        """The series of ``values``, a non-empty list of reduced Fractions that the
-        library just computed, stored as it is: no coercion, no float check."""
+    def _of(cls, values: Sequence[Fraction]) -> Series:
+        """The series of ``values``, a non-empty sequence of reduced Fractions that the
+        library computed or already holds, stored as it is: no coercion, no float check."""
         s = object.__new__(cls)
         s._coeffs = tuple(values)
         return s
@@ -205,7 +224,7 @@ class Series:
             )
         if m == self.precision:
             return self
-        return Series(self._coeffs[: m + 1])
+        return Series._of(self._coeffs[: m + 1])
 
     def pad(self, precision: int) -> Series:
         """Extend with explicit zero coefficients up to ``precision``.
@@ -216,7 +235,7 @@ class Series:
         """
         if precision < self.precision:
             raise ValueError("pad cannot reduce precision; use truncate")
-        return Series(self._coeffs, precision)
+        return Series._of(self._coeffs + (_ZERO,) * (precision - self.precision))
 
     def shift(self, k: int) -> Series:
         """Multiply by ``x**k``; ``k`` may be negative if the low
@@ -225,7 +244,7 @@ class Series:
         if k == 0:
             return self
         if k > 0:
-            return Series((Fraction(0),) * k + self._coeffs)
+            return Series._of((_ZERO,) * k + self._coeffs)
         drop = -k
         if drop > self.precision:
             raise PrecisionError(
@@ -235,13 +254,13 @@ class Series:
             raise DomainError(
                 f"cannot divide by x^{drop}: a lower coefficient is nonzero"
             )
-        return Series(self._coeffs[drop:])
+        return Series._of(self._coeffs[drop:])
 
     # ------------------------------------------------------------------
     # ring operations (result precision = min of operand precisions)
     # ------------------------------------------------------------------
     def __neg__(self) -> Series:
-        return Series(tuple(-c for c in self._coeffs))
+        return Series._of([-c for c in self._coeffs])
 
     def __add__(self, other: Series | Rational) -> Series:
         if isinstance(other, Series):
@@ -254,7 +273,7 @@ class Series:
         if isinstance(other, (int, Fraction)):
             values = list(self._coeffs)
             values[0] += other
-            return Series(values)
+            return Series._of(values)
         return NotImplemented
 
     __radd__ = __add__
@@ -272,17 +291,9 @@ class Series:
             p = min(self.precision, other.precision)
             da, a = _integral(self._coeffs[: p + 1])
             db, b = _integral(other._coeffs[: p + 1])
-            taps = [(j, bj) for j, bj in enumerate(b) if bj]
-            out = [0] * (p + 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in taps:
-                        if i + j > p:
-                            break
-                        out[i + j] += ai * bj
-            return Series._of(_over(out, da * db))
+            return Series._of(_over(_convolve(a, b, [0] * (p + 1)), da * db))
         if isinstance(other, (int, Fraction)):
-            return Series(tuple(c * other for c in self._coeffs))
+            return Series._of([c * other for c in self._coeffs])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -329,7 +340,7 @@ class Series:
             raise PrecisionError(
                 "derivative of a precision-0 series has no authoritative coefficients"
             )
-        return Series(tuple(i * c for i, c in enumerate(self._coeffs) if i >= 1))
+        return Series._of([i * c for i, c in enumerate(self._coeffs) if i >= 1])
 
     # ------------------------------------------------------------------
     # comparisons and rendering
@@ -353,6 +364,25 @@ class Series:
         return f"Series({self.to_strings()!r})"
 
 
+def _mul_add(a: Series, b: Series, c: Series) -> Series:
+    """``a*b + c`` at the least of the three precisions, in one integer pass: ``a``, ``b``
+    and ``c`` are scaled once each, the convolution of ``a`` and ``b`` is added straight
+    onto ``c`` over the common denominator, and one reduced Fraction is built per
+    coefficient.  The zero coefficients of ``a`` cost nothing, so pass the sparser
+    factor there."""
+    p = min(a.precision, b.precision, c.precision)
+    da, ia = _integral(a._coeffs[: p + 1])
+    db, ib = _integral(b._coeffs[: p + 1])
+    dc, ic = _integral(c._coeffs[: p + 1])
+    den = math.lcm(da * db, dc)
+    sa, sc = den // (da * db), den // dc
+    if sa != 1:
+        ia = [v * sa for v in ia]
+    if sc != 1:
+        ic = [v * sc for v in ic]
+    return Series._of(_over(_convolve(ia, ib, ic), den))
+
+
 def distance(s1: Series, s2: Series) -> Fraction:
     """Ultrametric distance ``1/2**order(s1 - s2)`` as an exact rational.
 
@@ -373,27 +403,20 @@ def format_polynomial(coeffs: Iterable[Fraction]) -> str:
     Zero terms are omitted; the zero polynomial renders as ``"0"``.
     Non-integer coefficients are parenthesised: ``(1/2)x^3``.
     """
-    terms: list[tuple[str, str]] = []
+    parts: list[str] = []
     for d, c in enumerate(coeffs):
-        if not c:
+        num, den = c.as_integer_ratio()
+        if not num:
             continue
-        sign = "-" if c < 0 else "+"
-        a = -c if c < 0 else c
-        if d == 0:
-            body = str(a)
-        else:
-            if a == 1:
-                mag = ""
-            elif a.denominator == 1:
-                mag = str(a)
-            else:
-                mag = f"({a})"
-            body = mag + ("x" if d == 1 else f"x^{d}")
-        terms.append((sign, body))
-    if not terms:
-        return "0"
-    first_sign, first_body = terms[0]
-    rendered = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in terms[1:]:
-        rendered += sign + body
-    return rendered
+        if num < 0:
+            parts.append("-")
+            num = -num
+        elif parts:
+            parts.append("+")
+        if den != 1:
+            parts.append(f"{num}/{den}" if d == 0 else f"({num}/{den})")
+        elif num != 1 or d == 0:
+            parts.append(str(num))
+        if d:
+            parts.append("x" if d == 1 else f"x^{d}")
+    return "".join(parts) or "0"

@@ -135,6 +135,36 @@ def matmul_lower(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[
     return out
 
 
+def format_polynomial(coeffs: list[Fraction]) -> str:
+    """``1+2x+3x^2-4x^3``, built term by term with Fraction comparisons, negation
+    and ``str``: zero terms omitted, ``"0"`` for none, non-integer coefficients of
+    ``x`` parenthesised, ``(1/2)x^3``, and a unit coefficient of ``x`` left out."""
+    terms: list[tuple[str, str]] = []
+    for d, c in enumerate(coeffs):
+        if not c:
+            continue
+        sign = "-" if c < 0 else "+"
+        a = -c if c < 0 else c
+        if d == 0:
+            body = str(a)
+        else:
+            if a == 1:
+                mag = ""
+            elif a.denominator == 1:
+                mag = str(a)
+            else:
+                mag = f"({a})"
+            body = mag + ("x" if d == 1 else f"x^{d}")
+        terms.append((sign, body))
+    if not terms:
+        return "0"
+    first_sign, first_body = terms[0]
+    rendered = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in terms[1:]:
+        rendered += sign + body
+    return rendered
+
+
 # ----------------------------------------------------------------------
 # random data panels (always seeded by the caller)
 # ----------------------------------------------------------------------

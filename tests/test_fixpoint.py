@@ -1,11 +1,12 @@
 """Tests for the contraction maps and the crossed-iteration machinery."""
 
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from riordan import fixpoint
+from riordan import cli, fixpoint
 from riordan.fixpoint import (
     AffineMap,
     IterationScheme,
@@ -18,7 +19,7 @@ from riordan.fixpoint import (
     reciprocal,
     reciprocal_scheme,
 )
-from riordan.series import DomainError, PrecisionError, Series, distance
+from riordan.series import DomainError, PrecisionError, Series, distance, format_polynomial
 from riordan.triangles import build_triangle
 
 from oracles import (
@@ -26,6 +27,7 @@ from oracles import (
     divide,
     divided_columns,
     division_scale,
+    format_polynomial as reference_format,
     past_precision,
     random_fraction,
     random_series,
@@ -71,6 +73,129 @@ def test_contraction_certificate_random():
                 t1 = random_series(rng, 8)
                 t2 = random_series(rng, 8)
                 assert distance(amap(t1), amap(t2)) <= distance(t1, t2) / 2
+
+
+# ----------------------------------------------------------------------
+# one step is one integer pass
+# ----------------------------------------------------------------------
+
+def shaped_series(rng, shape, precision, order=0):
+    """A seeded series of ``precision`` with zeros below ``order``: ``sparse`` small
+    integers, ``gapped`` rationals on every third degree, or ``dense`` rationals."""
+    if shape == "sparse":
+        values = [rng.choice((1, -1, 2)) if rng.random() < 0.25 else 0
+                  for _ in range(precision + 1)]
+    elif shape == "gapped":
+        values = [random_fraction(rng, nonzero=True) if d % 3 == 0 else 0
+                  for d in range(precision + 1)]
+    else:
+        values = [random_fraction(rng, -40, 40, 12) for _ in range(precision + 1)]
+    return Series([0] * order + values[order:], precision)
+
+
+def fraction_for_fraction(got, want):
+    assert got.precision == want.precision
+    assert all(type(c) is F for c in got.coefficients)
+    assert [c.as_integer_ratio() for c in got.coefficients] == \
+        [c.as_integer_ratio() for c in want.coefficients]
+
+
+def refuse_series_ring_operations(monkeypatch):
+    """Make ``Series.__mul__`` and ``__add__`` fail on two series; scalars still pass."""
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def guarded(self, other, real=getattr(Series, name), name=name):
+            if isinstance(other, Series):
+                raise AssertionError(f"an affine step went through Series.{name}")
+            return real(self, other)
+        monkeypatch.setattr(Series, name, guarded)
+
+
+def test_affine_step_equals_product_plus_offset(monkeypatch):
+    rng = random.Random(22)
+    shapes = ("sparse", "gapped", "dense")
+    panel = []
+    for slope_shape in shapes:
+        for t_shape in shapes:
+            for offset_shape in shapes:
+                for _ in range(4):
+                    # unequal precisions: each of the three may be the least
+                    ps, pt, po = rng.sample(range(13), 3)
+                    slope = shaped_series(rng, slope_shape, ps, order=1)
+                    t = shaped_series(rng, t_shape, pt)
+                    offset = shaped_series(rng, offset_shape, po)
+                    panel.append((slope, t, offset, slope * t + offset))
+
+    refuse_series_ring_operations(monkeypatch)
+    for slope, t, offset, want in panel:
+        got = AffineMap(slope, offset)(t)
+        assert got.precision == min(slope.precision, t.precision, offset.precision)
+        fraction_for_fraction(got, want)
+
+
+def record_iterations(monkeypatch):
+    """Every ``iterate_crossed`` run, ``iterate_fixed`` and the CLI's included, as
+    ``(scheme, start, steps, trace)``."""
+    runs = []
+    real = fixpoint.iterate_crossed
+
+    def recording(scheme, start, steps):
+        trace = real(scheme, start, steps)
+        runs.append((scheme, start, steps, trace))
+        return trace
+
+    monkeypatch.setattr(fixpoint, "iterate_crossed", recording)
+    monkeypatch.setattr(cli, "iterate_crossed", recording)
+    return runs
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scheme", "geometric"],
+    ["--scheme", "arithgeo"],
+    ["--scheme", "curious"],
+    ["--scheme", "column", "--n", "2"],
+    ["--scheme", "column"],
+    ["--scheme", "column", "--n", "5"],
+])
+def test_cli_traces_equal_the_unfused_reference_loop(monkeypatch, capsys, argv):
+    runs = record_iterations(monkeypatch)
+    refuse_series_ring_operations(monkeypatch)
+    printed = []
+    for steps in range(1, 25):
+        assert cli.main(["trace", *argv, "--steps", str(steps), "--format", "json"]) == 0
+        printed.append(json.loads(capsys.readouterr().out))
+    monkeypatch.undo()  # the reference loop below is the unfused ring operations
+    assert [run[2] for run in runs] == list(range(1, 25))
+    for (scheme, start, steps, trace), out in zip(runs, printed):
+        want = [start]
+        for m in range(steps):
+            amap = scheme.maps(m)
+            want.append(amap.slope * want[-1] + amap.offset)
+        for got, expected in zip(trace, want, strict=True):
+            fraction_for_fraction(got, expected)
+        assert out == [it.to_strings() for it in want]
+
+
+def polynomial_panel():
+    """Seeded coefficient lists: each of 0, +-1, other integers and non-integers at
+    degrees 0, 1 and >= 2 among random neighbours, and all-zero lists."""
+    rng = random.Random(23)
+    values = [F(0), F(1), F(-1), F(2), F(-7), F(1, 2), F(-3, 4), F(11, 3), F(-1, 5)]
+    panel = [[], *([F(0)] * n for n in range(1, 5))]
+    for v in values:
+        for d in (0, 1, 2, 5):
+            for _ in range(3):
+                cs = [rng.choice(values) for _ in range(rng.randint(d + 1, d + 4))]
+                cs[d] = v
+                panel.append(cs)
+    panel += [[random_fraction(rng, -9, 9, 4) for _ in range(rng.randint(1, 12))]
+              for _ in range(200)]
+    return panel
+
+
+def test_format_polynomial_equals_the_fraction_based_reference():
+    for cs in polynomial_panel():
+        assert format_polynomial(cs) == reference_format(cs), cs
+        assert str(Series(cs or [0])) == reference_format(cs or [0])
 
 
 # ----------------------------------------------------------------------

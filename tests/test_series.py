@@ -328,6 +328,41 @@ def test_ring_results_equal_the_coerced_path_fraction_for_fraction():
                 assert got.coefficients == want.coefficients
 
 
+def reshaped(a):
+    """Truncations, a pad, shifts both ways, negation, scalar products and sum, derivative."""
+    out = [a.truncate(m) for m in range(a.precision + 1)]
+    out += [a.pad(a.precision + 3), a.shift(2), a.shift(2).shift(-1), -a,
+            a * F(-2, 3), 3 * a, a + F(1, 2), a.derivative()]
+    return out
+
+
+def test_reshaping_and_scalar_results_keep_the_fractions_they_hold(monkeypatch):
+    # these store the Fractions the series already holds, or that Fraction arithmetic
+    # just built, without the public constructor's coercion; Series(...) gives the same
+    rng = random.Random(19)
+    panel = [random_series(rng, p) for p in range(1, 9)]
+    expected = []
+    for a in panel:
+        cs = list(a.coefficients)
+        want = [Series(cs[: m + 1]) for m in range(len(cs))]
+        want += [Series(cs, a.precision + 3), Series([0, 0] + cs), Series([0] + cs),
+                 Series([-c for c in cs]), Series([c * F(-2, 3) for c in cs]),
+                 Series([c * 3 for c in cs]), Series([cs[0] + F(1, 2)] + cs[1:]),
+                 Series([i * c for i, c in enumerate(cs)][1:])]
+        expected.append(want)
+
+    def refuse(value):
+        raise AssertionError(f"coerced {value!r}")
+
+    monkeypatch.setattr("riordan.series._coerce", refuse)
+    for a, want in zip(panel, expected):
+        zeros = a.pad(a.precision + 3).coefficients[-3:]
+        assert zeros[0] is zeros[1] is zeros[2]
+        for got, ref in zip(reshaped(a), want, strict=True):
+            assert all(type(c) is F for c in got.coefficients)
+            assert got.coefficients == ref.coefficients
+
+
 # ----------------------------------------------------------------------
 # rendering
 # ----------------------------------------------------------------------
