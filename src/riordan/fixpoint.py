@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .series import DomainError, PrecisionError, Series, _integral, _mul_add
 
@@ -227,48 +227,52 @@ def _integer_columns(f: Series, g: Series, precision: int,
     """
     _check_division(f, g, precision)
     den_f, big_f = _integral(f.coefficients[: precision + 1])  # M, F
-    g0 = g.coefficients[0]
-    a, b = g0.numerator, g0.denominator
-    taps = []  # (j, num(c_j), den(c_j)) for the nonzero c_j = g_j/g0
-    for j, gj in enumerate(g.coefficients[1: precision + 1], 1):
-        if gj:
-            num, den = gj.numerator * b, gj.denominator * a
-            c = math.gcd(num, den) if a > 0 else -math.gcd(num, den)
-            taps.append((j, num // c, den // c))
-    delta, rows = _scale_rows(taps, precision)
+    delta, rows = _scale_rows(g.coefficients[: precision + 1], precision)
     # column 0 is fed by F_m * delta_m, column k by column k-1 at the same m
     source = [c * d for c, d in zip(big_f, delta)]
     start = min(f.order(), precision + 1)  # leading zeros of every column
-    pad = taps[-1][0] if taps else 0  # zeros past the end, read by s[m - j] for m < j
     columns = []
     for k in range(count):
-        top = precision - k + 1
-        s = [0] * (top + pad)
-        for m in range(start, top):
+        s = [0] * (precision - k + 1)
+        for m in range(start, len(s)):
             acc = source[m]
             for j, t in rows[m]:
                 acc -= t * s[m - j]
             s[m] = acc
-        del s[top:]
         columns.append(s)
         source = s
-    return den_f, g0, delta, columns
+    return den_f, g.coefficients[0], delta, columns
 
 
-def _scale_rows(taps: list[tuple[int, int, int]],
+def _scale_rows(cs: Sequence[Fraction],
                 precision: int) -> tuple[list[int], list[list[tuple[int, int]]]]:
-    """``(delta, rows)`` for the taps ``(j, num(c_j), den(c_j))``: ``delta_m`` and the
-    integer taps ``rows[m] = [(j, t_(m,j))]`` of each degree ``m <= precision``.
+    """``(delta, rows)`` for the coefficients ``cs`` (``cs_0 != 0``): with ``c_j = cs_j/cs_0``
+    for ``1 <= j <= precision``, ``delta_0 = 1``, ``delta_m = lcm_j den(c_j)*delta_(m-j)``
+    and the integer taps ``rows[m] = [(j, t_(m,j))]``, ``t_(m,j) = c_j*delta_m/delta_(m-j)``
+    over the nonzero ``c_j`` with ``j <= m``, for each degree ``m <= precision``.  This is
+    the one integer scale of the package: ``delta_m`` times an integer combination of
+    products ``c_j1*...*c_jr`` with ``j1 + ... + jr = m`` is an integer, so it clears
+    ``[x^m]`` of ``f/g``, of ``(g/g0)**alpha`` and of the table of ``(1, T)`` alike, and
+    each ``delta_m`` divides the next.
 
     If every ``den(c_j)`` divides ``e**j``, ``e = den(c_1)``, then ``delta_m = e**m``
-    and one row serves every degree.  Otherwise, from the last tap ``d`` on, the ratio
-    ``delta_m/delta_(m-1)`` and row ``m`` depend only on the ``d - 1`` ratios before
-    it, so each window is computed once and its ratio and row are looked up after."""
+    and one row serves every degree from the last tap ``d`` on.  Otherwise, from ``d``
+    on, the ratio ``delta_m/delta_(m-1)`` and row ``m`` depend only on the ``d - 1``
+    ratios before it, so each window is computed once and its ratio and row are looked
+    up after."""
+    a, b = cs[0].numerator, cs[0].denominator
+    taps = []  # (j, num(c_j), den(c_j)) for the nonzero c_j
+    for j, cj in enumerate(cs[1: precision + 1], 1):
+        if cj:
+            num, den = cj.numerator * b, cj.denominator * a
+            c = math.gcd(num, den) if a > 0 else -math.gcd(num, den)
+            taps.append((j, num // c, den // c))
+    d = taps[-1][0] if taps else 0
     e = taps[0][2] if taps and taps[0][0] == 1 else 1
     if all(pow(e, j, den) == 0 for j, _, den in taps):
         row = [(j, num * e ** j // den) for j, num, den in taps]
-        return list(accumulate(repeat(e, precision), mul, initial=1)), [row] * (precision + 1)
-    d = taps[-1][0]
+        rows = [[(j, t) for j, t in row if j <= m] for m in range(d)] + [row] * (precision + 1 - d)
+        return list(accumulate(repeat(e, precision), mul, initial=1)), rows
     delta, ratios, rows, seen = [1], [1], [[]], {}
     for m in range(1, precision + 1):
         key = tuple(ratios[m - d + 1:]) if m >= d else m  # a degree's own key below d

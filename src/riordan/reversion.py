@@ -16,14 +16,16 @@ the table of ``[x^n] T**k`` is the Riordan array ``(1, T)`` with A-sequence
 ``g``, and the A-sequence rule fills it a row at a time.  Read backwards, the
 same equation ``omega(T) = x`` gives a second row rule whose taps are
 ``omega``'s own coefficients (Merlini, Rogers, Sprugnoli and Verri, Canad. J.
-Math. 1997).  At the table's scale ``g``'s taps are ``A = L/H``, ``H`` ``omega``'s,
-by J.C.P. Miller's power recurrence at exponent -1, the routine that also gives
-every ``A**n`` below.  :func:`_power_table` runs whichever rule reads fewer taps,
-so the table costs ``O(P**2 d)`` for ``d`` the smaller of ``omega``'s count of
-nonzero terms and ``g``'s degree plus one: ``g = x/omega`` is dense for every
-polynomial ``omega`` of degree >= 2, and ``omega = x/(1-x)`` has ``g = 1 - x``.
-The tests' reference path recomposes every stage by Horner, O(P**4).  The rows
-and their taps run on integers scaled by powers of one ``s``.
+Math. 1997).  ``g``'s taps come from ``omega``'s by J.C.P. Miller's power
+recurrence at exponent -1, the routine that also gives every power of ``g``
+below.  :func:`_power_table` runs whichever rule reads fewer taps, so the table
+costs ``O(P**2 d)`` for ``d`` the smaller of ``omega``'s count of nonzero terms
+and ``g``'s degree plus one: ``g = x/omega`` is dense for every polynomial
+``omega`` of degree >= 2, and ``omega = x/(1-x)`` has ``g = 1 - x``.  The tests'
+reference path recomposes every stage by Horner, O(P**4).  The rows and their
+taps run on integers at the division kernel's per-degree scale ``delta_m``
+(:func:`~riordan.fixpoint._scale_rows`) for the side that fills them, so the
+row integers follow that side's own denominators.
 The same fixed-point equation yields the coefficient identities
 
     ``n * [x^n] (omega^{-1})**k == k * [x^(n-k)] g**n``
@@ -38,11 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
+from .fixpoint import _scale_rows
 # reciprocal stays bound here for perfbench's tracer, which patches it in this module
 from .fixpoint import reciprocal  # noqa: F401
-from .series import DomainError, PrecisionError, Series, _integral
+from .series import DomainError, PrecisionError, Series
 
 __all__ = [
     "LagrangeReport",
@@ -53,26 +55,39 @@ __all__ = [
 ]
 
 
-def _cofactor_rows(taps: list[int], precision: int) -> list[list[int]]:
-    """The rows ``rows[n][k] = [x^n] U**k`` (``k <= n <= precision``) of ``(1, U)``,
-    ``U = x*A(U)``, from the taps ``A`` (``A_0 != 0``) cut after the last nonzero one.
+def _fill_table(taps: list[list[tuple[int, int]]], sign: int,
+                precision: int) -> list[list[int]]:
+    """The rows ``E[n][k] = delta_(n-k) * [x^n] T**k / g0**n`` (``k <= n <= precision``)
+    of ``(1, T)``, ``T = x*g(T)``, on the taps ``t_(m,i)`` and scale ``delta`` that
+    :func:`~riordan.fixpoint._scale_rows` gives one side, ``m = n - k``.
 
-    ``U**(k+1) = x * U**k * A(U)``, so ``A`` is the A-sequence of ``(1, U)`` and
-    ``rows[n+1][k+1] = sum_i A_i * rows[n][k+i]``: ``O(P**2 (d+1))`` products for
-    ``A`` of degree ``d``, and integer rows for integer taps."""
-    taps = taps[: max(i for i, a in enumerate(taps) if a) + 1]
+    On the g side (``sign = 1``, ``c_i = g_i/g0``) ``T**k = x * T**(k-1) * g(T)`` is the
+    A-sequence rule, ``E[n][k] = E[n-1][k-1] + sum_i t_(m,i) E[n-1][k-1+i]``; on the omega
+    side (``sign = -1``, ``c_i = omega_(i+1)/omega_1``) ``omega(T) = x`` is that rule one
+    column to the left, ``E[n][k] = E[n-1][k-1] - sum_i t_(m,i) E[n][k+i]``, right to left.
+    Both read degree ``m - i`` at tap ``i``: no division, one product per tap and entry."""
     rows = [[1]]
-    for n in range(precision):
-        rows.append([0] + [sum(map(mul, taps, rows[n][k:])) for k in range(n + 1)])
+    for n in range(1, precision + 1):
+        above, rev = rows[-1][::-1], []  # above[m] = E[n-1][n-1-m], rev[m] = E[n][n-m]
+        read = above if sign > 0 else rev
+        for m in range(n):
+            acc = 0
+            for i, t in taps[m]:
+                acc += t * read[m - i]
+            rev.append(above[m] + sign * acc)
+        rows.append([0] + rev[::-1])
     return rows
 
 
-def _omega_taps(omega: Series, precision: int) -> tuple[int, int, list[int]]:
-    """``(s, L, H)``: ``L`` the lcm of the denominators of ``omega_1..omega_max(precision, 1)``,
-    ``s = L*omega_1`` and the integers ``H_j = L*omega_(j+1)*s**(j-1)``, ``H_0 = 1``, so that
-    ``H(y) = L*omega(s*y)/(s**2*y)``.  ``omega`` is read through ``precision`` and no further.
+def _power_table(omega: Series, precision: int) -> tuple[
+        Fraction, list[int], list[list[tuple[int, int]]], int, list[list[int]]]:
+    """``(g0, delta, taps, sign, rows)``: the rows of :func:`_fill_table` for
+    ``g = x/omega``, ``g0 = 1/omega_1``, through ``precision``, on the side that fills them.
 
-    ``A(y) = s*g(s*y) = L/H`` is then the integral A-sequence of the scaled ``(1, T)``."""
+    ``omega`` is read through ``max(precision, 1)``.  Its side has ``c_i = omega_(i+1)/omega_1``;
+    ``g_i/g0 = [x^i] (1+c)**-1`` is :func:`_power_coefficients` at exponent -1 on its taps.
+    The rows are filled by whichever rule reads fewer taps, ``omega``'s nonzero terms or
+    ``g`` cut after its last nonzero term: ``O(P**2 d)`` for ``d`` taps."""
     if precision < 0:
         raise ValueError("precision must be a natural number")
     if omega.order() != 1:
@@ -80,66 +95,32 @@ def _omega_taps(omega: Series, precision: int) -> tuple[int, int, list[int]]:
     if omega.precision < precision:
         raise PrecisionError(
             f"inverting to degree {precision} needs omega at precision {precision}")
-    lcm, big_w = _integral(omega.coefficients[1: max(precision, 1) + 1])
-    s = big_w[0]
-    return s, lcm, [1] + [c * s ** j for j, c in enumerate(big_w[1:])]
+    cs = omega.coefficients[1: max(precision, 1) + 1]
+    g0 = 1 / cs[0]
+    delta, taps = _scale_rows(cs, precision)
+    g_over_g0 = _power_coefficients(taps, -1, len(cs))
+    while not g_over_g0[-1]:
+        g_over_g0.pop()
+    if sum(map(bool, cs)) < len(g_over_g0):
+        return g0, delta, taps, -1, _fill_table(taps, -1, precision)
+    delta, taps = _scale_rows([Fraction(q, d) for q, d in zip(g_over_g0, delta)], precision)
+    return g0, delta, taps, 1, _fill_table(taps, 1, precision)
 
 
-def _omega_rows(lcm: int, big_h: list[int], precision: int) -> list[list[int]]:
-    """The rows of :func:`_power_table` from ``omega``'s own taps ``H``.
-
-    ``omega(T) = x`` gives ``sum_j omega_j T**(k+j) = x*T**k``, the A-sequence rule read
-    one column to the left; at the table's scale that is
-    ``R[n][k] = L*R[n-1][k-1] - sum_(i>=1) H_i*R[n][k+i]`` for ``k >= 1``, with no division,
-    and ``R[n][0] = 0``.  Row ``n`` is filled right to left from ``R[n][n] = L**n``, each
-    entry one dot product of ``H_1..``, cut after its last nonzero tap, with the entries
-    already to its right."""
-    tail = big_h[1: max(i for i, c in enumerate(big_h) if c) + 1]
-    rows = [[1]]
-    for n in range(1, precision + 1):
-        above, rev = rows[-1], []
-        for k in range(n, 0, -1):
-            rev.append(lcm * above[k - 1] - sum(map(mul, tail, reversed(rev))))
-        rev.append(0)
-        rows.append(rev[::-1])
-    return rows
-
-
-def _power_table(omega: Series, precision: int
-                 ) -> tuple[int, int, list[int], int, list[list[int]]]:
-    """``(s, L, h, sign, rows)`` with ``rows[n][k] = s**(2n-k) * [x^n] T**k``, ``T = x*g(T)``,
-    ``g = x/omega``, for ``k <= n <= precision``; ``s``, ``L`` as in :func:`_omega_taps`.
-
-    The rows are filled by whichever rule reads fewer taps: :func:`_omega_rows` from ``H``
-    (``h = H``, ``sign = -1``), or :func:`_cofactor_rows` from the A-sequence
-    ``A_i = s**(i+1) g_i``, ``i < max(precision, 1)``, cut at ``g``'s degree (``h = A``,
-    ``sign = 1``).  The choice counts ``H``'s nonzero terms against ``A``'s cut length,
-    while the omega filler reads ``H`` through its last nonzero term.  ``A = L/H`` is
-    :func:`_power_coefficients` at exponent -1: with ``H_0 = 1``, Miller's recurrence reads
-    ``A_i = -sum_(j>=1) H_j*A_(i-j)``.  Either way ``A = L*(h/h_0)**sign``, and the fill
-    costs ``O(P**2 d)`` for ``d`` taps: ``g`` is dense for every polynomial ``omega`` of
-    degree ``>= 2``, while ``omega = x/(1-x)``, read as a dense series, has ``g = 1 - x``."""
-    s, lcm, big_h = _omega_taps(omega, precision)
-    taps = _power_coefficients(big_h, -1, lcm, precision)
-    while not taps[-1]:
-        taps.pop()
-    if sum(map(bool, big_h)) < len(taps):
-        return s, lcm, big_h, -1, _omega_rows(lcm, big_h, precision)
-    return s, lcm, taps, 1, _cofactor_rows(taps, precision)
-
-
-def _power_coefficients(h: list[int], alpha: int, first: int, count: int) -> list[int]:
-    """``P_m = first * [x^m] (h/h_0)**alpha`` for ``m < max(count, 1)``.
+def _power_coefficients(taps: list[list[tuple[int, int]]], alpha: int, count: int) -> list[int]:
+    """``Q_m = delta_m * [x^m] (1+c)**alpha`` for ``m < max(count, 1)``, on the per-degree
+    taps ``t_(m,i)`` of ``c`` from :func:`~riordan.fixpoint._scale_rows`.
 
     J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7), from ``h*p' = alpha*h'*p``
-    for ``p = h**alpha``: ``m*h_0*P_m = sum_(j>=1) ((alpha+1)*j - m) * h_j * P_(m-j)``, one
-    product per nonzero ``h_j``.  Callers choose ``first`` so that every ``P_m`` is an
-    integer; then each division by ``m*h_0`` is exact."""
-    terms = [(j, c) for j, c in enumerate(h) if j and c]
-    powers = [first]
+    for ``p = h**alpha``, ``h = 1 + c``, times ``delta_m``:
+    ``m*Q_m = sum_i ((alpha+1)*i - m) * t_(m,i) * Q_(m-i)``, one product per tap.  Every
+    ``Q_m`` is an integer (see ``_scale_rows``), so each division by ``m`` is exact."""
+    powers = [1]
     for m in range(1, count):
-        powers.append(sum(((alpha + 1) * j - m) * c * powers[m - j]
-                          for j, c in terms if j <= m) // (m * h[0]))
+        acc = 0
+        for i, t in taps[m]:
+            acc += ((alpha + 1) * i - m) * t * powers[m - i]
+        powers.append(acc // m)
     return powers
 
 
@@ -151,8 +132,10 @@ def invert_series(omega: Series, precision: int) -> Series:
     result ``y`` satisfies ``omega(y) == y(omega) == x`` through the
     requested degree; it is column 1 of the power table's rows, unscaled.
     """
-    s, *_, rows = _power_table(omega, precision)
-    return Series([0] + [Fraction(row[1], s ** (2 * n - 1)) for n, row in enumerate(rows) if n])
+    g0, delta, _, _, rows = _power_table(omega, precision)
+    a, b = g0.numerator, g0.denominator
+    return Series([0] + [Fraction(row[1] * a ** n, delta[n - 1] * b ** n)
+                         for n, row in enumerate(rows) if n])
 
 
 def lagrange_coefficient(g: Series, n: int, k: int) -> Fraction:
@@ -162,9 +145,8 @@ def lagrange_coefficient(g: Series, n: int, k: int) -> Fraction:
     For ``k > n`` both sides of the identity vanish, so 0 is returned.
     With ``k == 1`` this is the classical coefficient formula for the
     compositional inverse itself.  ``g`` is read through degree ``n - k``, and
-    ``[x^(n-k)] g**n = [x^(n-k)] G**n / D**n`` comes from :func:`_power_coefficients` on
-    the integers ``G = D*g``, ``D`` the lcm of their denominators: ``O((n-k) d)`` products
-    for ``d`` nonzero coefficients.
+    ``[x^m] g**n = g0**n * Q_m / delta_m`` comes from :func:`_power_coefficients` on
+    ``g``'s own taps: ``O((n-k) d)`` products for ``d`` nonzero coefficients.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
@@ -172,9 +154,10 @@ def lagrange_coefficient(g: Series, n: int, k: int) -> Fraction:
         raise DomainError("cofactor must have a nonzero constant term")
     if k > n:
         return Fraction(0)
-    den, big_g = _integral(g.truncate(n - k).coefficients)
-    power = _power_coefficients(big_g, n, big_g[0] ** n, n - k + 1)[-1]  # [x^(n-k)] G**n
-    return Fraction(k * power, n * den ** n)
+    m = n - k
+    delta, taps = _scale_rows(g.truncate(m).coefficients, m)
+    power = _power_coefficients(taps, n, m + 1)[-1]  # delta_m * [x^m] (g/g0)**n
+    return Fraction(k * power, n * delta[m]) * g.coefficient(0) ** n
 
 
 @dataclass(frozen=True)
@@ -211,20 +194,21 @@ def verify_lagrange(omega: Series, max_n: int) -> LagrangeReport:
     ``1 <= k <= n <= max_n``, exactly, from ``omega`` known through ``max_n``.
 
     The left side is read off the power table's rows.  The right side comes from a
-    second recurrence on the table's taps: ``[x^m] g**n = [y^m] A**n / s**(n+m)`` with
-    ``A = L*(h/h_0)**sign``, and :func:`_power_coefficients` gives ``[y^m] A**n`` for
-    ``m < n`` at one product per nonzero tap.  So a cell compares ``n*rows[n][k]`` with
-    ``k*[y^(n-k)] A**n``, integers over the same ``s**(2n-k)``, and the grid costs
-    ``O(max_n**2 d)``.  Violations are collected into the report, unscaled, not raised;
-    an empty list means the identity holds on the whole grid.
+    second recurrence on the table's taps: ``g**n = g0**n * (1+c)**(sign*n)`` for the
+    table's side ``c``, and :func:`_power_coefficients` gives
+    ``Q_m = delta_m [x^m] (1+c)**(sign*n)`` for ``m < n`` at one product per tap.  So a
+    cell compares ``n*E[n][k]`` with ``k*Q_(n-k)``, integers at the same scale
+    ``g0**n/delta_(n-k)``, and the grid costs ``O(max_n**2 d)``.  Violations are
+    collected into the report, unscaled, not raised; an empty list means the identity
+    holds on the whole grid.
     """
-    s, lcm, taps, sign, rows = _power_table(omega, max_n)
-    a_powers = [_power_coefficients(taps, sign * n, lcm ** n, n) for n in range(max_n + 1)]
+    g0, delta, taps, sign, rows = _power_table(omega, max_n)
+    powers = [_power_coefficients(taps, sign * n, n) for n in range(max_n + 1)]
     violations: list[LagrangeViolation] = []
     for k in range(1, max_n + 1):
         for n in range(k, max_n + 1):
-            lhs, rhs = n * rows[n][k], k * a_powers[n][n - k]
+            lhs, rhs = n * rows[n][k], k * powers[n][n - k]
             if lhs != rhs:
-                lhs, rhs = (Fraction(v, s ** (2 * n - k)) for v in (lhs, rhs))
+                lhs, rhs = (v * g0 ** n / delta[n - k] for v in (lhs, rhs))
                 violations.append(LagrangeViolation(n, k, lhs, rhs))
     return LagrangeReport(max_n, tuple(violations))

@@ -17,8 +17,9 @@ closed in parameter form:
 Neither is computed by composing series.  The matrix acts on ``h`` as
 ``(f/g) * h(x/g)``, which is its entry block times the coefficients of
 ``h``.  For the inverse, ``w = x*g(w)`` makes ``g`` the A-sequence of
-``(1, w)``; its integer rows give ``x/w = 1/g(w)`` (the rule one column to
-the left) and ``(1/f)(w)`` (dot products with ``1/f``): only ``f`` is divided.
+``(1, w)``; its rows, integers at the division kernel's per-degree scale, give
+``x/w = 1/g(w)`` (the rule one column to the left) and ``(1/f)(w)`` (dot
+products with ``1/f``): only ``f`` is divided.
 
 The inverse is also expressible through the classical A- and Z-sequences,
 and multiplying the first parameter by powers of ``g`` prepends or deletes
@@ -39,9 +40,10 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .fixpoint import _check_division, _division_columns, reciprocal
+from .fixpoint import _check_division, _division_columns, _scale_rows, reciprocal
+from .reversion import _fill_table
 # invert_series stays bound here for perfbench's tracer, which patches it in this module
-from .reversion import _cofactor_rows, invert_series  # noqa: F401
+from .reversion import invert_series  # noqa: F401
 from .series import DomainError, PrecisionError, Series, _integral, _literal
 
 __all__ = [
@@ -112,7 +114,7 @@ class RiordanMatrix:
     # access
     # ------------------------------------------------------------------
     def entry(self, n: int, k: int) -> Fraction:
-        if not (0 <= n < self.depth) or k < 0:
+        if not (0 <= n < self.depth and 0 <= k < self.depth):
             raise IndexError(f"entry ({n}, {k}) outside a depth-{self.depth} matrix")
         if k > n:
             return Fraction(0)
@@ -183,20 +185,30 @@ class RiordanMatrix:
 
     def _inverse_parameters(self) -> tuple[Series, Series]:
         """``(1/f(w), 1/g(w))``, ``w`` the compositional inverse of ``x/g``, off the rows
-        ``rows[n][k] = L**n [x^n] w**k`` of ``(1, w)``, ``G = L*g`` integral (``L = lcm den g``).
-        ``w = x*g(w)`` gives ``x/w = (1 - x*sum_(i>=1) g_i w**(i-1))/g0``, so the A-sequence
-        ``1/g(w)`` has ``[x^(n+1)] = -sum_(i>=1) G_i rows[n][i-1] / (G_0*L**n)``, and with
-        ``R = M/f`` integral, ``[x^n] (1/f)(w) = sum_j R_j rows[n][j] / (M*L**n)``."""
+        ``E[n][k] = delta_(n-k) [x^n] w**k / g0**n`` of ``(1, w)`` on the taps ``t_(m,i)`` of
+        ``c_i = g_i/g0``.  ``w = x*g(w)`` gives ``x/w = 1/g0 - x*sum_(i>=1) c_i w**(i-1)``,
+        so ``[x^(n+1)] 1/g(w) = -g0**n * sum_i t_(n+1,i) E[n][i-1] / delta_(n+1)``, and with
+        ``R = M/f`` integral, ``[x^n] (1/f)(w) = g0**n * sum_j R_j E[n][j] (delta_n/delta_(n-j))
+        / (M*delta_n)``, the factor a product of the ratios ``delta_m/delta_(m-1)``."""
         p = self.depth - 1
-        den_g, taps = _integral(self.g.coefficients[: p + 1])
-        head, *tail = taps
-        rows = _cofactor_rows(taps, p)
+        g0 = self.g.coefficients[0]
+        delta, taps = _scale_rows(self.g.coefficients[: p + 1], p)
+        rows = _fill_table(taps, 1, p)
+        ratios = [1] + [d // c for c, d in zip(delta, delta[1:])]
         den_f, big_r = _integral(_inv(self.f, p).coefficients)
-        f_inv = [Fraction(sum(map(mul, big_r, row)), den_f * den_g ** n)
-                 for n, row in enumerate(rows)]
-        g_inv = [Fraction(-sum(map(mul, tail, row)), head * den_g ** n)
-                 for n, row in enumerate(rows[:-1])]
-        return Series._of(f_inv), Series._of([Fraction(den_g, head)] + g_inv)
+        a, b = g0.numerator, g0.denominator
+        f_inv, g_inv = [], [1 / g0]
+        an, bn = 1, 1  # g0**n = an/bn
+        for n, row in enumerate(rows):
+            acc = 0
+            for j in range(n, -1, -1):  # Horner: R_j E[n][j] gains ratio_n*...*ratio_(n-j+1)
+                acc = acc * ratios[n - j] + big_r[j] * row[j]
+            f_inv.append(Fraction(acc * an, den_f * delta[n] * bn))
+            if n < p:
+                acc = sum(t * row[i - 1] for i, t in taps[n + 1])
+                g_inv.append(Fraction(-acc * an, delta[n + 1] * bn))
+            an, bn = an * a, bn * b
+        return Series._of(f_inv), Series._of(g_inv)
 
     # ------------------------------------------------------------------
     # A/Z sequences

@@ -16,6 +16,7 @@ from oracles import (
     cofactor,
     compositional_inverse,
     divide,
+    division_scale,
     list_power,
     past_precision,
     random_fraction,
@@ -153,36 +154,40 @@ def test_invert_polynomial_a_sequences(g):
     (Series([0, F(-3, 4), F(1, 6), F(-2, 5), 0, F(7, 3)], 13), 12),
 ], ids=["dense", "polynomial_g", "precision_0", "gapped_lcm", "negative_omega_1"])
 def test_power_table_taps_come_from_omega_without_the_kernel(monkeypatch, omega, p):
-    # A_i = s**(i+1) g_i for i < p (A_0 alone at p = 0), cut after g's last nonzero
-    # coefficient, by integer division of s by s*omega/(x*omega_1): no kernel column
-    # and no Series quotient; omega is read through p (omega_1 at p = 0) and no further
+    # g_i/g0 = Q_i/delta_i for i < p (g_0/g0 alone at p = 0), cut after g's last nonzero
+    # coefficient, by Miller's recurrence at exponent -1 on omega's own taps: no kernel
+    # column and no Series quotient; omega is read through p (omega_1 at p = 0) and no further
     def no_division(*args):
         raise AssertionError("the power table divided through the kernel")
 
     monkeypatch.setattr(reversion, "reciprocal", no_division)
     monkeypatch.setattr(fixpoint, "_integer_columns", no_division)
     monkeypatch.setattr(reversion, "_integer_columns", no_division, raising=False)
-    s, lcm, big_h = reversion._omega_taps(omega, p)
-    taps = reversion._power_coefficients(big_h, -1, lcm, p)
-    while not taps[-1]:
-        taps.pop()
-    table = reversion._power_table(omega, p)
     read = max(p, 1)
-    scaled = [c * s ** (i + 1) for i, c in enumerate(coeffs(cofactor(omega, read - 1)))]
-    while not scaled[-1]:
-        scaled.pop()
-    assert taps == scaled
-    assert lcm == math.lcm(*(c.denominator for c in coeffs(omega)[1: read + 1]))
-    assert table[:2] == (s, lcm) and s == lcm * omega[1]
+    cs = coeffs(omega)[1: read + 1]
+    delta, taps = fixpoint._scale_rows(cs, p)
+    powers = reversion._power_coefficients(taps, -1, read)
+    while not powers[-1]:
+        powers.pop()
+    table = reversion._power_table(omega, p)
+    g = coeffs(cofactor(omega, read - 1))
+    expected = [c / g[0] for c in g]
+    while not expected[-1]:
+        expected.pop()
+    assert [F(q, d) for q, d in zip(powers, delta)] == expected
+    # the omega side's scale: c_i = omega_(i+1)/omega_1 through c_(read-1) only
+    assert delta == division_scale(cs, p)
+    g0, scale = table[:2]
+    assert g0 == 1 / omega[1]
     inverse = compositional_inverse(coeffs(omega), p)[: p + 1]
-    column = [c * s ** (2 * n - 1) for n, c in enumerate(inverse) if n]
+    column = [c * scale[n - 1] / g0 ** n for n, c in enumerate(inverse) if n]
     assert [row[1] for row in table[-1][1:]] == column
 
 
 def test_both_row_rules_fill_the_same_table():
     # the omega-side rule and the A-sequence rule, each forced, on sparse polynomial
-    # omega (g dense), on dense omega, on long gaps inside H's tail and on omega = c*x
-    # (H has no tail), against the table _power_table returns
+    # omega (g dense), on dense omega, on long gaps inside omega's tail and on omega = c*x
+    # (no tail), against the table _power_table returns: each at its own side's scale
     rng = random.Random(65)
     for p in range(31):
         degree = 1 + p % 8
@@ -195,12 +200,21 @@ def test_both_row_rules_fill_the_same_table():
                       Series([0, 1, 0, 0, 0, 0, 0, -1], read),
                       Series([0, F(1, 2), 0, 0, 3, 0, 0, F(-2, 5)], read),
                       Series([0, sparse[1]], read)):
-            s, lcm, big_h = reversion._omega_taps(omega, p)
-            by_omega = reversion._omega_rows(lcm, big_h, p)
-            by_g = reversion._cofactor_rows(reversion._power_coefficients(big_h, -1, lcm, p), p)
-            assert by_omega == by_g
+            cs = coeffs(omega)[1: read + 1]
+            omega_delta, omega_taps = fixpoint._scale_rows(cs, p)
+            by_omega = reversion._fill_table(omega_taps, -1, p)
+            powers = reversion._power_coefficients(omega_taps, -1, read)
+            g_delta, g_taps = fixpoint._scale_rows(
+                [F(q, d) for q, d in zip(powers, omega_delta)], p)
+            by_g = reversion._fill_table(g_taps, 1, p)
+            assert [[F(e, omega_delta[n - k]) for k, e in enumerate(row)]
+                    for n, row in enumerate(by_omega)] == \
+                   [[F(e, g_delta[n - k]) for k, e in enumerate(row)]
+                    for n, row in enumerate(by_g)]
+            g0 = 1 / omega[1]
             table = reversion._power_table(omega, p)
-            assert table[:2] == (s, lcm) and table[-1] == by_omega
+            assert table in ((g0, omega_delta, omega_taps, -1, by_omega),
+                             (g0, g_delta, g_taps, 1, by_g))
 
 
 def test_invert_rejects_wrong_order():
@@ -355,11 +369,11 @@ def test_report_json_shape():
 def test_a_failing_cell_is_reported_unscaled(monkeypatch):
     omega = random_order_one(random.Random(62), 8)
     build = reversion._power_table
-    scale, *_ = build(omega, 7)
+    g0, delta, *_ = build(omega, 7)
 
     def perturbed(omega, precision):
         *head, rows = build(omega, precision)
-        rows[5][2] += 1  # s**8 * [x^5] T**2, off by one
+        rows[5][2] += 1  # delta_3 * [x^5] T**2 / g0**5, off by one
         return *head, rows
 
     monkeypatch.setattr(reversion, "_power_table", perturbed)
@@ -367,7 +381,7 @@ def test_a_failing_cell_is_reported_unscaled(monkeypatch):
     (v,) = report.violations
     assert (v.n, v.k) == (5, 2)
     assert v.rhs == 2 * list_power(coeffs(cofactor(omega, 5)), 5, 3)[3]
-    assert v.lhs == v.rhs + F(5, scale ** 8)
+    assert v.lhs == v.rhs + 5 * g0 ** 5 / delta[3]
     assert report.to_json_dict() == {
         "max_n": 7,
         "violations": [{"n": 5, "k": 2, "lhs": str(v.lhs), "rhs": str(v.rhs)}],
@@ -379,22 +393,23 @@ def test_a_failing_cell_is_reported_unscaled(monkeypatch):
     (Series([0, F(-2, 3), 0, 1, F(1, 5)], 8), -1),
 ], ids=["g_taps", "omega_taps"])
 def test_a_failing_power_is_reported_at_its_cell(monkeypatch, omega, sign):
-    # [y^3] A**5, off by one on either side of the table's rule: the cell n = 5, k = 2 fails
-    scale, _, _, table_sign, _ = reversion._power_table(omega, 7)
+    # [x^3] (1+c)**(sign*5), off by one on either side of the table's rule: the cell
+    # n = 5, k = 2 fails
+    g0, delta, _, table_sign, _ = reversion._power_table(omega, 7)
     assert table_sign == sign
     build = reversion._power_coefficients
 
-    def perturbed(h, alpha, first, count):
-        powers = build(h, alpha, first, count)
+    def perturbed(taps, alpha, count):
+        powers = build(taps, alpha, count)
         if abs(alpha) == 5:
-            powers[3] += 1  # s**8 * [x^3] g**5
+            powers[3] += 1  # delta_3 * [x^3] g**5 / g0**5
         return powers
 
     monkeypatch.setattr(reversion, "_power_coefficients", perturbed)
     (v,) = verify_lagrange(omega, 7).violations
     assert (v.n, v.k) == (5, 2)
     assert v.lhs == 2 * list_power(coeffs(cofactor(omega, 5)), 5, 3)[3]
-    assert v.rhs == v.lhs + F(2, scale ** 8)
+    assert v.rhs == v.lhs + 2 * g0 ** 5 / delta[3]
 
 
 @pytest.mark.parametrize("omega, max_n, error, message", [

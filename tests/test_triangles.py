@@ -10,7 +10,7 @@ from itertools import chain
 
 import pytest
 
-from riordan import triangles
+from riordan import reversion, triangles
 from riordan.fixpoint import _integer_columns, reciprocal
 from riordan.reversion import invert_series, verify_lagrange
 from riordan.series import DomainError, PrecisionError, Series
@@ -191,6 +191,9 @@ def test_entry_and_row_access():
     assert t.row(2) == (1, 2, 1)
     with pytest.raises(IndexError):
         t.entry(5, 0)
+    # above the diagonal, but past the last column
+    with pytest.raises(IndexError, match=r"^entry \(0, 99\) outside a depth-5 matrix$"):
+        t.entry(0, 99)
     for n in (-1, 5):
         with pytest.raises(IndexError, match=f"^row {n} outside a depth-5 matrix$"):
             t.row(n)
@@ -463,6 +466,36 @@ def test_kernel_integers_stay_near_the_size_of_the_entries():
                      for row in t.entries for e in row)
     _, _, delta, columns = _integer_columns(Series.one(p), g, p, DENSE_DEPTH)
     assert max(v.bit_length() for v in chain(delta, *columns)) <= 2 * entry_bits
+
+
+def bits(values):
+    """The largest bit length of a numerator or denominator in ``values``, nested
+    tuples and lists of integers and Fractions."""
+    if isinstance(values, (tuple, list)):
+        return max(map(bits, values), default=0)
+    return max(F(values).numerator.bit_length(), F(values).denominator.bit_length())
+
+
+def test_table_integers_stay_near_the_size_of_the_results(monkeypatch):
+    # a row scale of s**(2n-k), s = L*omega_1 with L the lcm of omega's denominators,
+    # made reversion's integers 19302 bits long for 112-bit results on x/g read dense;
+    # a scale of L**n, L = lcm den(g_0..g_p), made the group inverse's 5808 bits long
+    # for 195-bit parameters on bell(1 + x/3 + 2x^2)
+    p = 60
+    omega = Series([0] + divide([F(1)], [F(-3, 2), F(1), F(2, 5)], p - 1))
+    table = reversion._power_table(omega, p)  # delta, taps and rows included
+    assert bits(table) <= 2 * bits(invert_series(omega, p).coefficients)
+
+    seen = []
+    for name in ("_scale_rows", "_fill_table"):
+        def recorded(*args, original=getattr(triangles, name)):
+            seen.append(original(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(triangles, name, recorded)
+    f_inv, g_inv = bell(Series([1, F(1, 3), 2], p), p + 1)._inverse_parameters()
+    assert len(seen) == 2
+    assert bits(seen) <= 2 * bits(f_inv.coefficients + g_inv.coefficients)
 
 
 def test_inverse_parameters_make_one_division_of_f_and_no_reversion(monkeypatch):
