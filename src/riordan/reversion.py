@@ -18,8 +18,8 @@ same equation ``omega(T) = x`` gives a second row rule whose taps are
 ``omega``'s own coefficients (Merlini, Rogers, Sprugnoli and Verri, Canad. J.
 Math. 1997).  ``g``'s taps come from ``omega``'s by J.C.P. Miller's power
 recurrence at exponent -1, the routine that also gives every power of ``g``
-below.  :func:`_power_table` runs whichever rule reads fewer taps, so the table
-costs ``O(P**2 d)`` for ``d`` the smaller of ``omega``'s count of nonzero terms
+below.  :func:`_table`, given either side, runs whichever rule reads fewer taps, so
+the table costs ``O(P**2 d)`` for ``d`` the smaller of ``omega``'s count of nonzero terms
 and ``g``'s degree plus one: ``g = x/omega`` is dense for every polynomial
 ``omega`` of degree >= 2, and ``omega = x/(1-x)`` has ``g = 1 - x``.  The tests'
 reference path recomposes every stage by Horner, O(P**4).  The rows and their
@@ -79,15 +79,27 @@ def _fill_table(taps: list[list[tuple[int, int]]], sign: int,
     return rows
 
 
+def _table(cs: tuple[Fraction, ...], sign: int, precision: int) -> tuple[
+        Fraction, list[int], list[list[tuple[int, int]]], int, list[list[int]]]:
+    """``(g0, delta, taps, sign, rows)``: the :func:`_fill_table` rows through ``precision``
+    from one side's coefficients ``cs``, ``g``'s (``sign = 1``) or ``omega/x``'s (``-1``), with
+    ``g0 = cs_0**sign``.  As ``omega/x = 1/g``, each side's ``c`` gives the other's as
+    ``(1+c)**-1`` (:func:`_power_coefficients`).  The rows take the other side when it, cut after
+    its last nonzero term, is no longer than ``cs``' count of nonzero terms: ``O(P**2 d)``."""
+    delta, taps = _scale_rows(cs, precision)
+    other = _power_coefficients(taps, -1, len(cs))
+    while not other[-1]:
+        other.pop()
+    if len(other) > sum(map(bool, cs)):
+        return cs[0] ** sign, delta, taps, sign, _fill_table(taps, sign, precision)
+    delta, taps = _scale_rows([Fraction(q, d) for q, d in zip(other, delta)], precision)
+    return cs[0] ** sign, delta, taps, -sign, _fill_table(taps, -sign, precision)
+
+
 def _power_table(omega: Series, precision: int) -> tuple[
         Fraction, list[int], list[list[tuple[int, int]]], int, list[list[int]]]:
-    """``(g0, delta, taps, sign, rows)``: the rows of :func:`_fill_table` for
-    ``g = x/omega``, ``g0 = 1/omega_1``, through ``precision``, on the side that fills them.
-
-    ``omega`` is read through ``max(precision, 1)``.  Its side has ``c_i = omega_(i+1)/omega_1``;
-    ``g_i/g0 = [x^i] (1+c)**-1`` is :func:`_power_coefficients` at exponent -1 on its taps.
-    The rows are filled by whichever rule reads fewer taps, ``omega``'s nonzero terms or
-    ``g`` cut after its last nonzero term: ``O(P**2 d)`` for ``d`` taps."""
+    """:func:`_table` of ``omega/x``, read through ``max(precision, 1)``: the rows of
+    ``(1, T)`` for ``g = x/omega``, ``g0 = 1/omega_1``, on the side that fills them."""
     if precision < 0:
         raise ValueError("precision must be a natural number")
     if omega.order() != 1:
@@ -95,16 +107,7 @@ def _power_table(omega: Series, precision: int) -> tuple[
     if omega.precision < precision:
         raise PrecisionError(
             f"inverting to degree {precision} needs omega at precision {precision}")
-    cs = omega.coefficients[1: max(precision, 1) + 1]
-    g0 = 1 / cs[0]
-    delta, taps = _scale_rows(cs, precision)
-    g_over_g0 = _power_coefficients(taps, -1, len(cs))
-    while not g_over_g0[-1]:
-        g_over_g0.pop()
-    if sum(map(bool, cs)) < len(g_over_g0):
-        return g0, delta, taps, -1, _fill_table(taps, -1, precision)
-    delta, taps = _scale_rows([Fraction(q, d) for q, d in zip(g_over_g0, delta)], precision)
-    return g0, delta, taps, 1, _fill_table(taps, 1, precision)
+    return _table(omega.coefficients[1: max(precision, 1) + 1], -1, precision)
 
 
 def _power_coefficients(taps: list[list[tuple[int, int]]], alpha: int, count: int) -> list[int]:

@@ -17,7 +17,8 @@ closed in parameter form:
 Neither is computed by composing series.  The matrix acts on ``h`` as
 ``(f/g) * h(x/g)``, which is its entry block times the coefficients of
 ``h``.  For the inverse, ``w = x*g(w)`` makes ``g`` the A-sequence of
-``(1, w)``; its rows, integers at the division kernel's per-degree scale, give
+``(1, w)`` and ``omega = x/g`` its omega rule.  Reversion's table fills its rows
+from the shorter side, at the division kernel's per-degree scale; they give
 ``x/w = 1/g(w)`` (the rule one column to the left) and ``(1/f)(w)`` (dot
 products with ``1/f``): only ``f`` is divided.
 
@@ -40,8 +41,8 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .fixpoint import _check_division, _division_columns, _scale_rows, reciprocal
-from .reversion import _fill_table
+from .fixpoint import _check_division, _division_columns, reciprocal
+from .reversion import _table
 # invert_series stays bound here for perfbench's tracer, which patches it in this module
 from .reversion import invert_series  # noqa: F401
 from .series import DomainError, PrecisionError, Series, _integral, _literal
@@ -170,9 +171,9 @@ class RiordanMatrix:
 
     def inverse(self) -> RiordanMatrix:
         """Group inverse ``T(1/f(w) | 1/g(w))``, ``w`` the compositional
-        inverse of ``x/g``.  Neither parameter is composed: ``w = x*g(w)``
-        makes ``g`` the A-sequence of ``(1, w)``, whose integer rows give
-        ``x/w`` and ``(1/f)(w)`` (:meth:`_inverse_parameters`).
+        inverse of ``x/g``.  Neither parameter is composed: the rows of ``(1, w)``,
+        filled by reversion's table from ``g`` or ``omega = x/g``, whichever is
+        shorter, give ``x/w`` and ``(1/f)(w)`` (:meth:`_inverse_parameters`).
 
         >>> print(build_triangle(Series.one(3), Series([1, -1], 3), 4).inverse().to_csv())
         1
@@ -185,15 +186,14 @@ class RiordanMatrix:
 
     def _inverse_parameters(self) -> tuple[Series, Series]:
         """``(1/f(w), 1/g(w))``, ``w`` the compositional inverse of ``x/g``, off the rows
-        ``E[n][k] = delta_(n-k) [x^n] w**k / g0**n`` of ``(1, w)`` on the taps ``t_(m,i)`` of
-        ``c_i = g_i/g0``.  ``w = x*g(w)`` gives ``x/w = 1/g0 - x*sum_(i>=1) c_i w**(i-1)``,
-        so ``[x^(n+1)] 1/g(w) = -g0**n * sum_i t_(n+1,i) E[n][i-1] / delta_(n+1)``, and with
-        ``R = M/f`` integral, ``[x^n] (1/f)(w) = g0**n * sum_j R_j E[n][j] (delta_n/delta_(n-j))
-        / (M*delta_n)``, the factor a product of the ratios ``delta_m/delta_(m-1)``."""
+        ``E[n][k] = delta_(n-k) [x^n] w**k / g0**n`` of ``(1, w)`` that ``reversion._table``
+        fills from ``g`` on either side.  ``x/w = 1/g(w)`` is the row rule one column to the
+        left, ``[x^(n+1)] = -sign * g0**n * sum_i t_(n+1,i) e_i / delta_(n+1)`` with ``e_i =
+        E[n][i-1]`` on the g side (``w = x*g(w)``) and ``E[n+1][i]`` on the omega side (``x/w =
+        omega(w)/w``).  With ``R = M/f`` integral, ``[x^n] (1/f)(w) = g0**n * sum_j R_j E[n][j]
+        (delta_n/delta_(n-j)) / (M*delta_n)``, the factor a product of ``delta_m/delta_(m-1)``."""
         p = self.depth - 1
-        g0 = self.g.coefficients[0]
-        delta, taps = _scale_rows(self.g.coefficients[: p + 1], p)
-        rows = _fill_table(taps, 1, p)
+        g0, delta, taps, sign, rows = _table(self.g.coefficients[: p + 1], 1, p)
         ratios = [1] + [d // c for c, d in zip(delta, delta[1:])]
         den_f, big_r = _integral(_inv(self.f, p).coefficients)
         a, b = g0.numerator, g0.denominator
@@ -205,8 +205,9 @@ class RiordanMatrix:
                 acc = acc * ratios[n - j] + big_r[j] * row[j]
             f_inv.append(Fraction(acc * an, den_f * delta[n] * bn))
             if n < p:
-                acc = sum(t * row[i - 1] for i, t in taps[n + 1])
-                g_inv.append(Fraction(-acc * an, delta[n + 1] * bn))
+                read = [0] + row if sign > 0 else rows[n + 1]
+                acc = sum(t * read[i] for i, t in taps[n + 1])
+                g_inv.append(Fraction(-sign * acc * an, delta[n + 1] * bn))
             an, bn = an * a, bn * b
         return Series._of(f_inv), Series._of(g_inv)
 

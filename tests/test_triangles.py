@@ -486,16 +486,46 @@ def test_table_integers_stay_near_the_size_of_the_results(monkeypatch):
     table = reversion._power_table(omega, p)  # delta, taps and rows included
     assert bits(table) <= 2 * bits(invert_series(omega, p).coefficients)
 
+    seen = record_table_calls(monkeypatch)
+    f_inv, g_inv = bell(Series([1, F(1, 3), 2], p), p + 1)._inverse_parameters()
+    # g's scale, then omega's (x + x^2/3 + 2x^3 reads 3 taps), then the omega-side rows
+    assert [name for name, _, _ in seen] == ["_scale_rows", "_scale_rows", "_fill_table"]
+    assert seen[2][1][1] == -1
+    assert bits([out for _, _, out in seen]) <= 2 * bits(f_inv.coefficients + g_inv.coefficients)
+
+
+def record_table_calls(monkeypatch):
+    """Record ``(name, args, result)`` of every ``_scale_rows`` and ``_fill_table`` call
+    made through :mod:`riordan.reversion`."""
     seen = []
     for name in ("_scale_rows", "_fill_table"):
-        def recorded(*args, original=getattr(triangles, name)):
-            seen.append(original(*args))
-            return seen[-1]
+        def recorded(*args, name=name, original=getattr(reversion, name)):
+            seen.append((name, args, original(*args)))
+            return seen[-1][2]
 
-        monkeypatch.setattr(triangles, name, recorded)
-    f_inv, g_inv = bell(Series([1, F(1, 3), 2], p), p + 1)._inverse_parameters()
-    assert len(seen) == 2
-    assert bits(seen) <= 2 * bits(f_inv.coefficients + g_inv.coefficients)
+        monkeypatch.setattr(reversion, name, recorded)
+    return seen
+
+
+@pytest.mark.parametrize("build, sign", [
+    (lambda: bell(Series([1, F(1, 3), 2], 11), 12), -1),
+    (lambda: associated(Series([1, F(1, 3), 2], 11), 12), -1),
+    (lambda: from_classical(Series([1, 2], 11), Series([0, 1, F(1, 3), 2], 12), 12), -1),
+    (lambda: build_triangle(Series([1, F(1, 3), 2], 11), Series([1] * 12), 12), -1),
+    (lambda: build_triangle(Series([1, F(1, 3), 2], 11), Series([F(-3, 2), 1, F(2, 5)], 11), 12),
+     1),
+], ids=["bell", "associated", "from_classical", "geometric_g", "short_g"])
+def test_group_inverse_fills_the_shorter_side_of_the_table(monkeypatch, build, sign):
+    # a dense g whose omega = x/g is short fills the omega rule's rows, a short g its own
+    t = build()
+    f_inv, g_inv = composed_inverse(t)
+    seen = record_table_calls(monkeypatch)
+    inv = t.inverse()
+    assert [args[1] for name, args, _ in seen if name == "_fill_table"] == [sign]
+    assert (inv.f, inv.g) == (f_inv, g_inv)
+    pair = t.a_z_sequences()
+    z_seq = (g_inv - f_inv * (t.f[0] / t.g[0])).shift(-1)
+    assert (pair.a_seq, pair.z_seq) == (g_inv, z_seq)
 
 
 def test_inverse_parameters_make_one_division_of_f_and_no_reversion(monkeypatch):
