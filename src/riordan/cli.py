@@ -212,13 +212,13 @@ COMMANDS: dict[str, Command | Trace] = {
     "azseq": Command("A- and Z-sequences of T(f|g)", ("f", "g"), "precision", 1,
                      lambda fmt, n, f, g: render_pair(
                          RiordanMatrix(f, g, n + 1).a_z_sequences(), fmt)),
-    # inverse and azseq read only (f, g, depth), and @ reads its right operand's (f, g):
-    # those matrices are constructed, never built
+    # inverse, azseq and @ read only their operands' (f, g, depth): those matrices are
+    # constructed, never built
     "inverse": Command("group inverse of T(f|g)", ("f", "g"), "depth", 1,
                        lambda fmt, n, f, g: render_matrix(RiordanMatrix(f, g, n).inverse(), fmt)),
     "product": Command("group product of two triangles", ("f1", "g1", "f2", "g2"), "depth", 1,
                        lambda fmt, n, f1, g1, f2, g2: render_matrix(
-                           build_triangle(f1, g1, n) @ RiordanMatrix(f2, g2, n), fmt)),
+                           RiordanMatrix(f1, g1, n) @ RiordanMatrix(f2, g2, n), fmt)),
 }
 
 

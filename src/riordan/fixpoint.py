@@ -2,9 +2,10 @@
 
 In the ultrametric of :mod:`riordan.series`, the map ``t -> a*t + b`` is a
 1/2-contraction whenever ``order(a) >= 1``, so plain iteration converges to
-its unique fixed point from any start.  One step is one integer pass: ``a``,
-``t`` and ``b`` are scaled to integers once each, ``a*t`` is convolved onto the
-scaled ``b``, and one reduced Fraction is built per coefficient of the iterate.
+its unique fixed point from any start.  One step is one integer pass: ``t`` is
+scaled to integers, ``a*t`` is convolved onto the scaled ``b``, and one reduced
+Fraction is built per coefficient of the iterate; ``a`` and ``b`` are scaled on
+the map's first call, so plain iteration scales them once per run.
 Iterating a *sequence* of such maps (the "crossed" iteration, applying map
 ``m`` at step ``m``) converges to the fixed point of the pointwise limit map
 while only ever touching Taylor data of degree ``m`` at step ``m`` -- which is
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, repeat
 from operator import mul
 from typing import Callable, Iterator, Sequence
@@ -59,7 +61,8 @@ class AffineMap:
     ``distance(map(t1), map(t2)) <= distance(t1, t2) / 2``.  Applying the map is
     one integer pass (``series._mul_add``), at the least precision of ``slope``,
     ``t`` and ``offset``: the same series as ``slope*t + offset``, with one
-    Fraction built per coefficient instead of two.
+    Fraction built per coefficient instead of two.  ``slope`` and ``offset`` are
+    scaled to integers on the first call, so plain iteration scales only the iterate.
     """
 
     slope: Series
@@ -71,8 +74,14 @@ class AffineMap:
                 "not contractive: slope has a nonzero constant term"
             )
 
+    @cached_property
+    def _scaled(self) -> tuple[tuple[int, list[int]], tuple[int, list[int]]]:
+        return _integral(self.slope.coefficients), _integral(self.offset.coefficients)
+
     def __call__(self, t: Series) -> Series:
-        return _mul_add(self.slope, t, self.offset)
+        p = min(self.slope.precision, t.precision, self.offset.precision)
+        slope, offset = self._scaled
+        return _mul_add(slope, t, offset, p)
 
 
 @dataclass(frozen=True)

@@ -364,22 +364,20 @@ class Series:
         return f"Series({self.to_strings()!r})"
 
 
-def _mul_add(a: Series, b: Series, c: Series) -> Series:
-    """``a*b + c`` at the least of the three precisions, in one integer pass: ``a``, ``b``
-    and ``c`` are scaled once each, the convolution of ``a`` and ``b`` is added straight
-    onto ``c`` over the common denominator, and one reduced Fraction is built per
-    coefficient.  The zero coefficients of ``a`` cost nothing, so pass the sparser
-    factor there."""
-    p = min(a.precision, b.precision, c.precision)
-    da, ia = _integral(a._coeffs[: p + 1])
+def _mul_add(a: tuple[int, list[int]], b: Series, c: tuple[int, list[int]], p: int) -> Series:
+    """``a*b + c`` through degree ``p`` in one integer pass, ``a`` and ``c`` given scaled,
+    as :func:`_integral` returns them, over at least ``p + 1`` coefficients: ``b`` is scaled
+    once, the convolution of ``a`` and ``b`` is added straight onto ``c`` over the common
+    denominator, and one reduced Fraction is built per coefficient.  A denominator that
+    clears more coefficients than are read gives the same Fractions, so ``a`` and ``c`` can
+    be scaled once and read at any ``p``.  The zero coefficients of ``a`` cost nothing, so
+    pass the sparser factor there."""
+    (da, ia), (dc, ic) = a, c
     db, ib = _integral(b._coeffs[: p + 1])
-    dc, ic = _integral(c._coeffs[: p + 1])
     den = math.lcm(da * db, dc)
     sa, sc = den // (da * db), den // dc
-    if sa != 1:
-        ia = [v * sa for v in ia]
-    if sc != 1:
-        ic = [v * sc for v in ic]
+    ia = ia[: p + 1] if sa == 1 else [v * sa for v in ia[: p + 1]]
+    ic = ic[: p + 1] if sc == 1 else [v * sc for v in ic[: p + 1]]  # a copy: added onto
     return Series._of(_over(_convolve(ia, ib, ic), den))
 
 

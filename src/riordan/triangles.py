@@ -15,8 +15,10 @@ closed in parameter form:
               compositional inverse of ``x/g``
 
 Neither is computed by composing series.  The matrix acts on ``h`` as
-``(f/g) * h(x/g)``, which is its entry block times the coefficients of
-``h``.  For the inverse, ``w = x*g(w)`` makes ``g`` the A-sequence of
+``(f/g) * h(x/g)``, its entry block times the coefficients of ``h``: sums over
+the division kernel's integer columns, one Fraction per coefficient.  ``T(g1|g1)``
+acts as ``h -> h(x/g1)``, so one kernel run on ``g1`` gives both substitutions of
+the product.  For the inverse, ``w = x*g(w)`` makes ``g`` the A-sequence of
 ``(1, w)`` and ``omega = x/g`` its omega rule.  Reversion's table fills its rows
 from the shorter side, at the division kernel's per-degree scale; they give
 ``x/w = 1/g(w)`` (the rule one column to the left) and ``(1/f)(w)`` (dot
@@ -27,21 +29,22 @@ and multiplying the first parameter by powers of ``g`` prepends or deletes
 leading rows and columns; both are provided here as operations.
 
 A matrix builds its entries on first read, while :func:`build_triangle` builds
-them at once.  ``inverse``, ``a_z_sequences`` and the right operand of ``@``
-read only ``(f, g, depth)``, so a matrix used only there never builds its block:
-the CLI's ``inverse``, ``azseq`` and ``product`` build only what they read.
+them at once.  ``apply``, ``@``, ``inverse`` and ``a_z_sequences`` read only
+``(f, g, depth)``, so a matrix used only there never builds its block: the CLI's
+``inverse``, ``azseq`` and ``product`` build only their output.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from itertools import accumulate, repeat
+from operator import add, mul
+from typing import Sequence
 
-from .fixpoint import _check_division, _division_columns, reciprocal
+from .fixpoint import _check_division, _division_columns, _integer_columns, reciprocal
 from .reversion import _table
 # invert_series stays bound here for perfbench's tracer, which patches it in this module
 from .reversion import invert_series  # noqa: F401
@@ -78,8 +81,8 @@ class RiordanMatrix:
     """The ``depth x depth`` block of ``T(f|g)``.
 
     The parameters are checked at construction; the entries are built on first
-    read, so ``inverse``, ``a_z_sequences`` and the right operand of ``@``, which
-    read only ``(f, g, depth)``, never build them.  :func:`build_triangle`
+    read, so ``apply``, ``@``, ``inverse`` and ``a_z_sequences``, which read only
+    ``(f, g, depth)``, never build them.  :func:`build_triangle`
     constructs and builds the entries at once.
 
     Equality compares the entry blocks (and depth): parameter series of
@@ -136,35 +139,24 @@ class RiordanMatrix:
     # the linear map and the group structure
     # ------------------------------------------------------------------
     def apply(self, h: Series) -> Series:
-        """The matrix acting on a series: ``(f/g) * h(x/g)``, read off the
-        entries as the product of the entry block with the coefficient
-        vector of ``h``, truncated to degree ``depth - 1``.  On integers: ``h`` is
-        scaled once, row ``n`` by the lcm of the denominators of its entries that meet
-        a nonzero ``h_k``, and each row's dot product gives one Fraction."""
+        """The matrix acting on a series: ``(f/g) * h(x/g)``, the product of the entry
+        block with the coefficient vector of ``h``, truncated to degree ``depth - 1``.
+        It reads only ``(f, g, depth)``: the sums run over the division kernel's integer
+        columns (:func:`_apply`), so the entries are never built."""
         p = self.depth - 1
         if h.precision < p:
             raise PrecisionError(f"apply needs the argument at precision {p}")
-        den_h, big_h = _integral(h.coefficients[: p + 1])
-        support = [k for k, c in enumerate(big_h) if c]
-        taps = [big_h[k] for k in support]
-        out = []
-        for n, row in enumerate(self.entries):
-            den, ints = _integral([row[k] for k in support[: bisect_right(support, n)]])
-            out.append(Fraction(sum(map(mul, ints, taps)), den * den_h))
-        return Series._of(out)
+        return _apply(self.f, self.g, (h,), p)[0]
 
     def product(self, other: RiordanMatrix) -> RiordanMatrix:
-        """Group product ``T(f1 * f2(x/g1) | g1 * g2(x/g1))``, read off this
-        matrix's entries: ``self.apply(h) == (f1/g1) * h(x/g1)``, so
-        ``f1 * f2(x/g1) == g1 * self.apply(f2)``, and ``g2(x/g1)`` is
-        ``self.apply(g2)`` divided by column 0, ``f1/g1``."""
+        """Group product ``T(f1 * f2(x/g1) | g1 * g2(x/g1))``, from the parameters of both
+        operands: ``T(g1|g1)`` acts on ``h`` as ``h(x/g1)``, so one kernel run on ``g1``
+        gives both substitutions (:func:`_apply`) and neither operand builds its entries."""
         if self.depth != other.depth:
             raise ValueError("product needs matrices of a common depth")
         p = self.depth - 1
-        g1 = self.g.truncate(p)
-        f_new = g1 * self.apply(other.f)
-        g_new = g1 * reciprocal(self.apply(other.g), self.column_series(0), p)
-        return build_triangle(f_new, g_new, self.depth)
+        f2x, g2x = _apply(self.g, self.g, (other.f, other.g), p)
+        return build_triangle(self.f.truncate(p) * f2x, self.g.truncate(p) * g2x, self.depth)
 
     def __matmul__(self, other: RiordanMatrix) -> RiordanMatrix:
         return self.product(other)
@@ -271,9 +263,10 @@ class RiordanMatrix:
     # classical-notation bridge
     # ------------------------------------------------------------------
     def to_classical(self) -> tuple[Series, Series]:
-        """The classical pair ``(d, h)`` with ``d = f/g``, read off column 0,
-        and ``h = x/g`` (column k is ``d * h**k``)."""
-        return self.column_series(0), _inv(self.g, self.depth - 1).shift(1)
+        """The classical pair ``(d, h)`` with ``d = f/g`` and ``h = x/g`` (column k is
+        ``d * h**k``), both divided from the parameters: the entries are not built."""
+        p = self.depth - 1
+        return reciprocal(self.f, self.g, p), _inv(self.g, p).shift(1)
 
     # ------------------------------------------------------------------
     # serialization
@@ -324,6 +317,35 @@ def _degree(depth: int) -> int:
 def _inv(s: Series, p: int) -> Series:
     """``1/s`` through degree ``p``."""
     return reciprocal(Series.one(p), s, p)
+
+
+def _apply(f: Series, g: Series, hs: Sequence[Series], p: int) -> list[Series]:
+    """``T(f|g)`` times each ``h`` in ``hs`` through degree ``p``, off one run of the
+    division kernel's integer columns (:func:`~riordan.fixpoint._integer_columns`).
+
+    With ``g0 = a/b``, entry ``(n, k)`` is ``S_k[n-k]*b**(k+1) / (M*delta_(n-k)*a**(k+1))``
+    and ``delta_(n-k)`` divides ``delta_n``, so row ``n`` sums over the denominator
+    ``M*delta_n*a**(n+1)*D``, ``D*h`` integral: term ``k`` gains the factor
+    ``(delta_n/delta_(n-k)) * a**(n-k) * b**(k+1)``, and each coefficient is one Fraction.
+    Each column is lifted once, by ``a**m * delta_p/delta_m`` at ``m = n - k``, so a row is
+    a sum of column slices times ``b**(k+1) * D*h_k``, divided exactly by ``delta_p/delta_n``.
+    """
+    den_f, g0, delta, columns = _integer_columns(f, g, p, p + 1)
+    a, b = g0.numerator, g0.denominator
+    drop = [delta[p] // d for d in delta]  # delta_p/delta_n
+    lift = list(map(mul, drop, accumulate(repeat(a, p), mul, initial=1)))
+    if any(v != 1 for v in lift):
+        columns = [list(map(mul, s, lift)) for s in columns]
+    dens = list(map(mul, delta, accumulate(repeat(a, p), mul, initial=den_f * a)))
+    out = []
+    for h in hs:
+        den_h, big_h = _integral(h.coefficients[: p + 1])
+        sums = [0] * (p + 1)
+        for k, (hk, bk) in enumerate(zip(big_h, accumulate(repeat(b, p), mul, initial=b))):
+            if hk:
+                sums[k:] = map(add, sums[k:], map(mul, columns[k], repeat(hk * bk)))
+        out.append(Series._of([Fraction(v // d, den * den_h) for v, d, den in zip(sums, drop, dens)]))
+    return out
 
 
 def identity(depth: int) -> RiordanMatrix:

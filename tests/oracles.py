@@ -67,6 +67,18 @@ def divided_columns(f: list[Fraction], g: list[Fraction], upto: int,
     return columns
 
 
+def matrix_vector(f: list[Fraction], g: list[Fraction], h: list[Fraction],
+                  upto: int) -> list[Fraction]:
+    """Coefficients 0..upto of ``T(f|g)`` times ``h``: column ``k`` is ``x**k * f``
+    divided by the power ``g**(k+1)``, and row ``n`` sums ``column_k[n] * h[k]``."""
+    columns, power = [], [Fraction(1)]
+    for k in range(upto + 1):
+        power = convolve(power, g, upto)  # g**(k+1)
+        columns.append(divide([Fraction(0)] * k + f, power, upto))
+    return [sum((columns[k][n] * h[k] for k in range(n + 1)), Fraction(0))
+            for n in range(upto + 1)]
+
+
 def division_scale(g: list[Fraction], upto: int) -> list[int]:
     """``delta_0..delta_upto`` by their definition: ``delta_0 = 1`` and
     ``delta_m`` the lcm of ``den(g_j/g_0)*delta_(m-j)`` over the nonzero

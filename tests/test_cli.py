@@ -327,12 +327,11 @@ def test_group_commands_refuse_a_zero_constant_term_with_exit_3(capsys, argv, me
     (("triangle", "--f", "one", "--g", "pascal_g"), 1),
     (("inverse", "--f", "one", "--g", "pascal_g"), 1),
     (("azseq", "--f", "one", "--g", "pascal_g"), 0),
-    (("product", "--f1", "one", "--g1", "pascal_g", "--f2", "arithgeo", "--g2", "[2,1]"), 2),
+    (("product", "--f1", "one", "--g1", "pascal_g", "--f2", "arithgeo", "--g2", "[2,1]"), 1),
 ], ids=["triangle", "inverse", "azseq", "product"])
 def test_group_commands_build_only_the_blocks_they_read(capsys, monkeypatch, argv, builds):
-    # inverse and azseq read only (f, g, depth) of their input, and product reads only
-    # (f, g) of its right operand: the entry blocks built are the outputs and product's
-    # left operand, which it reads through apply
+    # inverse, azseq and product read only (f, g, depth) of their inputs: the entry
+    # blocks built are the outputs
     calls = []
     original = triangles._division_columns
 

@@ -132,6 +132,22 @@ def test_affine_step_equals_product_plus_offset(monkeypatch):
         fraction_for_fraction(got, want)
 
 
+def test_affine_map_scales_its_data_once_for_every_precision(monkeypatch):
+    # slope and offset are scaled on the first call, over all their coefficients: a
+    # denominator read past the iterate's precision reduces to the same Fractions
+    amap = AffineMap(Series([0, F(1, 2), 0, F(-2, 3), 0, 0, 0, F(5, 11)], 9),
+                     Series([F(3, 4), 1, 0, 0, 0, F(1, 13)], 9))
+    scaled = []
+    real = fixpoint._integral
+    monkeypatch.setattr(fixpoint, "_integral", lambda cs: scaled.append(cs) or real(cs))
+    for p in (0, 2, 4, 9, 7):
+        t = Series([F(-1, 5), 2, F(1, 3), 0, 7, F(2, 7), 0, 1, 0, F(-9, 2)], p)
+        fraction_for_fraction(amap(t), amap.slope.truncate(p) * t + amap.offset.truncate(p))
+    assert scaled == [amap.slope.coefficients, amap.offset.coefficients]
+    trace = iterate_fixed(amap, Series.zero(9), 12)
+    assert len(scaled) == 2 and trace.last == amap(trace[-2])
+
+
 def record_iterations(monkeypatch):
     """Every ``iterate_crossed`` run, ``iterate_fixed`` and the CLI's included, as
     ``(scheme, start, steps, trace)``."""

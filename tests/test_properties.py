@@ -26,7 +26,7 @@ from riordan.reversion import invert_series, verify_lagrange
 from riordan.series import Series
 from riordan.triangles import build_triangle, from_json_dict, identity
 
-from oracles import coeffs, convolve, divide, divided_columns, division_scale, list_power
+from oracles import coeffs, convolve, divide, divided_columns, division_scale, matrix_vector
 from test_triangles import composed_product
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
@@ -120,10 +120,7 @@ def test_apply_of_a_product_is_apply_twice(panel):
 @given(panels(1))
 def test_apply_is_a_matrix_vector_product(panel):
     (t,), h = panel
-    p = t.depth - 1
-    fc, gc, hc = coeffs(t.f), coeffs(t.g), coeffs(h)
-    columns = [divide([F(0)] * k + fc, list_power(gc, k + 1, p), p) for k in range(p + 1)]
-    expected = [sum((columns[k][n] * hc[k] for k in range(n + 1)), F(0)) for n in range(p + 1)]
+    expected = matrix_vector(coeffs(t.f), coeffs(t.g), coeffs(h), t.depth - 1)
     assert coeffs(t.apply(h)) == expected
 
 

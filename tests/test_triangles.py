@@ -33,10 +33,12 @@ from oracles import (
     invert_lower_triangular,
     list_power,
     matmul_lower,
+    matrix_vector,
     past_precision,
     random_fraction,
     random_series,
 )
+from test_fixpoint import KERNEL_COFACTORS
 
 AG_MATRIX = [
     [-1],
@@ -233,7 +235,11 @@ def test_entries_built_on_first_read_equal_the_eager_build():
     lambda m: m.a_z_sequences(),
     lambda m: m.inverse_via_sequences(),
     lambda m: pascal(m.depth) @ m,
-], ids=["inverse", "a_z_sequences", "inverse_via_sequences", "right operand of @"])
+    lambda m: m @ pascal(m.depth),
+    lambda m: m.apply(Series([1, F(-1, 2), 0, 3], m.depth - 1)),
+    lambda m: m.to_classical(),
+], ids=["inverse", "a_z_sequences", "inverse_via_sequences", "right operand of @",
+        "left operand of @", "apply", "to_classical"])
 def test_parameter_operations_leave_the_entries_unbuilt(read):
     rng = random.Random(22)
     for depth in (2, 5, 9):
@@ -363,6 +369,29 @@ def test_apply_and_product_match_the_composition_formulas(make_series):
         # Series equality compares the coefficient tuples, so precision too
         assert (ab.f, ab.g) == composed_product(a, b)
         assert a.apply(h) == composed_apply(a, h)
+
+
+@pytest.mark.parametrize("g1", [
+    [F(-3, 2), 1, F(2, 5)],
+    # the taps g_j/g0 have no common base, so the kernel's scale takes the window path
+    coeffs(KERNEL_COFACTORS["gapped"]),
+    [F(-3, 2), 0, F(1, 5), 0, 0, F(2, 7)],
+], ids=["g0=-3/2", "gapped", "g0=-3/2 gapped"])
+@pytest.mark.parametrize("depth", [1, 2, 30])
+def test_product_and_apply_from_the_parameters(g1, depth):
+    # @ and apply sum the kernel's integer columns of the left operand: neither operand
+    # builds its entries, and the sums equal the composition and the divided columns
+    p = depth - 1
+    rng = random.Random(48)
+    a = triangles.RiordanMatrix(random_series(rng, p, nonzero_constant=True), Series(g1, p), depth)
+    b = triangles.RiordanMatrix(Series([F(1, 2), 0, 0, -3, 0, F(2, 9)], p),
+                                Series([-2, 0, F(5, 3), 0, 0, 0, 1], p), depth)
+    h = Series([0, 0, F(-4, 7), 0, 1, 0, 0, 0, F(1, 3)], p)
+    ab, got = a @ b, a.apply(h)
+    assert "entries" not in vars(a) and "entries" not in vars(b)
+    assert (ab.f, ab.g) == composed_product(a, b)
+    assert got.precision == p
+    assert coeffs(got) == matrix_vector(coeffs(a.f), coeffs(a.g), coeffs(h), p)
 
 
 @pytest.mark.parametrize("make_series", [
