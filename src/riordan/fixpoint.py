@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterator, Sequence
 
 from .series import DomainError, PrecisionError, Series, _integral, _mul_add
@@ -220,6 +220,35 @@ def _division_columns(f: Series, g: Series, precision: int, count: int) -> list[
         columns[k] = [Fraction(v * bk, d * ak) for v, d in zip(s, dens)]
         ak, bk = ak * a, bk * b
     return columns
+
+
+def _apply(f: Series, g: Series, hs: Sequence[Series], p: int) -> list[Series]:
+    """``T(f|g)`` times each ``h`` in ``hs`` through degree ``p``, off one run of the
+    division kernel's integer columns (:func:`_integer_columns`).
+
+    With ``g0 = a/b``, entry ``(n, k)`` is ``S_k[n-k]*b**(k+1) / (M*delta_(n-k)*a**(k+1))``
+    and ``delta_(n-k)`` divides ``delta_n``, so row ``n`` sums over the denominator
+    ``M*delta_n*a**(n+1)*D``, ``D*h`` integral: term ``k`` gains the factor
+    ``(delta_n/delta_(n-k)) * a**(n-k) * b**(k+1)``, and each coefficient is one Fraction.
+    Each column is lifted once, by ``a**m * delta_p/delta_m`` at ``m = n - k``, so a row is
+    a sum of column slices times ``b**(k+1) * D*h_k``, divided exactly by ``delta_p/delta_n``.
+    """
+    den_f, g0, delta, columns = _integer_columns(f, g, p, p + 1)
+    a, b = g0.numerator, g0.denominator
+    drop = [delta[p] // d for d in delta]  # delta_p/delta_n
+    lift = list(map(mul, drop, accumulate(repeat(a, p), mul, initial=1)))
+    if any(v != 1 for v in lift):
+        columns = [list(map(mul, s, lift)) for s in columns]
+    dens = list(map(mul, delta, accumulate(repeat(a, p), mul, initial=den_f * a)))
+    out = []
+    for h in hs:
+        den_h, big_h = _integral(h.coefficients[: p + 1])
+        sums = [0] * (p + 1)
+        for k, (hk, bk) in enumerate(zip(big_h, accumulate(repeat(b, p), mul, initial=b))):
+            if hk:
+                sums[k:] = map(add, sums[k:], map(mul, columns[k], repeat(hk * bk)))
+        out.append(Series._of([Fraction(v // d, den * den_h) for v, d, den in zip(sums, drop, dens)]))
+    return out
 
 
 def _integer_columns(f: Series, g: Series, precision: int,

@@ -26,6 +26,10 @@ reference path recomposes every stage by Horner, O(P**4).  The rows and their
 taps run on integers at the division kernel's per-degree scale ``delta_m``
 (:func:`~riordan.fixpoint._scale_rows`) for the side that fills them, so the
 row integers follow that side's own denominators.
+The same rows of ``(1, w)``, ``w = x*g(w)``, give the Riordan group inverse
+``T(1/f(w) | 1/g(w))`` of ``T(f|g)`` (:func:`_inverse_parameters`): ``x/w = 1/g(w)`` is
+the row rule read one column to the left, and ``(1/f)(w)`` is a dot product of each row
+with ``1/f``.
 The same fixed-point equation yields the coefficient identities
 
     ``n * [x^n] (omega^{-1})**k == k * [x^(n-k)] g**n``
@@ -41,10 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fixpoint import _scale_rows
-# reciprocal stays bound here for perfbench's tracer, which patches it in this module
-from .fixpoint import reciprocal  # noqa: F401
-from .series import DomainError, PrecisionError, Series
+from .fixpoint import _scale_rows, reciprocal
+from .series import DomainError, PrecisionError, Series, _integral
 
 __all__ = [
     "LagrangeReport",
@@ -94,6 +96,35 @@ def _table(cs: tuple[Fraction, ...], sign: int, precision: int) -> tuple[
         return cs[0] ** sign, delta, taps, sign, _fill_table(taps, sign, precision)
     delta, taps = _scale_rows([Fraction(q, d) for q, d in zip(other, delta)], precision)
     return cs[0] ** sign, delta, taps, -sign, _fill_table(taps, -sign, precision)
+
+
+def _inverse_parameters(f: Series, g: Series, p: int) -> tuple[Series, Series]:
+    """``(1/f(w), 1/g(w))`` through degree ``p``, ``w`` the compositional inverse of ``x/g``
+    (the parameters of the Riordan group inverse of ``T(f|g)``), off the rows
+    ``E[n][k] = delta_(n-k) [x^n] w**k / g0**n`` of ``(1, w)`` that :func:`_table` fills from
+    ``g`` on either side.  ``x/w = 1/g(w)`` is the row rule one column to the left,
+    ``[x^(n+1)] = -sign * g0**n * sum_i t_(n+1,i) e_i / delta_(n+1)`` with ``e_i = E[n][i-1]``
+    on the g side (``w = x*g(w)``) and ``E[n+1][i]`` on the omega side (``x/w = omega(w)/w``).
+    With ``R = M/f`` integral, ``[x^n] (1/f)(w) = g0**n * sum_j R_j E[n][j]
+    (delta_n/delta_(n-j)) / (M*delta_n)``, the factor a product of ``delta_m/delta_(m-1)``:
+    the one division is ``1/f``, and nothing is composed."""
+    g0, delta, taps, sign, rows = _table(g.coefficients[: p + 1], 1, p)
+    ratios = [1] + [d // c for c, d in zip(delta, delta[1:])]
+    den_f, big_r = _integral(reciprocal(Series.one(p), f, p).coefficients)
+    a, b = g0.numerator, g0.denominator
+    f_inv, g_inv = [], [1 / g0]
+    an, bn = 1, 1  # g0**n = an/bn
+    for n, row in enumerate(rows):
+        acc = 0
+        for j in range(n, -1, -1):  # Horner: R_j E[n][j] gains ratio_n*...*ratio_(n-j+1)
+            acc = acc * ratios[n - j] + big_r[j] * row[j]
+        f_inv.append(Fraction(acc * an, den_f * delta[n] * bn))
+        if n < p:
+            read = [0] + row if sign > 0 else rows[n + 1]
+            acc = sum(t * read[i] for i, t in taps[n + 1])
+            g_inv.append(Fraction(-sign * acc * an, delta[n + 1] * bn))
+        an, bn = an * a, bn * b
+    return Series._of(f_inv), Series._of(g_inv)
 
 
 def _power_table(omega: Series, precision: int) -> tuple[

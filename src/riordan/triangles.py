@@ -15,14 +15,10 @@ closed in parameter form:
               compositional inverse of ``x/g``
 
 Neither is computed by composing series.  The matrix acts on ``h`` as
-``(f/g) * h(x/g)``, its entry block times the coefficients of ``h``: sums over
-the division kernel's integer columns, one Fraction per coefficient.  ``T(g1|g1)``
-acts as ``h -> h(x/g1)``, so one kernel run on ``g1`` gives both substitutions of
-the product.  For the inverse, ``w = x*g(w)`` makes ``g`` the A-sequence of
-``(1, w)`` and ``omega = x/g`` its omega rule.  Reversion's table fills its rows
-from the shorter side, at the division kernel's per-degree scale; they give
-``x/w = 1/g(w)`` (the rule one column to the left) and ``(1/f)(w)`` (dot
-products with ``1/f``): only ``f`` is divided.
+``(f/g) * h(x/g)``, and ``T(g1|g1)`` acts as ``h -> h(x/g1)``: the division kernel
+sums its own integer columns for both (:func:`~riordan.fixpoint._apply`).  The
+inverse's parameters come off reversion's table of ``(1, w)``
+(:func:`~riordan.reversion._inverse_parameters`).
 
 The inverse is also expressible through the classical A- and Z-sequences,
 and multiplying the first parameter by powers of ``g`` prepends or deletes
@@ -40,15 +36,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, repeat
-from operator import add, mul
-from typing import Sequence
 
-from .fixpoint import _check_division, _division_columns, _integer_columns, reciprocal
-from .reversion import _table
+from .fixpoint import _apply, _check_division, _division_columns, reciprocal
+from .reversion import _inverse_parameters
 # invert_series stays bound here for perfbench's tracer, which patches it in this module
 from .reversion import invert_series  # noqa: F401
-from .series import DomainError, PrecisionError, Series, _integral, _literal
+from .series import DomainError, PrecisionError, Series, _literal
 
 __all__ = [
     "RiordanMatrix",
@@ -142,7 +135,7 @@ class RiordanMatrix:
         """The matrix acting on a series: ``(f/g) * h(x/g)``, the product of the entry
         block with the coefficient vector of ``h``, truncated to degree ``depth - 1``.
         It reads only ``(f, g, depth)``: the sums run over the division kernel's integer
-        columns (:func:`_apply`), so the entries are never built."""
+        columns (:func:`~riordan.fixpoint._apply`), so the entries are never built."""
         p = self.depth - 1
         if h.precision < p:
             raise PrecisionError(f"apply needs the argument at precision {p}")
@@ -151,7 +144,8 @@ class RiordanMatrix:
     def product(self, other: RiordanMatrix) -> RiordanMatrix:
         """Group product ``T(f1 * f2(x/g1) | g1 * g2(x/g1))``, from the parameters of both
         operands: ``T(g1|g1)`` acts on ``h`` as ``h(x/g1)``, so one kernel run on ``g1``
-        gives both substitutions (:func:`_apply`) and neither operand builds its entries."""
+        gives both substitutions (:func:`~riordan.fixpoint._apply`) and neither operand
+        builds its entries."""
         if self.depth != other.depth:
             raise ValueError("product needs matrices of a common depth")
         p = self.depth - 1
@@ -163,9 +157,8 @@ class RiordanMatrix:
 
     def inverse(self) -> RiordanMatrix:
         """Group inverse ``T(1/f(w) | 1/g(w))``, ``w`` the compositional
-        inverse of ``x/g``.  Neither parameter is composed: the rows of ``(1, w)``,
-        filled by reversion's table from ``g`` or ``omega = x/g``, whichever is
-        shorter, give ``x/w`` and ``(1/f)(w)`` (:meth:`_inverse_parameters`).
+        inverse of ``x/g``.  Neither parameter is composed: both come off reversion's
+        table of ``(1, w)`` (:func:`~riordan.reversion._inverse_parameters`).
 
         >>> print(build_triangle(Series.one(3), Series([1, -1], 3), 4).inverse().to_csv())
         1
@@ -173,35 +166,8 @@ class RiordanMatrix:
         1,-2,1
         -1,3,-3,1
         """
-        f_new, g_new = self._inverse_parameters()
+        f_new, g_new = _inverse_parameters(self.f, self.g, self.depth - 1)
         return build_triangle(f_new, g_new, self.depth)
-
-    def _inverse_parameters(self) -> tuple[Series, Series]:
-        """``(1/f(w), 1/g(w))``, ``w`` the compositional inverse of ``x/g``, off the rows
-        ``E[n][k] = delta_(n-k) [x^n] w**k / g0**n`` of ``(1, w)`` that ``reversion._table``
-        fills from ``g`` on either side.  ``x/w = 1/g(w)`` is the row rule one column to the
-        left, ``[x^(n+1)] = -sign * g0**n * sum_i t_(n+1,i) e_i / delta_(n+1)`` with ``e_i =
-        E[n][i-1]`` on the g side (``w = x*g(w)``) and ``E[n+1][i]`` on the omega side (``x/w =
-        omega(w)/w``).  With ``R = M/f`` integral, ``[x^n] (1/f)(w) = g0**n * sum_j R_j E[n][j]
-        (delta_n/delta_(n-j)) / (M*delta_n)``, the factor a product of ``delta_m/delta_(m-1)``."""
-        p = self.depth - 1
-        g0, delta, taps, sign, rows = _table(self.g.coefficients[: p + 1], 1, p)
-        ratios = [1] + [d // c for c, d in zip(delta, delta[1:])]
-        den_f, big_r = _integral(_inv(self.f, p).coefficients)
-        a, b = g0.numerator, g0.denominator
-        f_inv, g_inv = [], [1 / g0]
-        an, bn = 1, 1  # g0**n = an/bn
-        for n, row in enumerate(rows):
-            acc = 0
-            for j in range(n, -1, -1):  # Horner: R_j E[n][j] gains ratio_n*...*ratio_(n-j+1)
-                acc = acc * ratios[n - j] + big_r[j] * row[j]
-            f_inv.append(Fraction(acc * an, den_f * delta[n] * bn))
-            if n < p:
-                read = [0] + row if sign > 0 else rows[n + 1]
-                acc = sum(t * read[i] for i, t in taps[n + 1])
-                g_inv.append(Fraction(-sign * acc * an, delta[n + 1] * bn))
-            an, bn = an * a, bn * b
-        return Series._of(f_inv), Series._of(g_inv)
 
     # ------------------------------------------------------------------
     # A/Z sequences
@@ -213,7 +179,7 @@ class RiordanMatrix:
         ``Z`` one degree shorter (the division by ``x``)."""
         if self.depth < 2:
             raise ValueError("sequence extraction needs depth >= 2")
-        f_inv, a_seq = self._inverse_parameters()
+        f_inv, a_seq = _inverse_parameters(self.f, self.g, self.depth - 1)
         ratio = self.f.coefficient(0) / self.g.coefficient(0)
         numerator = a_seq - f_inv * ratio
         if numerator.coefficient(0) != 0:
@@ -317,35 +283,6 @@ def _degree(depth: int) -> int:
 def _inv(s: Series, p: int) -> Series:
     """``1/s`` through degree ``p``."""
     return reciprocal(Series.one(p), s, p)
-
-
-def _apply(f: Series, g: Series, hs: Sequence[Series], p: int) -> list[Series]:
-    """``T(f|g)`` times each ``h`` in ``hs`` through degree ``p``, off one run of the
-    division kernel's integer columns (:func:`~riordan.fixpoint._integer_columns`).
-
-    With ``g0 = a/b``, entry ``(n, k)`` is ``S_k[n-k]*b**(k+1) / (M*delta_(n-k)*a**(k+1))``
-    and ``delta_(n-k)`` divides ``delta_n``, so row ``n`` sums over the denominator
-    ``M*delta_n*a**(n+1)*D``, ``D*h`` integral: term ``k`` gains the factor
-    ``(delta_n/delta_(n-k)) * a**(n-k) * b**(k+1)``, and each coefficient is one Fraction.
-    Each column is lifted once, by ``a**m * delta_p/delta_m`` at ``m = n - k``, so a row is
-    a sum of column slices times ``b**(k+1) * D*h_k``, divided exactly by ``delta_p/delta_n``.
-    """
-    den_f, g0, delta, columns = _integer_columns(f, g, p, p + 1)
-    a, b = g0.numerator, g0.denominator
-    drop = [delta[p] // d for d in delta]  # delta_p/delta_n
-    lift = list(map(mul, drop, accumulate(repeat(a, p), mul, initial=1)))
-    if any(v != 1 for v in lift):
-        columns = [list(map(mul, s, lift)) for s in columns]
-    dens = list(map(mul, delta, accumulate(repeat(a, p), mul, initial=den_f * a)))
-    out = []
-    for h in hs:
-        den_h, big_h = _integral(h.coefficients[: p + 1])
-        sums = [0] * (p + 1)
-        for k, (hk, bk) in enumerate(zip(big_h, accumulate(repeat(b, p), mul, initial=b))):
-            if hk:
-                sums[k:] = map(add, sums[k:], map(mul, columns[k], repeat(hk * bk)))
-        out.append(Series._of([Fraction(v // d, den * den_h) for v, d, den in zip(sums, drop, dens)]))
-    return out
 
 
 def identity(depth: int) -> RiordanMatrix:

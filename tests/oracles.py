@@ -2,7 +2,9 @@
 
 Everything here works on plain lists of Fractions with naive textbook
 algorithms (back substitution, convolution, forward elimination), on
-purpose avoiding the library code paths they are used to check.
+purpose avoiding the library code paths they are used to check.  The
+shared matrices near the end are the exception: they are inputs, built
+by the library.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ import math
 import random
 from fractions import Fraction
 
+from riordan.fixpoint import reciprocal
 from riordan.series import Series
+from riordan.triangles import build_triangle
 
 
 def frac(p, q=1) -> Fraction:
@@ -77,6 +81,15 @@ def matrix_vector(f: list[Fraction], g: list[Fraction], h: list[Fraction],
         columns.append(divide([Fraction(0)] * k + f, power, upto))
     return [sum((columns[k][n] * h[k] for k in range(n + 1)), Fraction(0))
             for n in range(upto + 1)]
+
+
+def shifted_entry_oracle(fc: list[Fraction], gc: list[Fraction], m: int, n: int,
+                         k: int) -> Fraction:
+    """[x^(n-k)] of f*g**(m-k-1), dividing when the exponent is negative."""
+    e = m - k - 1
+    if e >= 0:
+        return convolve(fc, list_power(gc, e, n), n)[n - k]
+    return divide(fc, list_power(gc, -e, n), n)[n - k]
 
 
 def division_scale(g: list[Fraction], upto: int) -> list[int]:
@@ -175,6 +188,37 @@ def format_polynomial(coeffs: list[Fraction]) -> str:
     for sign, body in terms[1:]:
         rendered += sign + body
     return rendered
+
+
+# ----------------------------------------------------------------------
+# shared matrices: inputs built by the library, not references
+# ----------------------------------------------------------------------
+
+AG_MATRIX = [
+    [-1],
+    [-4, 1],
+    [-11, 6, -1],
+    [-26, 23, -8, 1],
+    [-57, 72, -39, 10, -1],
+    [-120, 201, -150, 59, -12, 1],
+]
+
+
+def ag_triangle(depth=6, precision=8):
+    """``T(1/(1-x)**2 | 2x - 1)``, whose first six rows are :data:`AG_MATRIX`."""
+    f = reciprocal(Series.one(precision), Series([1, -2, 1], precision), precision)
+    return build_triangle(f, Series([-1, 2], precision), depth)
+
+
+def pascal(depth=10):
+    p = depth - 1
+    return build_triangle(Series.one(p), Series([1, -1], p), depth)
+
+
+def random_matrix(rng: random.Random, depth: int, extra=0):
+    f = random_series(rng, depth - 1 + extra, nonzero_constant=True)
+    g = random_series(rng, depth - 1 + extra, nonzero_constant=True)
+    return build_triangle(f, g, depth)
 
 
 # ----------------------------------------------------------------------

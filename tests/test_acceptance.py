@@ -25,38 +25,19 @@ from riordan.series import Series, distance
 from riordan.triangles import build_triangle, from_json_dict, identity
 
 from oracles import (
+    AG_MATRIX,
+    ag_triangle,
     coeffs,
     compositional_inverse,
     divide,
     list_power,
     matmul_lower,
+    pascal,
+    random_matrix,
     random_order_one,
     random_series,
+    shifted_entry_oracle,
 )
-
-AG_MATRIX = [
-    [-1],
-    [-4, 1],
-    [-11, 6, -1],
-    [-26, 23, -8, 1],
-    [-57, 72, -39, 10, -1],
-    [-120, 201, -150, 59, -12, 1],
-]
-
-
-def ag_triangle(depth=6, precision=8):
-    f = reciprocal(Series.one(precision), Series([1, -2, 1], precision), precision)
-    return build_triangle(f, Series([-1, 2], precision), depth)
-
-
-def pascal(depth=10):
-    return build_triangle(Series.one(depth - 1), Series([1, -1], depth - 1), depth)
-
-
-def random_matrix(rng, depth, extra=0):
-    f = random_series(rng, depth - 1 + extra, nonzero_constant=True)
-    g = random_series(rng, depth - 1 + extra, nonzero_constant=True)
-    return build_triangle(f, g, depth)
 
 
 def report(n, text):
@@ -155,18 +136,6 @@ def test_c07_a_z_sequences():
         assert t.inverse_via_sequences() == t.inverse()
     report(7, "A/Z sequences satisfy their defining recurrences on 20 random "
               "depth-10 arrays and rebuild the inverse")
-
-
-def shifted_entry_oracle(fc, gc, m, n, k):
-    e = m - k - 1
-    if e >= 0:
-        gpow = list_power(gc, e, n)
-        prod = [F(0)] * (n + 1)
-        for i, fi in enumerate(fc[: n + 1]):
-            for j in range(n + 1 - i):
-                prod[i + j] += fi * gpow[j]
-        return prod[n - k]
-    return divide(fc, list_power(gc, -e, n), n)[n - k]
 
 
 def test_c08_shift_entry_formula():

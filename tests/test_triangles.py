@@ -10,7 +10,7 @@ from itertools import chain
 
 import pytest
 
-from riordan import reversion, triangles
+from riordan import fixpoint, reversion, triangles
 from riordan.fixpoint import _integer_columns, reciprocal
 from riordan.reversion import invert_series, verify_lagrange
 from riordan.series import DomainError, PrecisionError, Series
@@ -25,6 +25,8 @@ from riordan.triangles import (
 )
 
 from oracles import (
+    AG_MATRIX,
+    ag_triangle,
     coeffs,
     compositional_inverse,
     convolve,
@@ -35,39 +37,17 @@ from oracles import (
     matmul_lower,
     matrix_vector,
     past_precision,
+    pascal,
     random_fraction,
+    random_matrix,
     random_series,
+    shifted_entry_oracle,
 )
 from test_fixpoint import KERNEL_COFACTORS
-
-AG_MATRIX = [
-    [-1],
-    [-4, 1],
-    [-11, 6, -1],
-    [-26, 23, -8, 1],
-    [-57, 72, -39, 10, -1],
-    [-120, 201, -150, 59, -12, 1],
-]
-
-
-def pascal(depth=10):
-    p = depth - 1
-    return build_triangle(Series.one(p), Series([1, -1], p), depth)
-
-
-def ag_triangle(depth=6, precision=8):
-    f = reciprocal(Series.one(precision), Series([1, -2, 1], precision), precision)
-    return build_triangle(f, Series([-1, 2], precision), depth)
 
 
 def rows_as_int(t):
     return [[int(e) for e in row] for row in t.entries]
-
-
-def random_matrix(rng, depth, extra=0):
-    f = random_series(rng, depth - 1 + extra, nonzero_constant=True)
-    g = random_series(rng, depth - 1 + extra, nonzero_constant=True)
-    return build_triangle(f, g, depth)
 
 
 def sparse_series(rng, precision):
@@ -516,7 +496,8 @@ def test_table_integers_stay_near_the_size_of_the_results(monkeypatch):
     assert bits(table) <= 2 * bits(invert_series(omega, p).coefficients)
 
     seen = record_table_calls(monkeypatch)
-    f_inv, g_inv = bell(Series([1, F(1, 3), 2], p), p + 1)._inverse_parameters()
+    t = bell(Series([1, F(1, 3), 2], p), p + 1)
+    f_inv, g_inv = reversion._inverse_parameters(t.f, t.g, p)
     # g's scale, then omega's (x + x^2/3 + 2x^3 reads 3 taps), then the omega-side rows
     assert [name for name, _, _ in seen] == ["_scale_rows", "_scale_rows", "_fill_table"]
     assert seen[2][1][1] == -1
@@ -561,19 +542,32 @@ def test_inverse_parameters_make_one_division_of_f_and_no_reversion(monkeypatch)
     # x/w and (1/f)(w) come off one integer table; only the input f is divided
     calls = {"reciprocal": [], "invert_series": []}
     for name in calls:
-        original = getattr(triangles, name)
+        original = getattr(reversion, name)
 
         def counting(*args, name=name, original=original):
             calls[name].append(args)
             return original(*args)
 
-        monkeypatch.setattr(triangles, name, counting)
+        monkeypatch.setattr(reversion, name, counting)
     for t in (pascal(8), ag_triangle(6), random_matrix(random.Random(48), 9)):
         calls.update({name: [] for name in calls})
-        t._inverse_parameters()
+        reversion._inverse_parameters(t.f, t.g, t.depth - 1)
         assert len(calls["reciprocal"]) == 1
         assert calls["reciprocal"][0][1] is t.f
         assert calls["invert_series"] == []
+
+
+def test_triangles_decodes_no_integer_format():
+    # the kernel's columns are summed in fixpoint and the (1, w) table is read in
+    # reversion, each beside the code that makes it; triangles only calls them
+    for name in ("_integer_columns", "_table", "_fill_table", "_scale_rows", "_integral"):
+        assert not hasattr(triangles, name), name
+    assert not hasattr(triangles.RiordanMatrix, "_inverse_parameters")
+    assert triangles._apply is fixpoint._apply
+    assert triangles._inverse_parameters is reversion._inverse_parameters
+    # perfbench's tracer patches these two bindings in triangles
+    assert triangles.reciprocal is fixpoint.reciprocal
+    assert triangles.invert_series is reversion.invert_series
 
 
 @pytest.mark.parametrize("call", [
@@ -769,19 +763,6 @@ def test_shift_round_trip():
     t = ag_triangle(6, precision=8)
     assert t.shift(1).shift(-1) == t
     assert t.shift(-2).shift(2) == t
-
-
-def shifted_entry_oracle(fc, gc, m, n, k):
-    """[x^(n-k)] of f*g**(m-k-1), dividing when the exponent is negative."""
-    e = m - k - 1
-    if e >= 0:
-        gpow = list_power(gc, e, n)
-        prod = [F(0)] * (n + 1)
-        for i, fi in enumerate(fc[: n + 1]):
-            for j in range(n + 1 - i):
-                prod[i + j] += fi * gpow[j]
-        return prod[n - k]
-    return divide(fc, list_power(gc, -e, n), n)[n - k]
 
 
 def test_shift_entry_formula():
