@@ -296,8 +296,8 @@ def _scale_rows(cs: Sequence[Fraction],
     If every ``den(c_j)`` divides ``e**j``, ``e = den(c_1)``, then ``delta_m = e**m``
     and one row serves every degree from the last tap ``d`` on.  Otherwise, from ``d``
     on, the ratio ``delta_m/delta_(m-1)`` and row ``m`` depend only on the ``d - 1``
-    ratios before it, so each window is computed once and its ratio and row are looked
-    up after."""
+    ratios before it, so once a window repeats, first seen ``k`` degrees earlier, the
+    ratios and rows from there on repeat with period ``k`` and are copied."""
     a, b = cs[0].numerator, cs[0].denominator
     taps = []  # (j, num(c_j), den(c_j)) for the nonzero c_j
     for j, cj in enumerate(cs[1: precision + 1], 1):
@@ -313,16 +313,20 @@ def _scale_rows(cs: Sequence[Fraction],
         return list(accumulate(repeat(e, precision), mul, initial=1)), rows
     delta, ratios, rows, seen = [1], [1], [[]], {}
     for m in range(1, precision + 1):
-        key = tuple(ratios[m - d + 1:]) if m >= d else m  # a degree's own key below d
-        if key not in seen:
-            prods = [den * delta[m - j] for j, _, den in taps if j <= m]
-            dm = math.lcm(*prods)
-            row = [(j, num * (dm // p)) for (j, num, _), p in zip(taps, prods)]
-            seen[key] = dm // delta[-1], row
-        ratio, row = seen[key]
-        ratios.append(ratio)
-        delta.append(delta[-1] * ratio)
-        rows.append(row)
+        window = tuple(ratios[m - d + 1:]) if m >= d else m  # a degree's own key below d
+        if window in seen:
+            period = m - seen[window]
+            for n in range(m, precision + 1):
+                ratios.append(ratios[n - period])
+                delta.append(delta[-1] * ratios[-1])
+                rows.append(rows[n - period])
+            break
+        seen[window] = m
+        prods = [den * delta[m - j] for j, _, den in taps if j <= m]
+        dm = math.lcm(*prods)
+        ratios.append(dm // delta[-1])
+        delta.append(dm)
+        rows.append([(j, num * (dm // p)) for (j, num, _), p in zip(taps, prods)])
     return delta, rows
 
 

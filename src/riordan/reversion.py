@@ -168,8 +168,8 @@ def invert_series(omega: Series, precision: int) -> Series:
     """
     g0, delta, _, _, rows = _power_table(omega, precision)
     a, b = g0.numerator, g0.denominator
-    return Series([0] + [Fraction(row[1] * a ** n, delta[n - 1] * b ** n)
-                         for n, row in enumerate(rows) if n])
+    return Series._of([Fraction(0)] + [Fraction(row[1] * a ** n, delta[n - 1] * b ** n)
+                                       for n, row in enumerate(rows) if n])
 
 
 def lagrange_coefficient(g: Series, n: int, k: int) -> Fraction:

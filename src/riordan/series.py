@@ -7,13 +7,14 @@ exact.  Results carry the most conservative precision their inputs justify:
 the minimum of the operand precisions for ring operations and composition,
 one degree less for differentiation.
 
-The ring operations run on integers: each operand is scaled once by the lcm
-of its denominators, the sum or the convolution is taken on those integers,
-and one reduced Fraction is built per output coefficient (with no gcd when
-the scale is 1).  The affine step ``a*b + c`` of the iteration engine is one
-such pass: the convolution is added straight onto the scaled ``c``.  The
-entries are canonical, so the result is the same series the schoolbook
-Fraction sums give.
+The ring operations run on integers, in one pass, ``_mul_add``, that computes
+``a*b + c``: each operand is scaled once by the lcm of its denominators, the
+convolution of ``a`` and ``b`` is added straight onto the scaled ``c``, and one
+reduced Fraction is built per output coefficient (with no gcd when the scale is
+1).  ``s * t`` is ``s*t + 0``, ``s + t`` is ``1*s + t``, ``s - t`` is
+``(-1)*t + s``, and the affine step of the iteration engine is the pass as it
+stands.  The entries are canonical, so the result is the same series the
+schoolbook Fraction sums give.
 
 The module also provides the non-Archimedean metric that drives the
 iteration engine: ``distance(f, g) == Fraction(1, 2**k)`` where ``k`` is
@@ -79,27 +80,6 @@ def _integral(cs: Sequence[Fraction]) -> tuple[int, list[int]]:
     if den == 1:
         return 1, [n for n, _ in pairs]
     return den, [n * (den // d) for n, d in pairs]
-
-
-def _convolve(a: list[int], b: list[int], out: list[int]) -> list[int]:
-    """``out`` plus the product of ``a`` and ``b`` through degree ``len(out) - 1``, added
-    in place; zero coefficients of either factor are skipped."""
-    p = len(out) - 1
-    taps = [(j, bj) for j, bj in enumerate(b) if bj]
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in taps:
-                if i + j > p:
-                    break
-                out[i + j] += ai * bj
-    return out
-
-
-def _over(ints: list[int], den: int) -> list[Fraction]:
-    """``[Fraction(c, den) for c in ints]``, reduced; over ``den == 1`` no gcd is taken."""
-    if den == 1:
-        return [Fraction(c) for c in ints]
-    return [Fraction(c, den) for c in ints]
 
 
 def _literal(entry: object, where: str) -> Fraction:
@@ -265,11 +245,7 @@ class Series:
     def __add__(self, other: Series | Rational) -> Series:
         if isinstance(other, Series):
             p = min(self.precision, other.precision)
-            da, a = _integral(self._coeffs[: p + 1])
-            db, b = _integral(other._coeffs[: p + 1])
-            den = math.lcm(da, db)
-            sa, sb = den // da, den // db
-            return Series._of(_over([x * sa + y * sb for x, y in zip(a, b)], den))
+            return _mul_add((1, [1]), self, _integral(other._coeffs[: p + 1]), p)
         if isinstance(other, (int, Fraction)):
             values = list(self._coeffs)
             values[0] += other
@@ -279,7 +255,10 @@ class Series:
     __radd__ = __add__
 
     def __sub__(self, other: Series | Rational) -> Series:
-        if isinstance(other, (Series, int, Fraction)):
+        if isinstance(other, Series):
+            p = min(self.precision, other.precision)
+            return _mul_add((1, [-1]), other, _integral(self._coeffs[: p + 1]), p)
+        if isinstance(other, (int, Fraction)):
             return self + (-other)
         return NotImplemented
 
@@ -289,9 +268,7 @@ class Series:
     def __mul__(self, other: Series | Rational) -> Series:
         if isinstance(other, Series):
             p = min(self.precision, other.precision)
-            da, a = _integral(self._coeffs[: p + 1])
-            db, b = _integral(other._coeffs[: p + 1])
-            return Series._of(_over(_convolve(a, b, [0] * (p + 1)), da * db))
+            return _mul_add(_integral(self._coeffs[: p + 1]), other, (1, [0] * (p + 1)), p)
         if isinstance(other, (int, Fraction)):
             return Series._of([c * other for c in self._coeffs])
         return NotImplemented
@@ -366,19 +343,31 @@ class Series:
 
 def _mul_add(a: tuple[int, list[int]], b: Series, c: tuple[int, list[int]], p: int) -> Series:
     """``a*b + c`` through degree ``p`` in one integer pass, ``a`` and ``c`` given scaled,
-    as :func:`_integral` returns them, over at least ``p + 1`` coefficients: ``b`` is scaled
-    once, the convolution of ``a`` and ``b`` is added straight onto ``c`` over the common
-    denominator, and one reduced Fraction is built per coefficient.  A denominator that
-    clears more coefficients than are read gives the same Fractions, so ``a`` and ``c`` can
-    be scaled once and read at any ``p``.  The zero coefficients of ``a`` cost nothing, so
+    as :func:`_integral` returns them: ``c`` over at least ``p + 1`` coefficients, ``a``
+    over any number, a missing coefficient counting as zero.  ``b`` is scaled once, the
+    convolution of ``a`` and ``b`` is added straight onto ``c`` over the common denominator,
+    and one reduced Fraction is built per coefficient (with no gcd when that is 1).
+    ``*``, ``+`` and ``-`` on two series and the Picard step of
+    :class:`~riordan.fixpoint.AffineMap` all run this pass.  A denominator that clears
+    more coefficients than are read gives the same Fractions, so ``a`` and ``c`` can be
+    scaled once and read at any ``p``.  The zero coefficients of ``a`` cost nothing, so
     pass the sparser factor there."""
     (da, ia), (dc, ic) = a, c
     db, ib = _integral(b._coeffs[: p + 1])
     den = math.lcm(da * db, dc)
     sa, sc = den // (da * db), den // dc
     ia = ia[: p + 1] if sa == 1 else [v * sa for v in ia[: p + 1]]
-    ic = ic[: p + 1] if sc == 1 else [v * sc for v in ic[: p + 1]]  # a copy: added onto
-    return Series._of(_over(_convolve(ia, ib, ic), den))
+    out = ic[: p + 1] if sc == 1 else [v * sc for v in ic[: p + 1]]  # a copy: added onto
+    taps = [(j, bj) for j, bj in enumerate(ib) if bj]
+    for i, ai in enumerate(ia):
+        if ai:
+            for j, bj in taps:
+                if i + j > p:
+                    break
+                out[i + j] += ai * bj
+    if den == 1:
+        return Series._of([Fraction(v) for v in out])
+    return Series._of([Fraction(v, den) for v in out])
 
 
 def distance(s1: Series, s2: Series) -> Fraction:

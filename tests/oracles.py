@@ -18,10 +18,6 @@ from riordan.series import Series
 from riordan.triangles import build_triangle
 
 
-def frac(p, q=1) -> Fraction:
-    return Fraction(p, q)
-
-
 def coeffs(s: Series) -> list[Fraction]:
     return list(s.coefficients)
 

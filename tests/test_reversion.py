@@ -67,6 +67,23 @@ def test_invert_matches_oracle_random():
         assert coeffs(got) == compositional_inverse(coeffs(omega), 8)
 
 
+def test_invert_builds_its_result_without_the_coercing_constructor(monkeypatch):
+    # like every kernel decoder, invert_series stores the Fractions it built: with the
+    # public constructor's coercion refused it gives the oracle's series all the same
+    rng = random.Random(55)
+    panel = [(random_order_one(rng, p + 1), p) for p in range(1, 10)]
+    want = [Series(compositional_inverse(coeffs(omega), p)) for omega, p in panel]
+
+    def refuse(value):
+        raise AssertionError(f"coerced {value!r}")
+
+    monkeypatch.setattr("riordan.series._coerce", refuse)
+    for (omega, p), ref in zip(panel, want):
+        got = invert_series(omega, p)
+        assert all(type(c) is F for c in got.coefficients)
+        assert got.precision == p and got.coefficients == ref.coefficients
+
+
 def test_invert_round_trips_composition():
     rng = random.Random(53)
     for _ in range(8):
