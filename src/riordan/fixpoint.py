@@ -6,14 +6,15 @@ its unique fixed point from any start.  One step is one integer pass: ``t`` is
 scaled to integers, ``a*t`` is convolved onto the scaled ``b``, and one reduced
 Fraction is built per coefficient of the iterate; ``a`` and ``b`` are scaled on
 the map's first call, so plain iteration scales them once per run.
-Iterating a *sequence* of such maps (the "crossed" iteration, applying map
-``m`` at step ``m``) converges to the fixed point of the pointwise limit map
-while only ever touching Taylor data of degree ``m`` at step ``m`` -- which is
-what turns the limit statements into finite, exact algorithms.
+Iterating a *sequence* of such maps (the "crossed" iteration of a scheme, the
+step function ``m -> AffineMap`` whose map ``m`` is applied at step ``m``)
+converges to the fixed point of the pointwise limit map while only ever touching
+Taylor data of degree ``m`` at step ``m`` -- which is what turns the limit
+statements into finite, exact algorithms.
 
-Series division is the flagship instance: ``f/g`` is the fixed point of
-``t -> ((g0 - g)/g0)*t + f/g0``, and the crossed iteration of its Taylor
-truncations computes it degree by degree.  :func:`reciprocal`, the one
+Series division is the flagship instance: the crossed iterates of the Taylor
+truncations of the limit map ``t -> ((g0 - g)/g0)*t + f/g0`` reach its fixed
+point ``f/g`` degree by degree.  :func:`reciprocal`, the one
 division kernel, applies it one degree per step, on integers: scaled by
 ``M*delta_n*g0``, ``delta_n`` the least common denominator the taps ``g_j/g0``
 can give it, degree ``n`` obeys the same map with every division multiplied
@@ -38,7 +39,6 @@ from .series import DomainError, PrecisionError, Series, _integral, _mul_add
 
 __all__ = [
     "AffineMap",
-    "IterationScheme",
     "IterationTrace",
     "NotContractiveError",
     "column_scheme",
@@ -85,19 +85,6 @@ class AffineMap:
 
 
 @dataclass(frozen=True)
-class IterationScheme:
-    """A step-indexed family of contractions plus its pointwise limit.
-
-    ``maps(m)`` is the contraction applied at step ``m`` of the crossed
-    iteration.  ``limit_map``, when known, is the map whose fixed point the
-    crossed iterates converge to.
-    """
-
-    maps: Callable[[int], AffineMap]
-    limit_map: AffineMap | None = None
-
-
-@dataclass(frozen=True)
 class IterationTrace:
     """The ordered iterates of a run; ``iterates[0]`` is the start point."""
 
@@ -136,12 +123,15 @@ class IterationTrace:
         return rows
 
 
-def iterate_crossed(scheme: IterationScheme, start: Series, steps: int) -> IterationTrace:
-    """Crossed iteration: apply ``scheme.maps(m)`` at step ``m``."""
+def iterate_crossed(scheme: Callable[[int], AffineMap], start: Series,
+                    steps: int) -> IterationTrace:
+    """Crossed iteration: apply the contraction ``scheme(m)`` at step ``m``."""
+    if steps < 0:
+        raise ValueError("steps must be a natural number")
     iterates = [start]
     for m in range(steps):
         try:
-            current = scheme.maps(m)
+            current = scheme(m)
         except NotContractiveError as exc:
             raise NotContractiveError(f"scheme map for step {m}: {exc}") from exc
         iterates.append(current(iterates[-1]))
@@ -156,7 +146,7 @@ def iterate_fixed(map_: AffineMap, start: Series, steps: int) -> IterationTrace:
     least, provided the precisions of ``start`` and the map data cover the
     requested depth.
     """
-    return iterate_crossed(IterationScheme(lambda m: map_, map_), start, steps)
+    return iterate_crossed(lambda m: map_, start, steps)
 
 
 def _check_division(f: Series, g: Series, precision: int) -> None:
@@ -170,12 +160,12 @@ def _check_division(f: Series, g: Series, precision: int) -> None:
         )
 
 
-def reciprocal_scheme(f: Series, g: Series, precision: int) -> IterationScheme:
-    """The division scheme: crossed iterates converge to ``f/g``.
+def reciprocal_scheme(f: Series, g: Series, precision: int) -> Callable[[int], AffineMap]:
+    """The division scheme ``m -> AffineMap``, whose crossed iterates reach ``f/g``, the
+    fixed point of the limit map ``t -> ((g0 - g)/g0)*t + f/g0``.
 
-    Step ``m`` uses the degree-``m`` Taylor polynomials of the slope
-    ``(g0 - g)/g0`` and offset ``f/g0``; as polynomials they are exact, so
-    they are padded back to the working precision.
+    Step ``m`` uses the degree-``m`` Taylor polynomials of that slope and offset; as
+    polynomials they are exact, so they are padded back to the working precision.
     """
     _check_division(f, g, precision)
     inv_g0 = Fraction(1) / g.coefficient(0)
@@ -190,7 +180,7 @@ def reciprocal_scheme(f: Series, g: Series, precision: int) -> IterationScheme:
             offset_data.truncate(cut).pad(precision),
         )
 
-    return IterationScheme(maps, AffineMap(slope_data, offset_data))
+    return maps
 
 
 def reciprocal(f: Series, g: Series, precision: int) -> Series:
@@ -330,7 +320,7 @@ def _scale_rows(cs: Sequence[Fraction],
     return delta, rows
 
 
-def column_scheme(f: Series, g: Series, n: int, prev_column: Series) -> IterationScheme:
+def column_scheme(f: Series, g: Series, n: int, prev_column: Series) -> Callable[[int], AffineMap]:
     """Scheme whose crossed iteration builds column ``n`` from column ``n-1``.
 
     ``prev_column`` must be the column-(n-1) series ``x**(n-2) * f / g**(n-1)``

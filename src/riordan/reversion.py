@@ -189,6 +189,8 @@ def lagrange_coefficient(g: Series, n: int, k: int) -> Fraction:
     if k > n:
         return Fraction(0)
     m = n - k
+    if g.precision < m:
+        raise PrecisionError(f"the Lagrange coefficient ({n}, {k}) needs g at precision {m}")
     delta, taps = _scale_rows(g.truncate(m).coefficients, m)
     power = _power_coefficients(taps, n, m + 1)[-1]  # delta_m * [x^m] (g/g0)**n
     return Fraction(k * power, n * delta[m]) * g.coefficient(0) ** n

@@ -9,7 +9,6 @@ import pytest
 from riordan import cli, fixpoint
 from riordan.fixpoint import (
     AffineMap,
-    IterationScheme,
     NotContractiveError,
     _division_columns,
     _integer_columns,
@@ -68,7 +67,7 @@ def test_contraction_certificate_random():
     ]
     for scheme in schemes:
         for m in (0, 1, 3, 8):
-            amap = scheme.maps(m)
+            amap = scheme(m)
             for _ in range(4):
                 t1 = random_series(rng, 8)
                 t2 = random_series(rng, 8)
@@ -184,7 +183,7 @@ def test_cli_traces_equal_the_unfused_reference_loop(monkeypatch, capsys, argv):
     for (scheme, start, steps, trace), out in zip(runs, printed):
         want = [start]
         for m in range(steps):
-            amap = scheme.maps(m)
+            amap = scheme(m)
             want.append(amap.slope * want[-1] + amap.offset)
         for got, expected in zip(trace, want, strict=True):
             fraction_for_fraction(got, expected)
@@ -269,19 +268,33 @@ def test_third_column_crossed_trace():
 
 def test_constant_scheme_equals_fixed_iteration():
     amap = geometric_map()
-    scheme = IterationScheme(lambda m: amap, amap)
     start = Series.zero(GEOMETRIC_MAP_PRECISION)
-    assert iterate_crossed(scheme, start, 5) == iterate_fixed(amap, start, 5)
+    assert iterate_crossed(lambda m: amap, start, 5) == iterate_fixed(amap, start, 5)
 
 
 def test_scheme_limit_map_fixes_the_quotient():
+    # the limit map t -> ((g0 - g)/g0)*t + f/g0 fixes f/g, and the crossed
+    # iterates of the division scheme reach that fixed point
     rng = random.Random(26)
     f = random_series(rng, 8)
     g = random_series(rng, 8, nonzero_constant=True)
-    scheme = reciprocal_scheme(f, g, 8)
+    inv_g0 = 1 / g[0]
+    limit_map = AffineMap(1 - g * inv_g0, f * inv_g0)
     quotient = reciprocal(f, g, 8)
-    assert scheme.limit_map is not None
-    assert scheme.limit_map(quotient) == quotient
+    assert limit_map(quotient) == quotient
+    assert iterate_crossed(reciprocal_scheme(f, g, 8), Series.zero(8), 9).last == quotient
+
+
+@pytest.mark.parametrize("run", [
+    lambda steps: iterate_fixed(geometric_map(), Series.zero(GEOMETRIC_MAP_PRECISION), steps),
+    lambda steps: iterate_crossed(pascal_column_scheme(2, GEOMETRIC_MAP_PRECISION),
+                                  Series.zero(GEOMETRIC_MAP_PRECISION), steps),
+], ids=["fixed", "crossed"])
+def test_iteration_refuses_negative_steps(run):
+    for steps in (-1, -2):
+        with pytest.raises(ValueError, match="steps must be a natural number"):
+            run(steps)
+    assert list(run(0)) == [Series.zero(GEOMETRIC_MAP_PRECISION)]
 
 
 def test_crossed_error_names_step():
@@ -291,7 +304,7 @@ def test_crossed_error_names_step():
         return AffineMap(Series.x(3), Series.zero(3))
 
     with pytest.raises(NotContractiveError, match="step 2"):
-        iterate_crossed(IterationScheme(maps), Series.zero(3), 5)
+        iterate_crossed(maps, Series.zero(3), 5)
 
 
 # ----------------------------------------------------------------------
@@ -508,7 +521,7 @@ def test_column_scheme_step_maps_match_the_formula():
             slope = divide([F(0)] + [-c for c in coeffs(g)[1:]], g0_list, p)
             x_prev = divide([F(0)] + coeffs(prev)[:p], g0_list, p)
             for m in range(p + 2):
-                amap = scheme.maps(m)
+                amap = scheme(m)
                 assert coeffs(amap.slope) == [c if d <= m else 0 for d, c in enumerate(slope)]
                 assert coeffs(amap.offset) == [c if d <= m else 0 for d, c in enumerate(x_prev)]
 
@@ -521,6 +534,8 @@ def test_column_scheme_rejects_first_column():
 def test_column_scheme_checks_prev_precision():
     with pytest.raises(PrecisionError):
         column_scheme(Series.one(8), Series([1, -1], 8), 2, Series.one(2))
+    with pytest.raises(PrecisionError, match="column construction needs precision >= 1"):
+        column_scheme(Series.one(0), Series([1, -1], 8), 2, Series.one(0))
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""The package re-exports each module's public names, its docstring examples hold, and
-its modules import no name they leave unused."""
+"""The package re-exports each module's public names, its docstring examples hold, its
+modules import no name they leave unused, and each private definition has a reader."""
 
 import ast
 import doctest
@@ -13,6 +13,7 @@ import riordan.cli
 from riordan import fixpoint, reversion, series, triangles
 
 MODULES = (series, fixpoint, triangles, reversion)
+SOURCES = sorted(Path(riordan.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -23,7 +24,7 @@ def test_package_binds_every_public_name_of_a_module(module):
 
 def test_package_all_is_the_union_of_the_module_lists():
     names = [name for module in MODULES for name in module.__all__]
-    assert len(names) == 30
+    assert len(names) == 29
     assert sorted(riordan.__all__) == sorted(set(names))
     assert len(riordan.__all__) == len(set(riordan.__all__))
     assert riordan.__version__ == "0.1.0"
@@ -34,8 +35,7 @@ def test_docstring_examples(module):
     assert doctest.testmod(module).failed == 0
 
 
-@pytest.mark.parametrize("path", sorted(Path(riordan.__file__).parent.glob("*.py")),
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_top_level_import_is_read_or_exported(path):
     # no linter runs in tier-1 or in CI: a name imported at module level that the module
     # neither reads nor lists in __all__ is dead code, unless its line is marked
@@ -60,3 +60,35 @@ def test_every_top_level_import_is_read_or_exported(path):
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
 
+
+def private_definitions(tree):
+    """``(name, node)`` for each ``_``-prefixed top-level function, class or assigned name,
+    and each ``_``-prefixed method, of a module's tree; dunder names are not private."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            found += [(target.id, node) for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            found.append((node.target.id, node))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            found += [(item.name, item) for item in node.body if isinstance(item, ast.FunctionDef)]
+    return [(name, node) for name, node in found
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_private_definition_is_read():
+    # code that no caller needs is deleted: a private definition that no package module
+    # reads, outside the definition itself, is dead code
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    reads = [(node.id if isinstance(node, ast.Name) else node.attr, node)
+             for tree in trees for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for path, tree in zip(SOURCES, trees):
+        for name, definition in private_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(read == name and id(node) not in inside for read, node in reads):
+                unread.append(f"{path.name}:{definition.lineno} {name}")
+    assert unread == []

@@ -335,6 +335,9 @@ def test_lagrange_coefficient_validation():
         lagrange_coefficient(Series([1, 1]), 0, 1)
     with pytest.raises(DomainError):
         lagrange_coefficient(Series([0, 1]), 2, 1)
+    with pytest.raises(PrecisionError, match=r"Lagrange coefficient \(5, 1\) needs g at precision 4"):
+        lagrange_coefficient(Series([1, 1], 1), 5, 1)
+    assert lagrange_coefficient(Series([1, 1], 1), 5, 6) == 0  # k > n needs no precision
 
 
 # ----------------------------------------------------------------------

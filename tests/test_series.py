@@ -124,6 +124,36 @@ def test_shift_negative_requires_low_zeros():
         Series([1, 2]).shift(-1)
 
 
+POLY = Series([1, 2, 0], 2)
+NOT_A_COEFFICIENT = "^unsupported operand type"
+
+
+@pytest.mark.parametrize("operation, outcome", [
+    (lambda: Series([1], -1), (ValueError, "^precision must be a natural number$")),
+    (lambda: POLY.coefficient(-1), (ValueError, "^degree must be nonnegative$")),
+    (lambda: POLY.truncate(-1), (ValueError, "^truncation degree must be nonnegative$")),
+    (lambda: Series.zero(2).shift(-3), (PrecisionError, "^cannot shift by -3: precision is 2$")),
+    (lambda: POLY + "a", (TypeError, NOT_A_COEFFICIENT)),
+    (lambda: POLY - "a", (TypeError, NOT_A_COEFFICIENT)),
+    # Series.__mul__ declines, and str's own repetition refuses a Series count
+    (lambda: POLY * "a", (TypeError, "^can't multiply sequence by non-int of type 'Series'$")),
+    (lambda: POLY ** -1, (ValueError, "^series exponents must be natural numbers$")),
+    (lambda: POLY ** 1.5, (ValueError, "^series exponents must be natural numbers$")),
+    (lambda: POLY - 1, Series([0, 2, 0], 2)),
+    (lambda: POLY == 1, False),
+    (lambda: hash(POLY) == hash(Series(["1", F(4, 2)], 2)), True),
+], ids=["negative precision", "coefficient(-1)", "truncate(-1)", "shift past precision",
+        "s + str", "s - str", "s * str", "s ** -1", "s ** 1.5", "s - scalar", "s == int",
+        "hash of equal series"])
+def test_out_of_domain_arguments_and_scalar_operands(operation, outcome):
+    if isinstance(outcome, tuple):
+        error, message = outcome
+        with pytest.raises(error, match=message):
+            operation()
+    else:
+        assert operation() == outcome
+
+
 # ----------------------------------------------------------------------
 # addition and negation
 # ----------------------------------------------------------------------

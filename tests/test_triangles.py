@@ -181,6 +181,20 @@ def test_entry_and_row_access():
             t.row(n)
 
 
+CLASSICAL_AT_5 = r"^classical construction at depth 5 needs d at precision 4 and h at 5$"
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: pascal(5).column_series(5), IndexError, r"^column 5 outside a depth-5 matrix$"),
+    (lambda: pascal(5).column_series(-1), IndexError, r"^column -1 outside a depth-5 matrix$"),
+    (lambda: from_classical(Series.one(3), Series([0, 1], 5), 5), PrecisionError, CLASSICAL_AT_5),
+    (lambda: from_classical(Series.one(4), Series([0, 1], 4), 5), PrecisionError, CLASSICAL_AT_5),
+], ids=["column past the depth", "negative column", "short d", "short h"])
+def test_column_and_classical_reads_are_bounded(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 # ----------------------------------------------------------------------
 # entries built on first read
 # ----------------------------------------------------------------------
