@@ -18,7 +18,8 @@ point ``f/g`` degree by degree.  :func:`reciprocal`, the one
 division kernel, applies it one degree per step, on integers: scaled by
 ``M*delta_n*g0``, ``delta_n`` the least common denominator the taps ``g_j/g0``
 can give it, degree ``n`` obeys the same map with every division multiplied
-out.  The reference path the tests check it against is one
+out (:func:`_step`, the one integer recurrence, which also fills the table of
+:mod:`riordan.reversion`).  The reference path the tests check it against is one
 division scheme, :func:`reciprocal_scheme`, run by one loop,
 :func:`iterate_crossed`: a triangle column is the division scheme of
 ``x * previous column``, and plain iteration is the crossed iteration of
@@ -246,30 +247,38 @@ def _integer_columns(f: Series, g: Series, precision: int,
     """``(M, g0, delta, [S_k for k < count])``, the kernel's integer stage, each ``S_k``
     indexed by ``m = n - k <= precision - k`` (0 below the order of ``f``).
 
-    Column ``k`` divides ``x * column(k-1)`` by ``g``, fraction-free.  With ``F = M*f``
-    integral through ``precision`` and ``c_j = g_j/g0``, the scaled
-    ``S_k[m] = M*delta_m * [x^m] f / (g/g0)**(k+1)`` obey
-    ``S_k[m] = S_(k-1)[m] - sum_j t_(m,j) S_k[m-j]``, column 0 fed by ``F_m*delta_m``,
-    with integer taps ``t_(m,j) = c_j * delta_m/delta_(m-j)``: ``delta_0 = 1`` and
-    ``delta_m = lcm_j den(c_j)*delta_(m-j)`` (:func:`_scale_rows`).
+    Column ``k`` divides ``x * column(k-1)`` by ``g``, fraction-free: with ``F = M*f``
+    integral through ``precision`` and ``c_j = g_j/g0``, ``S_k[m] = M*delta_m * [x^m]
+    f / (1+c)**(k+1)`` is the divide :func:`_step` of ``S_(k-1)``, column 0 that of
+    ``F_m*delta_m``, on the taps and scale of :func:`_scale_rows`.
     """
     _check_division(f, g, precision)
     den_f, big_f = _integral(f.coefficients[: precision + 1])  # M, F
     delta, rows = _scale_rows(g.coefficients[: precision + 1], precision)
-    # column 0 is fed by F_m * delta_m, column k by column k-1 at the same m
     source = [c * d for c, d in zip(big_f, delta)]
     start = min(f.order(), precision + 1)  # leading zeros of every column
     columns = []
     for k in range(count):
-        s = [0] * (precision - k + 1)
-        for m in range(start, len(s)):
-            acc = source[m]
-            for j, t in rows[m]:
-                acc -= t * s[m - j]
-            s[m] = acc
-        columns.append(s)
-        source = s
+        source = _step(source, rows, -1, precision - k + 1, start)
+        columns.append(source)
     return den_f, g.coefficients[0], delta, columns
+
+
+def _step(source: Sequence[int], rows: list[list[tuple[int, int]]], sign: int,
+          length: int, start: int = 0) -> list[int]:
+    """``s_m = delta_m [x^m] u*(1+c)**sign`` for ``m < length``, ``source[m] = delta_m [x^m] u``
+    (0 below ``start``), on the taps ``rows[m]`` and scale of :func:`_scale_rows`: the one
+    integer recurrence, ``s_m = source_m - sum_j t_(m,j) r_(m-j)`` at one product per tap,
+    reading ``r = s`` to divide (``sign = -1``) and ``r = -source`` to multiply (``sign = 1``);
+    ``delta_m c_j = t_(m,j) delta_(m-j)``, so no step divides."""
+    s = [0] * length
+    read = s if sign < 0 else [-v for v in source]
+    for m in range(start, length):
+        acc = source[m]
+        for j, t in rows[m]:
+            acc -= t * read[m - j]
+        s[m] = acc
+    return s
 
 
 def _scale_rows(cs: Sequence[Fraction],

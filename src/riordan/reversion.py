@@ -16,20 +16,18 @@ the table of ``[x^n] T**k`` is the Riordan array ``(1, T)`` with A-sequence
 ``g``, and the A-sequence rule fills it a row at a time.  Read backwards, the
 same equation ``omega(T) = x`` gives a second row rule whose taps are
 ``omega``'s own coefficients (Merlini, Rogers, Sprugnoli and Verri, Canad. J.
-Math. 1997).  ``g``'s taps come from ``omega``'s by J.C.P. Miller's power
-recurrence at exponent -1, the routine that also gives every power of ``g``
-below.  :func:`_table`, given either side, runs whichever rule reads fewer taps, so
+Math. 1997).  Both rules, and ``g``'s taps from ``omega``'s, are the division kernel's
+one integer recurrence (:func:`~riordan.fixpoint._step`) at the per-degree scale
+``delta_m`` of the side that fills the rows, so their integers follow its denominators.
+:func:`_table`, given either side, runs whichever rule reads fewer taps, so
 the table costs ``O(P**2 d)`` for ``d`` the smaller of ``omega``'s count of nonzero terms
 and ``g``'s degree plus one: ``g = x/omega`` is dense for every polynomial
 ``omega`` of degree >= 2, and ``omega = x/(1-x)`` has ``g = 1 - x``.  The tests'
-reference path recomposes every stage by Horner, O(P**4).  The rows and their
-taps run on integers at the division kernel's per-degree scale ``delta_m``
-(:func:`~riordan.fixpoint._scale_rows`) for the side that fills them, so the
-row integers follow that side's own denominators.
+reference path recomposes every stage by Horner, O(P**4).
 The same rows of ``(1, w)``, ``w = x*g(w)``, give the Riordan group inverse
 ``T(1/f(w) | 1/g(w))`` of ``T(f|g)`` (:func:`_inverse_parameters`): ``x/w = 1/g(w)`` is
-the row rule read one column to the left, and ``(1/f)(w)`` is a dot product of each row
-with ``1/f``.
+the rows' edge, the row rule read one column to the left, and ``(1/f)(w)`` is a dot
+product of each row with ``1/f``.
 The same fixed-point equation yields the coefficient identities
 
     ``n * [x^n] (omega^{-1})**k == k * [x^(n-k)] g**n``
@@ -45,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fixpoint import _scale_rows, reciprocal
+from .fixpoint import _scale_rows, _step, reciprocal
 from .series import DomainError, PrecisionError, Series, _integral
 
 __all__ = [
@@ -58,79 +56,70 @@ __all__ = [
 
 
 def _fill_table(taps: list[list[tuple[int, int]]], sign: int,
-                precision: int) -> list[list[int]]:
-    """The rows ``E[n][k] = delta_(n-k) * [x^n] T**k / g0**n`` (``k <= n <= precision``)
-    of ``(1, T)``, ``T = x*g(T)``, on the taps ``t_(m,i)`` and scale ``delta`` that
-    :func:`~riordan.fixpoint._scale_rows` gives one side, ``m = n - k``.
+                precision: int) -> tuple[list[list[int]], list[int]]:
+    """``(rows, edge)``: the rows ``E[n][k] = delta_(n-k) * [x^n] T**k / g0**n`` (``k <= n <=
+    precision``) of ``(1, T)``, ``T = x*g(T)``, and ``edge[n] = -delta_n [x^n] (x/T) / g0**(n-1)``,
+    on one side's taps and scale from :func:`~riordan.fixpoint._scale_rows`.
 
-    On the g side (``sign = 1``, ``c_i = g_i/g0``) ``T**k = x * T**(k-1) * g(T)`` is the
-    A-sequence rule, ``E[n][k] = E[n-1][k-1] + sum_i t_(m,i) E[n-1][k-1+i]``; on the omega
-    side (``sign = -1``, ``c_i = omega_(i+1)/omega_1``) ``omega(T) = x`` is that rule one
-    column to the left, ``E[n][k] = E[n-1][k-1] - sum_i t_(m,i) E[n][k+i]``, right to left.
-    Both read degree ``m - i`` at tap ``i``: no division, one product per tap and entry."""
-    rows = [[1]]
+    Along ``m = n - k``, row ``n`` is the :func:`~riordan.fixpoint._step` of row ``n-1``: on the
+    g side (``sign = 1``, ``c_i = g_i/g0``) ``T**k = x * T**(k-1) * g(T)`` makes it the multiply
+    step, the A-sequence rule; on the omega side (``sign = -1``, ``c_i = omega_(i+1)/omega_1``)
+    ``omega(T) = x`` makes it the divide step.  Its entry at ``k = 0`` is that rule one column
+    to the left, ``x/T = 1/g(T)``: kept as ``edge[n]``, then ``E[n][0] = 0``."""
+    diag, rows, edge = [1], [[1]], [-1]  # diag[m] = E[n][n-m]; edge[0] gives [x^0] x/T = 1/g0
     for n in range(1, precision + 1):
-        above, rev = rows[-1][::-1], []  # above[m] = E[n-1][n-1-m], rev[m] = E[n][n-m]
-        read = above if sign > 0 else rev
-        for m in range(n):
-            acc = 0
-            for i, t in taps[m]:
-                acc += t * read[m - i]
-            rev.append(above[m] + sign * acc)
-        rows.append([0] + rev[::-1])
-    return rows
+        diag = _step(diag + [0], taps, sign, n + 1)
+        edge.append(diag[n])
+        diag[n] = 0
+        rows.append(diag[::-1])
+    return rows, edge
 
 
 def _table(cs: tuple[Fraction, ...], sign: int, precision: int) -> tuple[
-        Fraction, list[int], list[list[tuple[int, int]]], int, list[list[int]]]:
-    """``(g0, delta, taps, sign, rows)``: the :func:`_fill_table` rows through ``precision``
-    from one side's coefficients ``cs``, ``g``'s (``sign = 1``) or ``omega/x``'s (``-1``), with
-    ``g0 = cs_0**sign``.  As ``omega/x = 1/g``, each side's ``c`` gives the other's as
-    ``(1+c)**-1`` (:func:`_power_coefficients`).  The rows take the other side when it, cut after
-    its last nonzero term, is no longer than ``cs``' count of nonzero terms: ``O(P**2 d)``."""
+        Fraction, list[int], list[list[tuple[int, int]]], int, list[list[int]], list[int]]:
+    """``(g0, delta, taps, sign, *_fill_table(...))`` through ``precision`` from one side's
+    coefficients ``cs``, ``g``'s (``sign = 1``) or ``omega/x``'s (``-1``), ``g0 = cs_0**sign``.
+    As ``omega/x = 1/g``, each side's ``c`` gives the other's, the divide step of 1.  The rows
+    take the other side when it, cut after its last nonzero term, is no longer than ``cs``'
+    count of nonzero terms: ``O(P**2 d)``."""
     delta, taps = _scale_rows(cs, precision)
-    other = _power_coefficients(taps, -1, len(cs))
+    other = _step([1] + [0] * (len(cs) - 1), taps, -1, len(cs))
     while not other[-1]:
         other.pop()
     if len(other) > sum(map(bool, cs)):
-        return cs[0] ** sign, delta, taps, sign, _fill_table(taps, sign, precision)
+        return cs[0] ** sign, delta, taps, sign, *_fill_table(taps, sign, precision)
     delta, taps = _scale_rows([Fraction(q, d) for q, d in zip(other, delta)], precision)
-    return cs[0] ** sign, delta, taps, -sign, _fill_table(taps, -sign, precision)
+    return cs[0] ** sign, delta, taps, -sign, *_fill_table(taps, -sign, precision)
 
 
 def _inverse_parameters(f: Series, g: Series, p: int) -> tuple[Series, Series]:
     """``(1/f(w), 1/g(w))`` through degree ``p``, ``w`` the compositional inverse of ``x/g``
     (the parameters of the Riordan group inverse of ``T(f|g)``), off the rows
-    ``E[n][k] = delta_(n-k) [x^n] w**k / g0**n`` of ``(1, w)`` that :func:`_table` fills from
-    ``g`` on either side.  ``x/w = 1/g(w)`` is the row rule one column to the left,
-    ``[x^(n+1)] = -sign * g0**n * sum_i t_(n+1,i) e_i / delta_(n+1)`` with ``e_i = E[n][i-1]``
-    on the g side (``w = x*g(w)``) and ``E[n+1][i]`` on the omega side (``x/w = omega(w)/w``).
-    With ``R = M/f`` integral, ``[x^n] (1/f)(w) = g0**n * sum_j R_j E[n][j]
-    (delta_n/delta_(n-j)) / (M*delta_n)``, the factor a product of ``delta_m/delta_(m-1)``:
-    the one division is ``1/f``, and nothing is composed."""
-    g0, delta, taps, sign, rows = _table(g.coefficients[: p + 1], 1, p)
+    ``E[n][k] = delta_(n-k) [x^n] w**k / g0**n`` of ``(1, w)`` and their edge that
+    :func:`_table` fills from ``g`` on either side: ``[x^n] 1/g(w) = [x^n] x/w =
+    -edge[n] * g0**(n-1) / delta_n``.  With ``R = M/f`` integral, ``[x^n] (1/f)(w) =
+    g0**n * sum_j R_j E[n][j] (delta_n/delta_(n-j)) / (M*delta_n)``, the factor a product of
+    ``delta_m/delta_(m-1)``: the one division is ``1/f``, and nothing is composed."""
+    g0, delta, _, _, rows, edge = _table(g.coefficients[: p + 1], 1, p)
     ratios = [1] + [d // c for c, d in zip(delta, delta[1:])]
     den_f, big_r = _integral(reciprocal(Series.one(p), f, p).coefficients)
     a, b = g0.numerator, g0.denominator
-    f_inv, g_inv = [], [1 / g0]
+    f_inv, g_inv = [], []
     an, bn = 1, 1  # g0**n = an/bn
     for n, row in enumerate(rows):
         acc = 0
         for j in range(n, -1, -1):  # Horner: R_j E[n][j] gains ratio_n*...*ratio_(n-j+1)
             acc = acc * ratios[n - j] + big_r[j] * row[j]
         f_inv.append(Fraction(acc * an, den_f * delta[n] * bn))
-        if n < p:
-            read = [0] + row if sign > 0 else rows[n + 1]
-            acc = sum(t * read[i] for i, t in taps[n + 1])
-            g_inv.append(Fraction(-sign * acc * an, delta[n + 1] * bn))
+        g_inv.append(Fraction(-edge[n] * an * b, delta[n] * bn * a))
         an, bn = an * a, bn * b
     return Series._of(f_inv), Series._of(g_inv)
 
 
 def _power_table(omega: Series, precision: int) -> tuple[
-        Fraction, list[int], list[list[tuple[int, int]]], int, list[list[int]]]:
-    """:func:`_table` of ``omega/x``, read through ``max(precision, 1)``: the rows of
-    ``(1, T)`` for ``g = x/omega``, ``g0 = 1/omega_1``, on the side that fills them."""
+        Fraction, list[int], list[list[tuple[int, int]]], int, list[list[int]], list[int]]:
+    """:func:`_table` of ``omega/x``, read through ``max(precision, 1)``: the rows (and edge)
+    of ``(1, T)`` for ``g = x/omega``, ``g0 = 1/omega_1``, on the side that fills them."""
     if precision < 0:
         raise ValueError("precision must be a natural number")
     if omega.order() != 1:
@@ -166,7 +155,7 @@ def invert_series(omega: Series, precision: int) -> Series:
     result ``y`` satisfies ``omega(y) == y(omega) == x`` through the
     requested degree; it is column 1 of the power table's rows, unscaled.
     """
-    g0, delta, _, _, rows = _power_table(omega, precision)
+    g0, delta, _, _, rows, _ = _power_table(omega, precision)
     a, b = g0.numerator, g0.denominator
     return Series._of([Fraction(0)] + [Fraction(row[1] * a ** n, delta[n - 1] * b ** n)
                                        for n, row in enumerate(rows) if n])
@@ -238,7 +227,7 @@ def verify_lagrange(omega: Series, max_n: int) -> LagrangeReport:
     collected into the report, unscaled, not raised; an empty list means the identity
     holds on the whole grid.
     """
-    g0, delta, taps, sign, rows = _power_table(omega, max_n)
+    g0, delta, taps, sign, rows, _ = _power_table(omega, max_n)
     powers = [_power_coefficients(taps, sign * n, n) for n in range(max_n + 1)]
     violations: list[LagrangeViolation] = []
     for k in range(1, max_n + 1):

@@ -262,8 +262,10 @@ class Series:
             return self + (-other)
         return NotImplemented
 
-    def __rsub__(self, other: Series | Rational) -> Series:
-        return (-self) + other
+    def __rsub__(self, other: Rational) -> Series:
+        if isinstance(other, (int, Fraction)):
+            return (-self) + other
+        return NotImplemented
 
     def __mul__(self, other: Series | Rational) -> Series:
         if isinstance(other, Series):

@@ -462,6 +462,25 @@ def test_kernel_builds_one_tap_row_per_window(monkeypatch, g, most):
     assert len(distinct) == 1 and distinct[0] <= most
 
 
+@pytest.mark.parametrize("g", KERNEL_COFACTORS.values(), ids=KERNEL_COFACTORS)
+def test_step_multiplies_and_divides_by_the_cofactor(g):
+    # the one integer recurrence on both _scale_rows branches, geometric (3**j,
+    # 2**(2j)*5**j) and windowed (gapped, g0=-3/2): the multiply step is
+    # delta_m [x^m] u*(g/g0) by Series arithmetic, and the divide step undoes it
+    rng = random.Random(32)
+    p = 30
+    g = g.truncate(p)
+    delta, rows = fixpoint._scale_rows(g.coefficients, p)
+    for start in (0, 1, 4):
+        u = Series([0] * start + [rng.randint(-9, 9) for _ in range(start, p + 1)])
+        source = [c * d for c, d in zip(coeffs(u), delta)]
+        product = fixpoint._step(source, rows, 1, p + 1, start)
+        expected = coeffs(u * g * (1 / g[0]))
+        assert [F(v, d) for v, d in zip(product, delta)] == expected
+        assert fixpoint._step(product, rows, -1, p + 1, start) == source
+        assert fixpoint._step(product, rows, -1, p - 3, start) == source[: p - 3]
+
+
 def test_reciprocal_at_precision_zero():
     q = reciprocal(Series([F(5, 7), 1]), Series([F(-3, 2), F(1, 49)]), 0)
     assert q.coefficients == (F(-10, 21),)

@@ -172,8 +172,8 @@ def test_invert_polynomial_a_sequences(g):
 ], ids=["dense", "polynomial_g", "precision_0", "gapped_lcm", "negative_omega_1"])
 def test_power_table_taps_come_from_omega_without_the_kernel(monkeypatch, omega, p):
     # g_i/g0 = Q_i/delta_i for i < p (g_0/g0 alone at p = 0), cut after g's last nonzero
-    # coefficient, by Miller's recurrence at exponent -1 on omega's own taps: no kernel
-    # column and no Series quotient; omega is read through p (omega_1 at p = 0) and no further
+    # coefficient, by the divide step of 1 on omega's own taps: no kernel column and no
+    # Series quotient; omega is read through p (omega_1 at p = 0) and no further
     def no_division(*args):
         raise AssertionError("the power table divided through the kernel")
 
@@ -183,7 +183,7 @@ def test_power_table_taps_come_from_omega_without_the_kernel(monkeypatch, omega,
     read = max(p, 1)
     cs = coeffs(omega)[1: read + 1]
     delta, taps = fixpoint._scale_rows(cs, p)
-    powers = reversion._power_coefficients(taps, -1, read)
+    powers = fixpoint._step([1] + [0] * (read - 1), taps, -1, read)
     while not powers[-1]:
         powers.pop()
     table = reversion._power_table(omega, p)
@@ -198,7 +198,7 @@ def test_power_table_taps_come_from_omega_without_the_kernel(monkeypatch, omega,
     assert g0 == 1 / omega[1]
     inverse = compositional_inverse(coeffs(omega), p)[: p + 1]
     column = [c * scale[n - 1] / g0 ** n for n, c in enumerate(inverse) if n]
-    assert [row[1] for row in table[-1][1:]] == column
+    assert [row[1] for row in table[4][1:]] == column
 
 
 def test_both_row_rules_fill_the_same_table():
@@ -219,19 +219,41 @@ def test_both_row_rules_fill_the_same_table():
                       Series([0, sparse[1]], read)):
             cs = coeffs(omega)[1: read + 1]
             omega_delta, omega_taps = fixpoint._scale_rows(cs, p)
-            by_omega = reversion._fill_table(omega_taps, -1, p)
+            by_omega, omega_edge = reversion._fill_table(omega_taps, -1, p)
             powers = reversion._power_coefficients(omega_taps, -1, read)
             g_delta, g_taps = fixpoint._scale_rows(
                 [F(q, d) for q, d in zip(powers, omega_delta)], p)
-            by_g = reversion._fill_table(g_taps, 1, p)
+            by_g, g_edge = reversion._fill_table(g_taps, 1, p)
             assert [[F(e, omega_delta[n - k]) for k, e in enumerate(row)]
                     for n, row in enumerate(by_omega)] == \
                    [[F(e, g_delta[n - k]) for k, e in enumerate(row)]
                     for n, row in enumerate(by_g)]
             g0 = 1 / omega[1]
             table = reversion._power_table(omega, p)
-            assert table in ((g0, omega_delta, omega_taps, -1, by_omega),
-                             (g0, g_delta, g_taps, 1, by_g))
+            assert table in ((g0, omega_delta, omega_taps, -1, by_omega, omega_edge),
+                             (g0, g_delta, g_taps, 1, by_g, g_edge))
+
+
+def test_the_edge_is_x_over_w_on_both_sides():
+    # the step's entry at k = 0, kept as the edge, is the row rule one column to the
+    # left: -edge[n] * g0**(n-1) / delta_n = [x^n] x/w, w = x*g(w), on the g side (the
+    # A-sequence rule) and the omega side (omega(w) = x), each forced, from g through p
+    rng = random.Random(66)
+    for p in range(16):
+        for g in (random_series(rng, p, nonzero_constant=True),
+                  Series([random_fraction(rng, nonzero=True), 0, 0, F(2, 3)], p),
+                  Series([F(-3, 2), 1, F(2, 5)], p), Series([F(1, 3)] * (p + 1))):
+            gc = coeffs(g)
+            omega = [F(0)] + divide([F(1)], gc, p)  # x/g through degree p + 1
+            w = compositional_inverse(omega, p + 1)
+            expected = divide([F(1)], w[1:], p)
+            g0, delta, _, _, _, edge = reversion._table(gc, 1, p)
+            edges = [(delta, edge)]
+            for cs, sign in ((gc, 1), (omega[1:], -1)):
+                delta, taps = fixpoint._scale_rows(cs, p)
+                edges.append((delta, reversion._fill_table(taps, sign, p)[1]))
+            for delta, edge in edges:
+                assert [-e * g0 ** (n - 1) / delta[n] for n, e in enumerate(edge)] == expected
 
 
 def test_invert_rejects_wrong_order():
@@ -392,9 +414,9 @@ def test_a_failing_cell_is_reported_unscaled(monkeypatch):
     g0, delta, *_ = build(omega, 7)
 
     def perturbed(omega, precision):
-        *head, rows = build(omega, precision)
+        *head, rows, edge = build(omega, precision)
         rows[5][2] += 1  # delta_3 * [x^5] T**2 / g0**5, off by one
-        return *head, rows
+        return *head, rows, edge
 
     monkeypatch.setattr(reversion, "_power_table", perturbed)
     report = verify_lagrange(omega, 7)
@@ -415,7 +437,7 @@ def test_a_failing_cell_is_reported_unscaled(monkeypatch):
 def test_a_failing_power_is_reported_at_its_cell(monkeypatch, omega, sign):
     # [x^3] (1+c)**(sign*5), off by one on either side of the table's rule: the cell
     # n = 5, k = 2 fails
-    g0, delta, _, table_sign, _ = reversion._power_table(omega, 7)
+    g0, delta, _, table_sign, _, _ = reversion._power_table(omega, 7)
     assert table_sign == sign
     build = reversion._power_coefficients
 

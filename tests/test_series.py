@@ -126,6 +126,7 @@ def test_shift_negative_requires_low_zeros():
 
 POLY = Series([1, 2, 0], 2)
 NOT_A_COEFFICIENT = "^unsupported operand type"
+SUBTRACTED_FROM = r"^unsupported operand type\(s\) for -: '{}' and 'Series'$"
 
 
 @pytest.mark.parametrize("operation, outcome", [
@@ -140,10 +141,16 @@ NOT_A_COEFFICIENT = "^unsupported operand type"
     (lambda: POLY ** -1, (ValueError, "^series exponents must be natural numbers$")),
     (lambda: POLY ** 1.5, (ValueError, "^series exponents must be natural numbers$")),
     (lambda: POLY - 1, Series([0, 2, 0], 2)),
+    # Series.__rsub__ declines, so Python names "-" and the operands in their order
+    (lambda: 1.5 - POLY, (TypeError, SUBTRACTED_FROM.format("float"))),
+    (lambda: "a" - POLY, (TypeError, SUBTRACTED_FROM.format("str"))),
+    (lambda: 1 - POLY, Series([0, -2, 0], 2)),
+    (lambda: F(1, 2) - POLY, Series([F(-1, 2), -2, 0], 2)),
     (lambda: POLY == 1, False),
     (lambda: hash(POLY) == hash(Series(["1", F(4, 2)], 2)), True),
 ], ids=["negative precision", "coefficient(-1)", "truncate(-1)", "shift past precision",
-        "s + str", "s - str", "s * str", "s ** -1", "s ** 1.5", "s - scalar", "s == int",
+        "s + str", "s - str", "s * str", "s ** -1", "s ** 1.5", "s - scalar",
+        "float - s", "str - s", "int - s", "Fraction - s", "s == int",
         "hash of equal series"])
 def test_out_of_domain_arguments_and_scalar_operands(operation, outcome):
     if isinstance(outcome, tuple):

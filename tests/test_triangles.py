@@ -574,10 +574,13 @@ def test_inverse_parameters_make_one_division_of_f_and_no_reversion(monkeypatch)
 def test_triangles_decodes_no_integer_format():
     # the kernel's columns are summed in fixpoint and the (1, w) table is read in
     # reversion, each beside the code that makes it; triangles only calls them
-    for name in ("_integer_columns", "_table", "_fill_table", "_scale_rows", "_integral"):
+    for name in ("_integer_columns", "_step", "_table", "_fill_table", "_scale_rows",
+                 "_integral"):
         assert not hasattr(triangles, name), name
     assert not hasattr(triangles.RiordanMatrix, "_inverse_parameters")
     assert triangles._apply is fixpoint._apply
+    # one integer recurrence: the (1, w) table steps its rows by the division kernel's step
+    assert reversion._step is fixpoint._step
     assert triangles._inverse_parameters is reversion._inverse_parameters
     # perfbench's tracer patches these two bindings in triangles
     assert triangles.reciprocal is fixpoint.reciprocal
