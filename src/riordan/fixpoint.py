@@ -33,10 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
-from operator import add, mul
+from operator import add, floordiv, mul
 from typing import Callable, Iterator, Sequence
 
-from .series import DomainError, PrecisionError, Series, _integral, _mul_add
+from .series import DomainError, PrecisionError, Series, _fractions, _integral, _mul_add
 
 __all__ = [
     "AffineMap",
@@ -201,31 +201,40 @@ def reciprocal(f: Series, g: Series, precision: int) -> Series:
 
 def _division_columns(f: Series, g: Series, precision: int, count: int) -> list[list[Fraction]]:
     """Columns ``k < count`` of ``x**k * f / g**(k+1)``, degrees ``k..precision``: over
-    the integers of :func:`_integer_columns`, with ``g0 = a/b`` in lowest terms, entry
-    ``(n, k)`` is the one Fraction ``S_k[n-k]*b**(k+1) / (M*delta_(n-k)*a**(k+1))``."""
+    the integers of :func:`_integer_columns`, with ``g0 = a/b`` in lowest terms and
+    ``a > 0`` (the sign of ``g0`` folded into ``b``), entry ``(n, k)`` is the one Fraction
+    ``S_k[n-k]*b**(k+1) / (M*delta_(n-k)*a**(k+1))``, its denominator positive, so a
+    column with every denominator 1 is built with no gcd (:func:`~riordan.series._fractions`)."""
     den_f, g0, delta, columns = _integer_columns(f, g, precision, count)
-    a, b = g0.numerator, g0.denominator
+    a, b = _positive(g0)
     dens = [den_f * d for d in delta]
     ak, bk = a, b
     for k, s in enumerate(columns):  # in place, so the integers of done columns are freed
-        columns[k] = [Fraction(v * bk, d * ak) for v, d in zip(s, dens)]
+        column_dens = list(map(mul, dens[: len(s)], repeat(ak)))
+        columns[k] = _fractions(map(mul, s, repeat(bk)), column_dens)
         ak, bk = ak * a, bk * b
     return columns
+
+
+def _positive(g0: Fraction) -> tuple[int, int]:
+    """``(a, b)`` with ``g0 = a/b`` in lowest terms and ``a > 0``: the sign goes to ``b``."""
+    a, b = g0.as_integer_ratio()
+    return (a, b) if a > 0 else (-a, -b)
 
 
 def _apply(f: Series, g: Series, hs: Sequence[Series], p: int) -> list[Series]:
     """``T(f|g)`` times each ``h`` in ``hs`` through degree ``p``, off one run of the
     division kernel's integer columns (:func:`_integer_columns`).
 
-    With ``g0 = a/b``, entry ``(n, k)`` is ``S_k[n-k]*b**(k+1) / (M*delta_(n-k)*a**(k+1))``
-    and ``delta_(n-k)`` divides ``delta_n``, so row ``n`` sums over the denominator
-    ``M*delta_n*a**(n+1)*D``, ``D*h`` integral: term ``k`` gains the factor
+    With ``g0 = a/b``, ``a > 0``, entry ``(n, k)`` is ``S_k[n-k]*b**(k+1) / (M*delta_(n-k)*
+    a**(k+1))`` and ``delta_(n-k)`` divides ``delta_n``, so row ``n`` sums over the positive
+    denominator ``M*delta_n*a**(n+1)*D``, ``D*h`` integral: term ``k`` gains the factor
     ``(delta_n/delta_(n-k)) * a**(n-k) * b**(k+1)``, and each coefficient is one Fraction.
     Each column is lifted once, by ``a**m * delta_p/delta_m`` at ``m = n - k``, so a row is
     a sum of column slices times ``b**(k+1) * D*h_k``, divided exactly by ``delta_p/delta_n``.
     """
     den_f, g0, delta, columns = _integer_columns(f, g, p, p + 1)
-    a, b = g0.numerator, g0.denominator
+    a, b = _positive(g0)
     drop = [delta[p] // d for d in delta]  # delta_p/delta_n
     lift = list(map(mul, drop, accumulate(repeat(a, p), mul, initial=1)))
     if any(v != 1 for v in lift):
@@ -238,7 +247,7 @@ def _apply(f: Series, g: Series, hs: Sequence[Series], p: int) -> list[Series]:
         for k, (hk, bk) in enumerate(zip(big_h, accumulate(repeat(b, p), mul, initial=b))):
             if hk:
                 sums[k:] = map(add, sums[k:], map(mul, columns[k], repeat(hk * bk)))
-        out.append(Series._of([Fraction(v // d, den * den_h) for v, d, den in zip(sums, drop, dens)]))
+        out.append(Series._of(_fractions(map(floordiv, sums, drop), [d * den_h for d in dens])))
     return out
 
 

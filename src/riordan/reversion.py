@@ -43,8 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fixpoint import _scale_rows, _step, reciprocal
-from .series import DomainError, PrecisionError, Series, _integral
+from .fixpoint import _positive, _scale_rows, _step, reciprocal
+from .series import DomainError, PrecisionError, Series, _fractions, _integral
 
 __all__ = [
     "LagrangeReport",
@@ -81,15 +81,18 @@ def _table(cs: tuple[Fraction, ...], sign: int, precision: int) -> tuple[
     coefficients ``cs``, ``g``'s (``sign = 1``) or ``omega/x``'s (``-1``), ``g0 = cs_0**sign``.
     As ``omega/x = 1/g``, each side's ``c`` gives the other's, the divide step of 1.  The rows
     take the other side when it, cut after its last nonzero term, is no longer than ``cs``'
-    count of nonzero terms: ``O(P**2 d)``."""
+    count of nonzero terms: ``O(P**2 d)``.  The edge stops at degree ``len(cs) - 1``, the
+    last one whose taps ``cs`` holds."""
+    g0 = cs[0] ** sign
     delta, taps = _scale_rows(cs, precision)
     other = _step([1] + [0] * (len(cs) - 1), taps, -1, len(cs))
     while not other[-1]:
         other.pop()
-    if len(other) > sum(map(bool, cs)):
-        return cs[0] ** sign, delta, taps, sign, *_fill_table(taps, sign, precision)
-    delta, taps = _scale_rows([Fraction(q, d) for q, d in zip(other, delta)], precision)
-    return cs[0] ** sign, delta, taps, -sign, *_fill_table(taps, -sign, precision)
+    if len(other) <= sum(map(bool, cs)):
+        delta, taps = _scale_rows(_fractions(other, delta[: len(other)]), precision)
+        sign = -sign
+    rows, edge = _fill_table(taps, sign, precision)
+    return g0, delta, taps, sign, rows, edge[: len(cs)]
 
 
 def _inverse_parameters(f: Series, g: Series, p: int) -> tuple[Series, Series]:
@@ -104,16 +107,19 @@ def _inverse_parameters(f: Series, g: Series, p: int) -> tuple[Series, Series]:
     ratios = [1] + [d // c for c, d in zip(delta, delta[1:])]
     den_f, big_r = _integral(reciprocal(Series.one(p), f, p).coefficients)
     a, b = g0.numerator, g0.denominator
-    f_inv, g_inv = [], []
-    an, bn = 1, 1  # g0**n = an/bn
+    inv_den, inv_num = _positive(g0)  # 1/g0 = inv_num/inv_den, inv_den > 0
+    f_nums, f_dens, g_nums, g_dens = [], [], [], []
+    an, bn = 1, 1  # g0**n = an/bn, bn > 0
     for n, row in enumerate(rows):
         acc = 0
         for j in range(n, -1, -1):  # Horner: R_j E[n][j] gains ratio_n*...*ratio_(n-j+1)
             acc = acc * ratios[n - j] + big_r[j] * row[j]
-        f_inv.append(Fraction(acc * an, den_f * delta[n] * bn))
-        g_inv.append(Fraction(-edge[n] * an * b, delta[n] * bn * a))
+        f_nums.append(acc * an)
+        f_dens.append(den_f * delta[n] * bn)
+        g_nums.append(-edge[n] * an * inv_num)
+        g_dens.append(delta[n] * bn * inv_den)
         an, bn = an * a, bn * b
-    return Series._of(f_inv), Series._of(g_inv)
+    return Series._of(_fractions(f_nums, f_dens)), Series._of(_fractions(g_nums, g_dens))
 
 
 def _power_table(omega: Series, precision: int) -> tuple[
@@ -157,8 +163,9 @@ def invert_series(omega: Series, precision: int) -> Series:
     """
     g0, delta, _, _, rows, _ = _power_table(omega, precision)
     a, b = g0.numerator, g0.denominator
-    return Series._of([Fraction(0)] + [Fraction(row[1] * a ** n, delta[n - 1] * b ** n)
-                                       for n, row in enumerate(rows) if n])
+    nums = [0] + [row[1] * a ** n for n, row in enumerate(rows[1:], 1)]
+    dens = [1] + [d * b ** n for n, d in enumerate(delta[:-1], 1)]
+    return Series._of(_fractions(nums, dens))
 
 
 def lagrange_coefficient(g: Series, n: int, k: int) -> Fraction:

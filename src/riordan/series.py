@@ -10,7 +10,8 @@ one degree less for differentiation.
 The ring operations run on integers, in one pass, ``_mul_add``, that computes
 ``a*b + c``: each operand is scaled once by the lcm of its denominators, the
 convolution of ``a`` and ``b`` is added straight onto the scaled ``c``, and one
-reduced Fraction is built per output coefficient (with no gcd when the scale is
+reduced Fraction is built per output coefficient by ``_fractions``, where every
+integer stage of the package becomes Fractions (with no gcd when the scale is
 1).  ``s * t`` is ``s*t + 0``, ``s + t`` is ``1*s + t``, ``s - t`` is
 ``(-1)*t + s``, and the affine step of the iteration engine is the pass as it
 stands.  The entries are canonical, so the result is the same series the
@@ -348,7 +349,8 @@ def _mul_add(a: tuple[int, list[int]], b: Series, c: tuple[int, list[int]], p: i
     as :func:`_integral` returns them: ``c`` over at least ``p + 1`` coefficients, ``a``
     over any number, a missing coefficient counting as zero.  ``b`` is scaled once, the
     convolution of ``a`` and ``b`` is added straight onto ``c`` over the common denominator,
-    and one reduced Fraction is built per coefficient (with no gcd when that is 1).
+    and one reduced Fraction is built per coefficient by :func:`_fractions` (with no gcd
+    when that denominator is 1).
     ``*``, ``+`` and ``-`` on two series and the Picard step of
     :class:`~riordan.fixpoint.AffineMap` all run this pass.  A denominator that clears
     more coefficients than are read gives the same Fractions, so ``a`` and ``c`` can be
@@ -367,9 +369,17 @@ def _mul_add(a: tuple[int, list[int]], b: Series, c: tuple[int, list[int]], p: i
                 if i + j > p:
                     break
                 out[i + j] += ai * bj
-    if den == 1:
-        return Series._of([Fraction(v) for v in out])
-    return Series._of([Fraction(v, den) for v in out])
+    return Series._of(_fractions(out, [den] * len(out)))
+
+
+def _fractions(nums: Iterable[int], dens: Sequence[int]) -> list[Fraction]:
+    """The reduced Fractions ``n/d`` for ``n, d`` in ``zip(nums, dens)``, every ``d > 0``,
+    ``dens`` as long as ``nums``: the one boundary where the integer stages of the package become
+    Fractions.  Where every ``d`` is 1 they take the constructor's int path, which has no
+    gcd and no division; a sign is carried by ``n``, so no ``d`` is negative."""
+    if dens.count(1) == len(dens):
+        return list(map(Fraction, nums))
+    return list(map(Fraction, nums, dens))
 
 
 def distance(s1: Series, s2: Series) -> Fraction:

@@ -36,6 +36,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import getitem
 
 from .fixpoint import _apply, _check_division, _division_columns, reciprocal
 from .reversion import _inverse_parameters
@@ -95,9 +96,10 @@ class RiordanMatrix:
     @cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """Row ``n`` is ``(entry(n, 0), ..., entry(n, n))``, read off the columns of
-        one kernel run (see :func:`build_triangle`)."""
+        one kernel run (see :func:`build_triangle`): entry ``(n, k)`` is ``columns[k][n - k]``,
+        and each row is gathered by one ``map``, with no per-entry Python frame."""
         columns = _division_columns(self.f, self.g, self.depth - 1, self.depth)
-        return tuple(tuple(columns[k][n - k] for k in range(n + 1)) for n in range(self.depth))
+        return tuple(tuple(map(getitem, columns, range(n, -1, -1))) for n in range(self.depth))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RiordanMatrix):

@@ -204,7 +204,8 @@ def test_power_table_taps_come_from_omega_without_the_kernel(monkeypatch, omega,
 def test_both_row_rules_fill_the_same_table():
     # the omega-side rule and the A-sequence rule, each forced, on sparse polynomial
     # omega (g dense), on dense omega, on long gaps inside omega's tail and on omega = c*x
-    # (no tail), against the table _power_table returns: each at its own side's scale
+    # (no tail), against the table _power_table returns: each at its own side's scale,
+    # the edge cut after the read taps of omega/x (entry `read` would need one more)
     rng = random.Random(65)
     for p in range(31):
         degree = 1 + p % 8
@@ -230,8 +231,8 @@ def test_both_row_rules_fill_the_same_table():
                     for n, row in enumerate(by_g)]
             g0 = 1 / omega[1]
             table = reversion._power_table(omega, p)
-            assert table in ((g0, omega_delta, omega_taps, -1, by_omega, omega_edge),
-                             (g0, g_delta, g_taps, 1, by_g, g_edge))
+            assert table in ((g0, omega_delta, omega_taps, -1, by_omega, omega_edge[:read]),
+                             (g0, g_delta, g_taps, 1, by_g, g_edge[:read]))
 
 
 def test_the_edge_is_x_over_w_on_both_sides():
@@ -254,6 +255,24 @@ def test_the_edge_is_x_over_w_on_both_sides():
                 edges.append((delta, reversion._fill_table(taps, sign, p)[1]))
             for delta, edge in edges:
                 assert [-e * g0 ** (n - 1) / delta[n] for n, e in enumerate(edge)] == expected
+
+
+def test_the_power_tables_edge_is_x_over_w_on_both_sides():
+    # every edge entry _power_table returns is [x^n] x/w, w the inverse of omega: the
+    # edge stops at degree P - 1, the last whose tap omega/x was read (on the first
+    # omega at P = 5, g side, an entry for degree 5 would read omega_6, not given)
+    rng = random.Random(67)
+    sides = set()
+    for p in range(1, 16):
+        for omega in (Series([0, F(1, 2), 3, F(-1, 3), 2, 5, F(1, 7)], max(p, 6)),
+                      random_order_one(rng, p), Series([0, F(-2, 3), 1], p),
+                      Series([0] + [F(1, 3)] * (p + 1))):
+            w = compositional_inverse(coeffs(omega), p)
+            expected = divide([F(1)], w[1:], p - 1)
+            g0, delta, _, sign, _, edge = reversion._power_table(omega, p)
+            assert [-e * g0 ** (n - 1) / delta[n] for n, e in enumerate(edge)] == expected
+            sides.add(sign)
+    assert sides == {1, -1}
 
 
 def test_invert_rejects_wrong_order():

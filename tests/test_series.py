@@ -11,6 +11,7 @@ from riordan.series import (
     DomainError,
     PrecisionError,
     Series,
+    _fractions,
     distance,
     format_polynomial,
 )
@@ -365,6 +366,25 @@ def test_ring_results_equal_the_coerced_path_fraction_for_fraction():
                 # Fraction equality compares numerator and denominator as stored
                 assert all(type(c) is F for c in got.coefficients)
                 assert got.coefficients == want.coefficients
+
+
+def test_fractions_equal_the_two_argument_constructor():
+    # the one integer-to-Fraction boundary: a list of unit denominators takes the int
+    # path, any other list the reducing one, and both give the constructor's Fractions
+    rng = random.Random(20)
+    for n in range(12):
+        small = [rng.randint(-50, 50) for _ in range(n)]
+        big = [rng.getrandbits(300) - (1 << 299) for _ in range(n)]
+        ones = [1] * n
+        mixed = [rng.choice((1, 1, 2, 6, 9)) for _ in range(n)]
+        big_dens = [rng.getrandbits(300) | 1 for _ in range(n)]
+        for nums, dens in ((small, ones), (big, ones), (small, mixed), (big, mixed),
+                           (big, big_dens), (small, big_dens)):
+            got = _fractions(nums, dens)
+            assert all(type(c) is F for c in got)
+            assert [c.as_integer_ratio() for c in got] == \
+                   [F(v, d).as_integer_ratio() for v, d in zip(nums, dens)]
+        assert _fractions(iter(small), ones) == [F(v) for v in small]  # nums may be an iterator
 
 
 def reshaped(a):

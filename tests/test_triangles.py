@@ -443,6 +443,76 @@ def test_inverse_and_a_z_of_dense_cofactors_at_depth_30(build):
     assert (pair.a_seq, pair.z_seq) == (g_inv, z_seq)
 
 
+def result_coefficients(*results):
+    """Every coefficient of the given series and matrices: parameters and entries."""
+    for r in results:
+        if isinstance(r, Series):
+            yield from r.coefficients
+        else:
+            yield from chain(r.f.coefficients, r.g.coefficients, *r.entries)
+
+
+@pytest.mark.parametrize("f", [[1, -1, 0, 3], [F(2, 3), F(-1, 2), 0, F(5, 7)]],
+                         ids=["integer f", "rational f"])
+@pytest.mark.parametrize("g", [[-1, 1, 0, 2], [-2, 0, 1, -1], [F(-3, 2), 1, F(2, 5)],
+                               [1, -1], [1] * 12],
+                         ids=["g0=-1", "g0=-2", "g0=-3/2", "1-x", "1/(1-x)"])
+def test_results_are_reduced_fractions_that_match_the_oracles(f, g):
+    # the sign of g0 goes to the numerators, so every denominator the kernel and the
+    # table hand to series._fractions is positive, and the int path gives the same values
+    depth = 12
+    p = depth - 1
+    fs, gs, h = Series(f, p), Series(g, p), Series([F(1, 3), -2, 0, 1], p)
+    fc, gc = coeffs(fs), coeffs(gs)
+    t = build_triangle(fs, gs, depth)
+    ab, inv, pair = t @ t, t.inverse(), t.a_z_sequences()
+    x_over_g = [F(0)] + divide([F(1)], gc, p)
+    w, quotient, image = invert_series(Series(x_over_g), p), reciprocal(fs, gs, p), t.apply(h)
+    for c in result_coefficients(t, ab, inv, pair.a_seq, pair.z_seq, w, quotient, image):
+        assert type(c) is F and c.denominator > 0
+    rows = [list(row) for row in t.entries]
+    columns = divided_columns(fc, gc, p, depth)
+    assert rows == [[columns[k][n] for k in range(n + 1)] for n in range(depth)]
+    assert coeffs(quotient) == columns[0]
+    assert coeffs(image) == matrix_vector(fc, gc, coeffs(h), p)
+    assert [list(row) for row in ab.entries] == matmul_lower(rows, rows)
+    assert [list(row) for row in inv.entries] == invert_lower_triangular(rows)
+    assert coeffs(w) == compositional_inverse(x_over_g, p)
+    assert (inv.f, inv.g) == composed_inverse(t)
+    assert pair.a_seq == inv.g
+
+
+def test_integer_results_take_the_int_path_of_fraction(monkeypatch):
+    # where every denominator is 1 the package builds its Fractions by Fraction(n), with
+    # no gcd: no call through series.Fraction passes a denominator of 1 (or -1, a sign
+    # that was not folded into the numerator); the recorder is no type, so the runs
+    # avoid the scalar operations, which test isinstance(..., Fraction)
+    depth = 40
+    p = depth - 1
+    a = build_triangle(Series([1], p), Series([1, -1], p), depth)
+    b = triangles.RiordanMatrix(Series([1, 0, 0, -2], p), Series([-1, 0, 1], p), depth)
+    c = triangles.RiordanMatrix(Series([2, -1, 3], p), Series([1] * depth), depth)
+    h = Series([3, 0, -1, 2], p)
+    runs = [lambda: build_triangle(Series([1], p), Series([1, -1], p), depth).entries,
+            lambda: build_triangle(Series([1, 0, 0, -2], p), Series([-1, 0, 1], p), depth).entries,
+            lambda: reciprocal(Series([1, 2], p), Series([-1, 1, 0, 3], p), p),
+            lambda: invert_series(Series([0, 1, -1], p), p),
+            lambda: b.apply(h), lambda: (a @ b).entries, lambda: (b @ c).entries,
+            lambda: b.inverse().entries, lambda: c.inverse().entries]
+    expected = [run() for run in runs]
+    calls = []
+
+    def recorder(*args):
+        calls.append(args)
+        return F(*args)
+
+    monkeypatch.setattr("riordan.series.Fraction", recorder)
+    for run, want in zip(runs, expected):
+        assert run() == want
+    assert [args for args in calls if len(args) == 2 and args[1] in (1, -1)] == []
+    assert len(calls) >= depth * (depth + 1) // 2  # the entries did pass the recorder
+
+
 DENSE_DEPTH = 60
 # d = 1 + x/3 + 2x^2 - 2x^3/7 and friends: 1/d, 1/h and x/h are dense, with
 # denominators that grow with the degree, and the group operations pass
