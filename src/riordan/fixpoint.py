@@ -2,10 +2,14 @@
 
 In the ultrametric of :mod:`riordan.series`, the map ``t -> a*t + b`` is a
 1/2-contraction whenever ``order(a) >= 1``, so plain iteration converges to
-its unique fixed point from any start.  One step is one integer pass: ``t`` is
-scaled to integers, ``a*t`` is convolved onto the scaled ``b``, and one reduced
-Fraction is built per coefficient of the iterate; ``a`` and ``b`` are scaled on
-the map's first call, so plain iteration scales them once per run.
+its unique fixed point from any start.  One step is one integer pass: ``a*t`` is
+convolved onto the scaled ``b``, and the iterate's reduced Fractions are built
+from the result.  The iteration runs on integers end to end: the start is scaled
+once, each step hands the next its iterate as the integers ``(D, D*t)``, ``D``
+the lcm of the iterate's denominators, and ``a`` and ``b`` are scaled once per
+run (a map's on its first call, a division scheme's once for all its step maps).
+A coefficient whose integer a step leaves unchanged keeps its Fraction, so the
+converged degrees of an iterate are not built again.
 Iterating a *sequence* of such maps (the "crossed" iteration of a scheme, the
 step function ``m -> AffineMap`` whose map ``m`` is applied at step ``m``)
 converges to the fixed point of the pointwise limit map while only ever touching
@@ -36,7 +40,8 @@ from itertools import accumulate, repeat
 from operator import add, floordiv, mul
 from typing import Callable, Iterator, Sequence
 
-from .series import DomainError, PrecisionError, Series, _fractions, _integral, _mul_add
+from .series import (DomainError, PrecisionError, Series, _fractions, _integer_mul_add,
+                     _integral, _mul_add)
 
 __all__ = [
     "AffineMap",
@@ -63,7 +68,9 @@ class AffineMap:
     one integer pass (``series._mul_add``), at the least precision of ``slope``,
     ``t`` and ``offset``: the same series as ``slope*t + offset``, with one
     Fraction built per coefficient instead of two.  ``slope`` and ``offset`` are
-    scaled to integers on the first call, so plain iteration scales only the iterate.
+    scaled to integers on the first call (a division scheme's step maps read prefixes
+    of its limit map's), and :func:`iterate_crossed` hands each step the iterate as
+    integers, so an iteration scales no iterate but its start.
     """
 
     slope: Series
@@ -78,6 +85,18 @@ class AffineMap:
     @cached_property
     def _scaled(self) -> tuple[tuple[int, list[int]], tuple[int, list[int]]]:
         return _integral(self.slope.coefficients), _integral(self.offset.coefficients)
+
+    def _prefix(self, cut: int) -> AffineMap:
+        """The map of the degree-``cut`` Taylor polynomials of ``slope`` and ``offset``,
+        padded back to their precisions: its integers are prefixes of this map's, the
+        offset's padded with zeros, so it scales no coefficient."""
+        (ds, big_s), (do, big_o) = self._scaled
+        slope, offset = self.slope, self.offset
+        amap = AffineMap(slope.truncate(cut).pad(slope.precision),
+                         offset.truncate(cut).pad(offset.precision))
+        amap.__dict__["_scaled"] = ((ds, big_s[: cut + 1]),
+                                    (do, big_o[: cut + 1] + [0] * (offset.precision - cut)))
+        return amap
 
     def __call__(self, t: Series) -> Series:
         p = min(self.slope.precision, t.precision, self.offset.precision)
@@ -126,16 +145,38 @@ class IterationTrace:
 
 def iterate_crossed(scheme: Callable[[int], AffineMap], start: Series,
                     steps: int) -> IterationTrace:
-    """Crossed iteration: apply the contraction ``scheme(m)`` at step ``m``."""
+    """Crossed iteration: apply the contraction ``scheme(m)`` at step ``m``.
+
+    The run is on integers: the start is scaled once, and each step runs the integer
+    stage of ``scheme(m)`` on the integers ``(D, D*t)`` of the iterate before it and
+    divides its output by the gcd of its denominator and numerators, which leaves
+    ``_integral`` of the new iterate, the integers it hands on.  For the trace, a
+    coefficient whose integer over the same ``D`` is unchanged keeps the Fraction of
+    the iterate before (the converged degrees, and zeros not yet reached); one
+    Fraction is built for each other coefficient.
+    """
     if steps < 0:
         raise ValueError("steps must be a natural number")
     iterates = [start]
+    held = _integral(start.coefficients)
     for m in range(steps):
         try:
             current = scheme(m)
         except NotContractiveError as exc:
             raise NotContractiveError(f"scheme map for step {m}: {exc}") from exc
-        iterates.append(current(iterates[-1]))
+        p = min(current.slope.precision, iterates[-1].precision, current.offset.precision)
+        slope, offset = current._scaled
+        den, nums = _integer_mul_add(slope, held, offset, p)
+        c = math.gcd(den, *nums)
+        if c != 1:
+            den, nums = den // c, [v // c for v in nums]
+        same = held[1] if den == held[0] else repeat(None)
+        fresh = [i for i, (v, u) in enumerate(zip(nums, same)) if v != u]
+        values = list(iterates[-1].coefficients[: p + 1])
+        for i, value in zip(fresh, _fractions([nums[i] for i in fresh], [den] * len(fresh))):
+            values[i] = value
+        iterates.append(Series._of(values))
+        held = den, nums
     return IterationTrace(tuple(iterates))
 
 
@@ -167,19 +208,16 @@ def reciprocal_scheme(f: Series, g: Series, precision: int) -> Callable[[int], A
 
     Step ``m`` uses the degree-``m`` Taylor polynomials of that slope and offset; as
     polynomials they are exact, so they are padded back to the working precision.
+    The limit map is scaled to integers once, on the first step, and each step map
+    reads prefixes of its integers.
     """
     _check_division(f, g, precision)
     inv_g0 = Fraction(1) / g.coefficient(0)
     # (g0 - g)/g0: zero constant term by construction, hence a 1/2-contraction.
-    slope_data = 1 - g.truncate(precision) * inv_g0
-    offset_data = f.truncate(precision) * inv_g0
+    limit = AffineMap(1 - g.truncate(precision) * inv_g0, f.truncate(precision) * inv_g0)
 
     def maps(m: int) -> AffineMap:
-        cut = min(m, precision)
-        return AffineMap(
-            slope_data.truncate(cut).pad(precision),
-            offset_data.truncate(cut).pad(precision),
-        )
+        return limit._prefix(min(m, precision))
 
     return maps
 

@@ -43,8 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fixpoint import _positive, _scale_rows, _step, reciprocal
-from .series import DomainError, PrecisionError, Series, _fractions, _integral
+from .fixpoint import _integer_columns, _positive, _scale_rows, _step
+# reciprocal stays bound here for perfbench's tracer, which patches it in this module
+from .fixpoint import reciprocal  # noqa: F401
+from .series import DomainError, PrecisionError, Series, _fractions
 
 __all__ = [
     "LagrangeReport",
@@ -102,10 +104,16 @@ def _inverse_parameters(f: Series, g: Series, p: int) -> tuple[Series, Series]:
     :func:`_table` fills from ``g`` on either side: ``[x^n] 1/g(w) = [x^n] x/w =
     -edge[n] * g0**(n-1) / delta_n``.  With ``R = M/f`` integral, ``[x^n] (1/f)(w) =
     g0**n * sum_j R_j E[n][j] (delta_n/delta_(n-j)) / (M*delta_n)``, the factor a product of
-    ``delta_m/delta_(m-1)``: the one division is ``1/f``, and nothing is composed."""
+    ``delta_m/delta_(m-1)``: the one division is ``1/f``, and nothing is composed.  ``R`` is
+    the division kernel's integer column ``S_j = d_j f0 [x^j] 1/f`` at ``f``'s own scale
+    ``d_j``, lifted to ``d_p`` (each ``d_j`` divides the next): with ``f0 = a/b``, ``a > 0``,
+    ``R_j = S_j * b * d_p/d_j`` and ``M = a*d_p``."""
     g0, delta, _, _, rows, edge = _table(g.coefficients[: p + 1], 1, p)
     ratios = [1] + [d // c for c, d in zip(delta, delta[1:])]
-    den_f, big_r = _integral(reciprocal(Series.one(p), f, p).coefficients)
+    _, f0, f_delta, (column,) = _integer_columns(Series.one(p), f, p, 1)
+    fa, fb = _positive(f0)
+    big_r = [s * fb * (f_delta[p] // d) for s, d in zip(column, f_delta)]
+    den_f = fa * f_delta[p]
     a, b = g0.numerator, g0.denominator
     inv_den, inv_num = _positive(g0)  # 1/g0 = inv_num/inv_den, inv_den > 0
     f_nums, f_dens, g_nums, g_dens = [], [], [], []

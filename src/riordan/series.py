@@ -14,8 +14,10 @@ reduced Fraction is built per output coefficient by ``_fractions``, where every
 integer stage of the package becomes Fractions (with no gcd when the scale is
 1).  ``s * t`` is ``s*t + 0``, ``s + t`` is ``1*s + t``, ``s - t`` is
 ``(-1)*t + s``, and the affine step of the iteration engine is the pass as it
-stands.  The entries are canonical, so the result is the same series the
-schoolbook Fraction sums give.
+stands; the engine's crossed iteration runs the integer stage,
+``_integer_mul_add``, on the integers each step hands the next.  The entries
+are canonical, so the result is the same series the schoolbook Fraction sums
+give.
 
 The module also provides the non-Archimedean metric that drives the
 iteration engine: ``distance(f, g) == Fraction(1, 2**k)`` where ``k`` is
@@ -346,18 +348,25 @@ class Series:
 
 def _mul_add(a: tuple[int, list[int]], b: Series, c: tuple[int, list[int]], p: int) -> Series:
     """``a*b + c`` through degree ``p`` in one integer pass, ``a`` and ``c`` given scaled,
-    as :func:`_integral` returns them: ``c`` over at least ``p + 1`` coefficients, ``a``
-    over any number, a missing coefficient counting as zero.  ``b`` is scaled once, the
-    convolution of ``a`` and ``b`` is added straight onto ``c`` over the common denominator,
-    and one reduced Fraction is built per coefficient by :func:`_fractions` (with no gcd
-    when that denominator is 1).
-    ``*``, ``+`` and ``-`` on two series and the Picard step of
-    :class:`~riordan.fixpoint.AffineMap` all run this pass.  A denominator that clears
-    more coefficients than are read gives the same Fractions, so ``a`` and ``c`` can be
-    scaled once and read at any ``p``.  The zero coefficients of ``a`` cost nothing, so
-    pass the sparser factor there."""
-    (da, ia), (dc, ic) = a, c
-    db, ib = _integral(b._coeffs[: p + 1])
+    as :func:`_integral` returns them: ``b`` is scaled once, :func:`_integer_mul_add` adds
+    the convolution of ``a`` and ``b`` straight onto ``c``, and one reduced Fraction is
+    built per coefficient by :func:`_fractions` (with no gcd when the denominator is 1).
+    ``*``, ``+`` and ``-`` on two series and :class:`~riordan.fixpoint.AffineMap` run this
+    pass; the crossed iteration runs the integer stage on the iterate it already holds."""
+    den, out = _integer_mul_add(a, _integral(b._coeffs[: p + 1]), c, p)
+    return Series._of(_fractions(out, [den] * len(out)))
+
+
+def _integer_mul_add(a: tuple[int, list[int]], b: tuple[int, list[int]],
+                     c: tuple[int, list[int]], p: int) -> tuple[int, list[int]]:
+    """``(D, D*(a*b + c))`` through degree ``p``, all three given scaled as :func:`_integral`
+    returns them, ``D`` the lcm of ``a``'s and ``b``'s denominators' product and ``c``'s:
+    ``c`` over at least ``p + 1`` coefficients, ``a`` and ``b`` over any number, a missing
+    coefficient counting as zero and those past ``p`` unread.  A denominator that clears
+    more coefficients than are read gives the same Fractions, so data can be scaled once
+    and read at any ``p``.  The zero coefficients of ``a`` cost nothing, so pass the
+    sparser factor there."""
+    (da, ia), (db, ib), (dc, ic) = a, b, c
     den = math.lcm(da * db, dc)
     sa, sc = den // (da * db), den // dc
     ia = ia[: p + 1] if sa == 1 else [v * sa for v in ia[: p + 1]]
@@ -369,7 +378,7 @@ def _mul_add(a: tuple[int, list[int]], b: Series, c: tuple[int, list[int]], p: i
                 if i + j > p:
                     break
                 out[i + j] += ai * bj
-    return Series._of(_fractions(out, [den] * len(out)))
+    return den, out
 
 
 def _fractions(nums: Iterable[int], dens: Sequence[int]) -> list[Fraction]:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from riordan import cli, fixpoint
+from riordan import cli, fixpoint, series
 from riordan.fixpoint import (
     AffineMap,
     NotContractiveError,
@@ -131,20 +131,57 @@ def test_affine_step_equals_product_plus_offset(monkeypatch):
         fraction_for_fraction(got, want)
 
 
+def record_scalings(monkeypatch):
+    """Every ``_integral`` call of ``fixpoint`` and of ``series``, as the coefficients scaled,
+    in two lists: the map data and the start, and the operands of the ring operations."""
+    scaled = {fixpoint: [], series: []}
+    for module, calls in scaled.items():
+        def recording(cs, real=module._integral, calls=calls):
+            calls.append(cs)
+            return real(cs)
+        monkeypatch.setattr(module, "_integral", recording)
+    return scaled[fixpoint], scaled[series]
+
+
 def test_affine_map_scales_its_data_once_for_every_precision(monkeypatch):
     # slope and offset are scaled on the first call, over all their coefficients: a
     # denominator read past the iterate's precision reduces to the same Fractions
     amap = AffineMap(Series([0, F(1, 2), 0, F(-2, 3), 0, 0, 0, F(5, 11)], 9),
                      Series([F(3, 4), 1, 0, 0, 0, F(1, 13)], 9))
-    scaled = []
-    real = fixpoint._integral
-    monkeypatch.setattr(fixpoint, "_integral", lambda cs: scaled.append(cs) or real(cs))
+    scaled, ring = record_scalings(monkeypatch)
     for p in (0, 2, 4, 9, 7):
         t = Series([F(-1, 5), 2, F(1, 3), 0, 7, F(2, 7), 0, 1, 0, F(-9, 2)], p)
         fraction_for_fraction(amap(t), amap.slope.truncate(p) * t + amap.offset.truncate(p))
     assert scaled == [amap.slope.coefficients, amap.offset.coefficients]
-    trace = iterate_fixed(amap, Series.zero(9), 12)
-    assert len(scaled) == 2 and trace.last == amap(trace[-2])
+    # plain iteration scales the start once and the map data once, and no iterate
+    fresh, start = AffineMap(amap.slope, amap.offset), Series([F(2, 3), 0, F(-1, 7)], 9)
+    scaled.clear()
+    ring.clear()
+    trace = iterate_fixed(fresh, start, 12)
+    assert scaled == [start.coefficients, amap.slope.coefficients, amap.offset.coefficients]
+    assert ring == []
+    assert trace.last == amap(trace[-2])
+
+
+@pytest.mark.parametrize("column", [1, 2, 4])
+def test_crossed_runs_scale_the_scheme_data_and_the_start_once(monkeypatch, column):
+    # the scheme scales its slope and offset data once and every step map reads prefixes of
+    # them; each step hands its iterate to the next as integers, so only the start is scaled
+    p = 7
+    f = Series([F(1, 3), 2, 0, F(5, 2)], p)
+    g = Series([F(-3, 2), 1, F(2, 5), 0, F(-1, 7)], p)
+    start = Series([F(1, 2), F(-4, 3)], p)
+    prev = reciprocal(f, g ** (column - 1), p).shift(column - 2) if column > 1 else None
+    scaled, ring = record_scalings(monkeypatch)
+    for steps in (1, 2, 5, p + 1, 3 * p):
+        scaled.clear()
+        ring.clear()
+        scheme = reciprocal_scheme(f, g, p) if column == 1 else column_scheme(f, g, column, prev)
+        trace = iterate_crossed(scheme, start, steps)
+        assert ring == []
+        limit = scheme(3 * p)
+        assert scaled == [start.coefficients, limit.slope.coefficients, limit.offset.coefficients]
+        assert trace.iterates == unfused_trace(scheme, start, steps)
 
 
 def record_iterations(monkeypatch):
@@ -178,16 +215,61 @@ def test_cli_traces_equal_the_unfused_reference_loop(monkeypatch, capsys, argv):
     for steps in range(1, 25):
         assert cli.main(["trace", *argv, "--steps", str(steps), "--format", "json"]) == 0
         printed.append(json.loads(capsys.readouterr().out))
-    monkeypatch.undo()  # the reference loop below is the unfused ring operations
+    monkeypatch.undo()  # the reference loop is the unfused ring operations
     assert [run[2] for run in runs] == list(range(1, 25))
     for (scheme, start, steps, trace), out in zip(runs, printed):
-        want = [start]
-        for m in range(steps):
-            amap = scheme(m)
-            want.append(amap.slope * want[-1] + amap.offset)
+        want = unfused_trace(scheme, start, steps)
         for got, expected in zip(trace, want, strict=True):
             fraction_for_fraction(got, expected)
         assert out == [it.to_strings() for it in want]
+
+
+def unfused_trace(scheme, start, steps):
+    """The iterates of ``iterate_crossed(scheme, start, steps)`` by the ring operations:
+    ``slope * t + offset`` at each step, one Fraction sum per product and per addition."""
+    want = [start]
+    for m in range(steps):
+        amap = scheme(m)
+        want.append(amap.slope * want[-1] + amap.offset)
+    return tuple(want)
+
+
+def test_crossed_iteration_hands_each_step_the_integers_of_its_iterate(monkeypatch):
+    # the integers carried from step to step are those of _integral on the iterate, whose
+    # denominators stop growing once the iterate converges, even past the precision; the
+    # Fractions of the unchanged ones are shared, and every iterate is the unfused one
+    rng = random.Random(31)
+    handed = []
+    real = fixpoint._integer_mul_add
+
+    def recording(a, b, c, p):
+        handed.append(b)
+        return real(a, b, c, p)
+
+    def rational(precision, order=0):
+        return Series([0] * order + [F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+                                     for _ in range(precision + 1 - order)], precision)
+
+    monkeypatch.setattr(fixpoint, "_integer_mul_add", recording)
+    for _ in range(12):
+        p = rng.randint(1, 7)
+        f, g = rational(p), rational(p)
+        if not g[0]:
+            g = g + 1
+        amap = AffineMap(rational(p, order=1), rational(p))
+        for scheme in (reciprocal_scheme(f, g, p), lambda m, amap=amap: amap):
+            start = rational(p)
+            for steps in (0, 1, p, p + 1, 3 * p):
+                handed.clear()
+                trace = iterate_crossed(scheme, start, steps)
+                assert handed == [series._integral(t.coefficients) for t in trace[:steps]]
+                # a coefficient whose integer over the same denominator stays keeps its Fraction
+                for before, after in zip(trace, trace[1:]):
+                    (d0, n0), (d1, n1) = (series._integral(t.coefficients) for t in (before, after))
+                    kept = [x is y for x, y in zip(after.coefficients, before.coefficients)]
+                    assert kept == [d0 == d1 and u == v for u, v in zip(n1, n0)]
+                for got, want in zip(trace, unfused_trace(scheme, start, steps), strict=True):
+                    fraction_for_fraction(got, want)
 
 
 def polynomial_panel():

@@ -623,8 +623,9 @@ def test_group_inverse_fills_the_shorter_side_of_the_table(monkeypatch, build, s
 
 
 def test_inverse_parameters_make_one_division_of_f_and_no_reversion(monkeypatch):
-    # x/w and (1/f)(w) come off one integer table; only the input f is divided
-    calls = {"reciprocal": [], "invert_series": []}
+    # x/w and (1/f)(w) come off one integer table; only the input f is divided, by one
+    # integer column of the division kernel
+    calls = {"_integer_columns": [], "reciprocal": [], "invert_series": []}
     for name in calls:
         original = getattr(reversion, name)
 
@@ -636,9 +637,11 @@ def test_inverse_parameters_make_one_division_of_f_and_no_reversion(monkeypatch)
     for t in (pascal(8), ag_triangle(6), random_matrix(random.Random(48), 9)):
         calls.update({name: [] for name in calls})
         reversion._inverse_parameters(t.f, t.g, t.depth - 1)
-        assert len(calls["reciprocal"]) == 1
-        assert calls["reciprocal"][0][1] is t.f
-        assert calls["invert_series"] == []
+        assert len(calls["_integer_columns"]) == 1
+        one, divisor, p, count = calls["_integer_columns"][0]
+        assert (one, divisor, p, count) == (Series.one(t.depth - 1), t.f, t.depth - 1, 1)
+        assert divisor is t.f
+        assert calls["reciprocal"] == calls["invert_series"] == []
 
 
 def test_triangles_decodes_no_integer_format():
