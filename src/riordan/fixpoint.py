@@ -4,10 +4,11 @@ In the ultrametric of :mod:`riordan.series`, the map ``t -> a*t + b`` is a
 1/2-contraction whenever ``order(a) >= 1``, so plain iteration converges to
 its unique fixed point from any start.  One step is one integer pass: ``a*t`` is
 convolved onto the scaled ``b``, and the iterate's reduced Fractions are built
-from the result.  The iteration runs on integers end to end: the start is scaled
-once, each step hands the next its iterate as the integers ``(D, D*t)``, ``D``
-the lcm of the iterate's denominators, and ``a`` and ``b`` are scaled once per
-run (a map's on its first call, a division scheme's once for all its step maps).
+from the result; applying a map is one such step of :func:`iterate_fixed`.  The
+iteration runs on integers end to end: the start is scaled once, each step hands
+the next its iterate as the integers ``(D, D*t)``, ``D`` the lcm of the iterate's
+denominators, and ``a`` and ``b`` are scaled once (a map's on its first use, a
+division scheme's once for all its step maps).
 A coefficient whose integer a step leaves unchanged keeps its Fraction, so the
 converged degrees of an iterate are not built again.
 Iterating a *sequence* of such maps (the "crossed" iteration of a scheme, the
@@ -40,8 +41,7 @@ from itertools import accumulate, repeat
 from operator import add, floordiv, mul
 from typing import Callable, Iterator, Sequence
 
-from .series import (DomainError, PrecisionError, Series, _fractions, _integer_mul_add,
-                     _integral, _mul_add)
+from .series import DomainError, PrecisionError, Series, _fractions, _integer_mul_add, _integral
 
 __all__ = [
     "AffineMap",
@@ -65,12 +65,12 @@ class AffineMap:
 
     ``order(slope) >= 1`` is enforced at construction; it guarantees
     ``distance(map(t1), map(t2)) <= distance(t1, t2) / 2``.  Applying the map is
-    one integer pass (``series._mul_add``), at the least precision of ``slope``,
-    ``t`` and ``offset``: the same series as ``slope*t + offset``, with one
-    Fraction built per coefficient instead of two.  ``slope`` and ``offset`` are
-    scaled to integers on the first call (a division scheme's step maps read prefixes
-    of its limit map's), and :func:`iterate_crossed` hands each step the iterate as
-    integers, so an iteration scales no iterate but its start.
+    one step of :func:`iterate_fixed`, at the least precision of ``slope``, ``t`` and
+    ``offset``: the same series as ``slope*t + offset``, one integer pass that keeps
+    the Fraction of each coefficient of ``t`` it leaves unchanged.  ``slope`` and
+    ``offset`` are scaled to integers once per map (a division scheme's step maps read
+    prefixes of its limit map's), and :func:`iterate_crossed` hands each step the
+    iterate as integers, so an iteration scales no iterate but its start.
     """
 
     slope: Series
@@ -99,9 +99,7 @@ class AffineMap:
         return amap
 
     def __call__(self, t: Series) -> Series:
-        p = min(self.slope.precision, t.precision, self.offset.precision)
-        slope, offset = self._scaled
-        return _mul_add(slope, t, offset, p)
+        return iterate_fixed(self, t, 1).last
 
 
 @dataclass(frozen=True)
@@ -239,12 +237,11 @@ def reciprocal(f: Series, g: Series, precision: int) -> Series:
 
 def _division_columns(f: Series, g: Series, precision: int, count: int) -> list[list[Fraction]]:
     """Columns ``k < count`` of ``x**k * f / g**(k+1)``, degrees ``k..precision``: over
-    the integers of :func:`_integer_columns`, with ``g0 = a/b`` in lowest terms and
-    ``a > 0`` (the sign of ``g0`` folded into ``b``), entry ``(n, k)`` is the one Fraction
-    ``S_k[n-k]*b**(k+1) / (M*delta_(n-k)*a**(k+1))``, its denominator positive, so a
-    column with every denominator 1 is built with no gcd (:func:`~riordan.series._fractions`)."""
-    den_f, g0, delta, columns = _integer_columns(f, g, precision, count)
-    a, b = _positive(g0)
+    the integers and the split ``g0 = a/b``, ``a > 0``, of :func:`_integer_columns`, entry
+    ``(n, k)`` is the one Fraction ``S_k[n-k]*b**(k+1) / (M*delta_(n-k)*a**(k+1))``, its
+    denominator positive, so a column with every denominator 1 is built with no gcd
+    (:func:`~riordan.series._fractions`)."""
+    den_f, (a, b), delta, columns = _integer_columns(f, g, precision, count)
     dens = [den_f * d for d in delta]
     ak, bk = a, b
     for k, s in enumerate(columns):  # in place, so the integers of done columns are freed
@@ -262,17 +259,17 @@ def _positive(g0: Fraction) -> tuple[int, int]:
 
 def _apply(f: Series, g: Series, hs: Sequence[Series], p: int) -> list[Series]:
     """``T(f|g)`` times each ``h`` in ``hs`` through degree ``p``, off one run of the
-    division kernel's integer columns (:func:`_integer_columns`).
+    division kernel's integer columns and its split ``g0 = a/b``, ``a > 0``
+    (:func:`_integer_columns`).
 
-    With ``g0 = a/b``, ``a > 0``, entry ``(n, k)`` is ``S_k[n-k]*b**(k+1) / (M*delta_(n-k)*
-    a**(k+1))`` and ``delta_(n-k)`` divides ``delta_n``, so row ``n`` sums over the positive
-    denominator ``M*delta_n*a**(n+1)*D``, ``D*h`` integral: term ``k`` gains the factor
+    Entry ``(n, k)`` is ``S_k[n-k]*b**(k+1) / (M*delta_(n-k)*a**(k+1))`` and ``delta_(n-k)``
+    divides ``delta_n``, so row ``n`` sums over the positive denominator
+    ``M*delta_n*a**(n+1)*D``, ``D*h`` integral: term ``k`` gains the factor
     ``(delta_n/delta_(n-k)) * a**(n-k) * b**(k+1)``, and each coefficient is one Fraction.
     Each column is lifted once, by ``a**m * delta_p/delta_m`` at ``m = n - k``, so a row is
     a sum of column slices times ``b**(k+1) * D*h_k``, divided exactly by ``delta_p/delta_n``.
     """
-    den_f, g0, delta, columns = _integer_columns(f, g, p, p + 1)
-    a, b = _positive(g0)
+    den_f, (a, b), delta, columns = _integer_columns(f, g, p, p + 1)
     drop = [delta[p] // d for d in delta]  # delta_p/delta_n
     lift = list(map(mul, drop, accumulate(repeat(a, p), mul, initial=1)))
     if any(v != 1 for v in lift):
@@ -290,9 +287,10 @@ def _apply(f: Series, g: Series, hs: Sequence[Series], p: int) -> list[Series]:
 
 
 def _integer_columns(f: Series, g: Series, precision: int,
-                     count: int) -> tuple[int, Fraction, list[int], list[list[int]]]:
-    """``(M, g0, delta, [S_k for k < count])``, the kernel's integer stage, each ``S_k``
-    indexed by ``m = n - k <= precision - k`` (0 below the order of ``f``).
+                     count: int) -> tuple[int, tuple[int, int], list[int], list[list[int]]]:
+    """``(M, (a, b), delta, [S_k for k < count])``, the kernel's integer stage, with
+    ``g0 = a/b`` split once by :func:`_positive` and each ``S_k`` indexed by
+    ``m = n - k <= precision - k`` (0 below the order of ``f``).
 
     Column ``k`` divides ``x * column(k-1)`` by ``g``, fraction-free: with ``F = M*f``
     integral through ``precision`` and ``c_j = g_j/g0``, ``S_k[m] = M*delta_m * [x^m]
@@ -303,24 +301,24 @@ def _integer_columns(f: Series, g: Series, precision: int,
     den_f, big_f = _integral(f.coefficients[: precision + 1])  # M, F
     delta, rows = _scale_rows(g.coefficients[: precision + 1], precision)
     source = [c * d for c, d in zip(big_f, delta)]
-    start = min(f.order(), precision + 1)  # leading zeros of every column
     columns = []
     for k in range(count):
-        source = _step(source, rows, -1, precision - k + 1, start)
+        source = _step(source, rows, -1, precision - k + 1)
         columns.append(source)
-    return den_f, g.coefficients[0], delta, columns
+    return den_f, _positive(g.coefficients[0]), delta, columns
 
 
 def _step(source: Sequence[int], rows: list[list[tuple[int, int]]], sign: int,
-          length: int, start: int = 0) -> list[int]:
-    """``s_m = delta_m [x^m] u*(1+c)**sign`` for ``m < length``, ``source[m] = delta_m [x^m] u``
-    (0 below ``start``), on the taps ``rows[m]`` and scale of :func:`_scale_rows`: the one
-    integer recurrence, ``s_m = source_m - sum_j t_(m,j) r_(m-j)`` at one product per tap,
-    reading ``r = s`` to divide (``sign = -1``) and ``r = -source`` to multiply (``sign = 1``);
-    ``delta_m c_j = t_(m,j) delta_(m-j)``, so no step divides."""
+          length: int) -> list[int]:
+    """``s_m = delta_m [x^m] u*(1+c)**sign`` for ``m < length``, ``source[m] = delta_m [x^m] u``,
+    on the taps ``rows[m]`` and scale of :func:`_scale_rows`: the one integer recurrence,
+    ``s_m = source_m - sum_j t_(m,j) r_(m-j)`` at one product per tap, reading ``r = s`` to
+    divide (``sign = -1``) and ``r = -source`` to multiply (``sign = 1``); ``delta_m c_j =
+    t_(m,j) delta_(m-j)``, so no step divides, and a source that is 0 below some degree
+    steps to 0 there."""
     s = [0] * length
     read = s if sign < 0 else [-v for v in source]
-    for m in range(start, length):
+    for m in range(length):
         acc = source[m]
         for j, t in rows[m]:
             acc -= t * read[m - j]

@@ -106,12 +106,11 @@ def _inverse_parameters(f: Series, g: Series, p: int) -> tuple[Series, Series]:
     g0**n * sum_j R_j E[n][j] (delta_n/delta_(n-j)) / (M*delta_n)``, the factor a product of
     ``delta_m/delta_(m-1)``: the one division is ``1/f``, and nothing is composed.  ``R`` is
     the division kernel's integer column ``S_j = d_j f0 [x^j] 1/f`` at ``f``'s own scale
-    ``d_j``, lifted to ``d_p`` (each ``d_j`` divides the next): with ``f0 = a/b``, ``a > 0``,
-    ``R_j = S_j * b * d_p/d_j`` and ``M = a*d_p``."""
+    ``d_j``, lifted to ``d_p`` (each ``d_j`` divides the next): with the kernel's split
+    ``f0 = a/b``, ``a > 0``, ``R_j = S_j * b * d_p/d_j`` and ``M = a*d_p``."""
     g0, delta, _, _, rows, edge = _table(g.coefficients[: p + 1], 1, p)
     ratios = [1] + [d // c for c, d in zip(delta, delta[1:])]
-    _, f0, f_delta, (column,) = _integer_columns(Series.one(p), f, p, 1)
-    fa, fb = _positive(f0)
+    _, (fa, fb), f_delta, (column,) = _integer_columns(Series.one(p), f, p, 1)
     big_r = [s * fb * (f_delta[p] // d) for s, d in zip(column, f_delta)]
     den_f = fa * f_delta[p]
     a, b = g0.numerator, g0.denominator

@@ -12,12 +12,11 @@ The ring operations run on integers, in one pass, ``_mul_add``, that computes
 convolution of ``a`` and ``b`` is added straight onto the scaled ``c``, and one
 reduced Fraction is built per output coefficient by ``_fractions``, where every
 integer stage of the package becomes Fractions (with no gcd when the scale is
-1).  ``s * t`` is ``s*t + 0``, ``s + t`` is ``1*s + t``, ``s - t`` is
-``(-1)*t + s``, and the affine step of the iteration engine is the pass as it
-stands; the engine's crossed iteration runs the integer stage,
-``_integer_mul_add``, on the integers each step hands the next.  The entries
-are canonical, so the result is the same series the schoolbook Fraction sums
-give.
+1).  ``s * t`` is ``s*t + 0``, ``s + t`` is ``1*s + t`` and ``s - t`` is
+``(-1)*t + s``.  The affine step of the iteration engine runs only the integer
+stage, ``_integer_mul_add``, on the integers each step hands the next.  The
+entries are canonical, so the result is the same series the schoolbook Fraction
+sums give.
 
 The module also provides the non-Archimedean metric that drives the
 iteration engine: ``distance(f, g) == Fraction(1, 2**k)`` where ``k`` is
@@ -351,8 +350,8 @@ def _mul_add(a: tuple[int, list[int]], b: Series, c: tuple[int, list[int]], p: i
     as :func:`_integral` returns them: ``b`` is scaled once, :func:`_integer_mul_add` adds
     the convolution of ``a`` and ``b`` straight onto ``c``, and one reduced Fraction is
     built per coefficient by :func:`_fractions` (with no gcd when the denominator is 1).
-    ``*``, ``+`` and ``-`` on two series and :class:`~riordan.fixpoint.AffineMap` run this
-    pass; the crossed iteration runs the integer stage on the iterate it already holds."""
+    ``*``, ``+`` and ``-`` on two series run this pass; the crossed iteration of
+    :mod:`riordan.fixpoint` runs only the integer stage, on the iterate it already holds."""
     den, out = _integer_mul_add(a, _integral(b._coeffs[: p + 1]), c, p)
     return Series._of(_fractions(out, [den] * len(out)))
 

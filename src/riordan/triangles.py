@@ -234,7 +234,7 @@ class RiordanMatrix:
         """The classical pair ``(d, h)`` with ``d = f/g`` and ``h = x/g`` (column k is
         ``d * h**k``), both divided from the parameters: the entries are not built."""
         p = self.depth - 1
-        return reciprocal(self.f, self.g, p), _inv(self.g, p).shift(1)
+        return reciprocal(self.f, self.g, p), reciprocal(Series.one(p), self.g, p).shift(1)
 
     # ------------------------------------------------------------------
     # serialization
@@ -282,11 +282,6 @@ def _degree(depth: int) -> int:
     return depth - 1
 
 
-def _inv(s: Series, p: int) -> Series:
-    """``1/s`` through degree ``p``."""
-    return reciprocal(Series.one(p), s, p)
-
-
 def identity(depth: int) -> RiordanMatrix:
     """The identity matrix, ``T(1|1)``."""
     one = Series.one(_degree(depth))
@@ -304,7 +299,7 @@ def from_classical(d: Series, h: Series, depth: int) -> RiordanMatrix:
         raise PrecisionError(
             f"classical construction at depth {depth} needs d at precision {p} and h at {p + 1}"
         )
-    g = _inv(h.shift(-1), p)  # x/h
+    g = reciprocal(Series.one(p), h.shift(-1), p)  # x/h
     return build_triangle(d.truncate(p) * g, g, depth)
 
 

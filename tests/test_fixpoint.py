@@ -145,14 +145,17 @@ def record_scalings(monkeypatch):
 
 def test_affine_map_scales_its_data_once_for_every_precision(monkeypatch):
     # slope and offset are scaled on the first call, over all their coefficients: a
-    # denominator read past the iterate's precision reduces to the same Fractions
+    # denominator read past the iterate's precision reduces to the same Fractions; a call
+    # is one iteration step, so it scales its argument once, as the start of that run
     amap = AffineMap(Series([0, F(1, 2), 0, F(-2, 3), 0, 0, 0, F(5, 11)], 9),
                      Series([F(3, 4), 1, 0, 0, 0, F(1, 13)], 9))
     scaled, ring = record_scalings(monkeypatch)
+    ts = []
     for p in (0, 2, 4, 9, 7):
         t = Series([F(-1, 5), 2, F(1, 3), 0, 7, F(2, 7), 0, 1, 0, F(-9, 2)], p)
+        ts.append(t.coefficients)
         fraction_for_fraction(amap(t), amap.slope.truncate(p) * t + amap.offset.truncate(p))
-    assert scaled == [amap.slope.coefficients, amap.offset.coefficients]
+    assert scaled == [ts[0], amap.slope.coefficients, amap.offset.coefficients, *ts[1:]]
     # plain iteration scales the start once and the map data once, and no iterate
     fresh, start = AffineMap(amap.slope, amap.offset), Series([F(2, 3), 0, F(-1, 7)], 9)
     scaled.clear()
@@ -161,6 +164,17 @@ def test_affine_map_scales_its_data_once_for_every_precision(monkeypatch):
     assert scaled == [start.coefficients, amap.slope.coefficients, amap.offset.coefficients]
     assert ring == []
     assert trace.last == amap(trace[-2])
+
+
+@pytest.mark.parametrize("den", [1, 2])
+def test_a_map_at_its_fixed_point_returns_the_fractions_of_its_argument(den):
+    # a call is one iterate_crossed step, which keeps the Fraction of every integer it
+    # leaves unchanged: t -> (x/den)*t + 1 on the truncation of 1/(1 - x/den)
+    amap = AffineMap(Series([0, F(1, den)], 6), Series.one(6))
+    t = Series([F(1, den ** n) for n in range(7)])
+    got = amap(t)
+    assert got == amap.slope * t + amap.offset
+    assert all(a is b for a, b in zip(got.coefficients, t.coefficients, strict=True))
 
 
 @pytest.mark.parametrize("column", [1, 2, 4])
@@ -553,14 +567,14 @@ def test_step_multiplies_and_divides_by_the_cofactor(g):
     p = 30
     g = g.truncate(p)
     delta, rows = fixpoint._scale_rows(g.coefficients, p)
-    for start in (0, 1, 4):
+    for start in (0, 1, 4):  # leading zeros of u
         u = Series([0] * start + [rng.randint(-9, 9) for _ in range(start, p + 1)])
         source = [c * d for c, d in zip(coeffs(u), delta)]
-        product = fixpoint._step(source, rows, 1, p + 1, start)
+        product = fixpoint._step(source, rows, 1, p + 1)
         expected = coeffs(u * g * (1 / g[0]))
         assert [F(v, d) for v, d in zip(product, delta)] == expected
-        assert fixpoint._step(product, rows, -1, p + 1, start) == source
-        assert fixpoint._step(product, rows, -1, p - 3, start) == source[: p - 3]
+        assert fixpoint._step(product, rows, -1, p + 1) == source
+        assert fixpoint._step(product, rows, -1, p - 3) == source[: p - 3]
 
 
 def test_reciprocal_at_precision_zero():

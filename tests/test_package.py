@@ -1,5 +1,6 @@
 """The package re-exports each module's public names, its docstring examples hold, its
-modules import no name they leave unused, and each private definition has a reader."""
+modules import no name they leave unused, each private definition has a reader, and each
+parameter is read."""
 
 import ast
 import doctest
@@ -92,3 +93,30 @@ def test_every_private_definition_is_read():
             if not any(read == name and id(node) not in inside for read, node in reads):
                 unread.append(f"{path.name}:{definition.lineno} {name}")
     assert unread == []
+
+
+def test_every_parameter_is_read_and_no_private_function_has_a_default():
+    # a parameter that its function never reads, or a private function's default, serves
+    # no caller: every caller of a private function passes what it means.  A method's
+    # `self` and a lambda's parameters are fixed by the interface they fill, not read
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for item in node.body if isinstance(item, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            params = [param for param in params if param is not None]
+            if id(node) in methods:
+                params = params[1:]  # self or cls
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [f"{path.name}:{node.lineno} {node.name}({param.arg}) is never read"
+                      for param in params if param.arg not in read]
+            if node.name.startswith("_") and not node.name.startswith("__") and (
+                    args.defaults or any(d is not None for d in args.kw_defaults)):
+                found.append(f"{path.name}:{node.lineno} {node.name} has a default")
+    assert found == []
