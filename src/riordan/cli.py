@@ -52,9 +52,9 @@ PRESETS: dict[str, Callable[[int], Series]] = {
     "curious_g": lambda p: Series([-1, 2], p),          # 2x - 1
     "geometric": lambda p: Series([1] * (p + 1), p),    # 1/(1-x) = sum x^n
     "arithgeo": lambda p: Series(range(1, p + 2), p),   # 1/(1-x)^2 = sum (n+1) x^n
-    # the paper's name for arithgeo: the f of its remainder triangle T(f|curious_g)
-    "curious_f": lambda p: Series(range(1, p + 2), p),  # 1/(1-x)^2
 }
+# the paper's name for arithgeo: the f of its remainder triangle T(f|curious_g)
+PRESETS["curious_f"] = PRESETS["arithgeo"]
 
 
 def parse_series_arg(text: str, precision: int, name: str) -> Series:

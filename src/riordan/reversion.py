@@ -164,7 +164,8 @@ def invert_series(omega: Series, precision: int) -> Series:
     """The compositional inverse of ``omega`` through ``precision``.
 
     Requires ``order(omega) == 1`` and ``omega.precision >= precision``:
-    ``omega`` is read through ``precision`` and no further.  The
+    ``omega`` is read through degree ``max(precision, 1)`` and no further, so
+    at ``precision`` 0 it still needs ``omega_1``.  The
     result ``y`` satisfies ``omega(y) == y(omega) == x`` through the
     requested degree; it is column 1 of the power table's rows, unscaled.
     """
@@ -230,7 +231,8 @@ class LagrangeReport:
 
 def verify_lagrange(omega: Series, max_n: int) -> LagrangeReport:
     """Check ``n*[x^n](omega^{-1})**k == k*[x^(n-k)]g**n`` for all
-    ``1 <= k <= n <= max_n``, exactly, from ``omega`` known through ``max_n``.
+    ``1 <= k <= n <= max_n``, exactly, from ``omega`` known through degree
+    ``max(max_n, 1)`` (``omega_1`` fixes the order even at ``max_n`` 0).
 
     The left side is read off the power table's rows.  The right side comes from a
     second recurrence on the table's taps: ``g**n = g0**n * (1+c)**(sign*n)`` for the

@@ -205,7 +205,9 @@ class RiordanMatrix:
         ``m >= 1`` (depth grows to ``depth + m``, which needs the parameter
         series at precision ``depth + m - 1``), delete the first ``|m|``
         when ``m <= -1``.  Entrywise the result is
-        ``[x^(n-k)] f * g**(m-k-1)``."""
+        ``[x^(n-k)] f * g**(m-k-1)``.  One formula serves both signs, the new
+        ``f = f * base**|m|`` with ``base`` ``g`` or ``1/g``, kept at ``min(f.precision,
+        g.precision)``, all that the parameters know, so shifts round-trip."""
         if m == 0:
             return self
         new_depth = self.depth + m
@@ -213,19 +215,13 @@ class RiordanMatrix:
             raise DomainError(
                 f"cannot delete {-m} leading rows/columns from depth {self.depth}"
             )
-        if m > 0:
-            needed = new_depth - 1
-            if self.f.precision < needed or self.g.precision < needed:
-                raise PrecisionError(
-                    f"prepending {m} columns needs parameters at precision {needed}"
-                )
-            f_new = self.f * self.g ** m
-        else:
-            # divide at the full available precision so a later prepend
-            # can round-trip the deletion
-            available = min(self.f.precision, self.g.precision)
-            f_new = reciprocal(self.f, self.g ** (-m), available)
-        return build_triangle(f_new, self.g, new_depth)
+        p = min(self.f.precision, self.g.precision)
+        if p < new_depth - 1:
+            raise PrecisionError(
+                f"prepending {m} columns needs parameters at precision {new_depth - 1}"
+            )
+        base = self.g if m > 0 else reciprocal(Series.one(p), self.g, p)
+        return build_triangle(self.f * base ** abs(m), self.g, new_depth)
 
     # ------------------------------------------------------------------
     # classical-notation bridge

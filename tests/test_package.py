@@ -120,3 +120,23 @@ def test_every_parameter_is_read_and_no_private_function_has_a_default():
                     args.defaults or any(d is not None for d in args.kw_defaults)):
                 found.append(f"{path.name}:{node.lineno} {node.name} has a default")
     assert found == []
+
+
+def test_every_local_name_is_read():
+    # a local name that its function assigns and never reads, as a leftover of a removed
+    # path would be, is dead code; `_` names a value dropped on purpose.  A nested
+    # function's reads count for the function around it, and `global` or `nonlocal`
+    # names are not local
+    found = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            inner = list(ast.walk(node))
+            read = {n.id for n in inner if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            shared = {name for n in inner if isinstance(n, (ast.Global, ast.Nonlocal))
+                      for name in n.names}
+            found |= {f"{path.name}:{n.lineno} {n.id}" for n in inner
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                      and n.id not in read | shared | {"_"}}
+    assert sorted(found) == []

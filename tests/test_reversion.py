@@ -300,7 +300,9 @@ def test_power_table_reads_omega_only_through_its_degree():
 
 
 def test_invert_precision_zero():
-    assert invert_series(Series([0, 1], 3), 0) == Series.zero(0)
+    # precision 0 still reads omega_1, which fixes the order: [0, 1] is enough
+    for omega in (Series([0, 1], 3), Series([0, 1])):
+        assert invert_series(omega, 0) == Series.zero(0)
 
 
 def test_invert_rejects_negative_precision():
@@ -478,6 +480,7 @@ def test_a_failing_power_is_reported_at_its_cell(monkeypatch, omega, sign):
     (Series([0, 0, 1], 5), 2, DomainError, "not invertible: order must be 1"),
     (Series([0, 1], 4), 5, PrecisionError, "inverting to degree 5 needs omega at precision 5"),
     (Series([0, 1], 3), -1, ValueError, "precision must be a natural number"),
+    (Series([0], 0), 0, DomainError, "not invertible: order must be 1"),
 ])
 def test_verify_lagrange_rejects_what_invert_series_rejects(omega, max_n, error, message):
     for check in (verify_lagrange, invert_series):

@@ -869,6 +869,29 @@ def test_shift_entry_formula():
                     assert shifted.entry(n, k) == shifted_entry_oracle(fc, gc, m, n, k)
 
 
+def test_shift_parameter_is_f_times_g_to_the_m():
+    # the new f is f*g**m at all the precision the parameters share, for either sign,
+    # so a shift and its opposite give f back at that precision
+    rng = random.Random(33)
+    cases = [random_matrix(rng, 6, extra=4) for _ in range(4)]
+    cases += [build_triangle(Series(f, p), Series(g, p), 6) for f, g, p in (
+        ([1, 2, -1], [-1, 2], 9),
+        ([F(2, 3), 1], [F(-3, 2), 1, F(2, 5)], 8),
+        ([F(-5, 7), 0, 3], [-1, 0, F(1, 2)], 6),
+    )]
+    for t in cases:
+        p = min(t.f.precision, t.g.precision)
+        fc, gc = coeffs(t.f), coeffs(t.g)
+        for m in (-3, -2, -1, 1, 2, 3):
+            if p < t.depth + m - 1:
+                continue  # a prepend past the stored precision
+            power = list_power(gc, abs(m), p)
+            expected = convolve(fc, power, p) if m > 0 else divide(fc, power, p)
+            shifted = t.shift(m)
+            assert shifted.f == Series(expected)
+            assert shifted.shift(-m).f == t.f.truncate(p)
+
+
 def test_shift_depth_error():
     with pytest.raises(DomainError):
         pascal(3).shift(-3)
