@@ -240,13 +240,15 @@ def _division_columns(f: Series, g: Series, precision: int, count: int) -> list[
     the integers and the split ``g0 = a/b``, ``a > 0``, of :func:`_integer_columns`, entry
     ``(n, k)`` is the one Fraction ``S_k[n-k]*b**(k+1) / (M*delta_(n-k)*a**(k+1))``, its
     denominator positive, so a column with every denominator 1 is built with no gcd
-    (:func:`~riordan.series._fractions`)."""
+    (:func:`~riordan.series._fractions`).  A factor that is 1 is not multiplied in: a
+    column whose ``b**(k+1)`` is 1 reaches ``_fractions`` as the kernel's own integers,
+    one whose ``a**(k+1)`` is 1 over ``M*delta`` as it is, and ``M = 1`` leaves ``delta``."""
     den_f, (a, b), delta, columns = _integer_columns(f, g, precision, count)
-    dens = [den_f * d for d in delta]
+    dens = delta if den_f == 1 else [den_f * d for d in delta]
     ak, bk = a, b
     for k, s in enumerate(columns):  # in place, so the integers of done columns are freed
-        column_dens = list(map(mul, dens[: len(s)], repeat(ak)))
-        columns[k] = _fractions(map(mul, s, repeat(bk)), column_dens)
+        column_dens = dens[: len(s)] if ak == 1 else list(map(mul, dens[: len(s)], repeat(ak)))
+        columns[k] = _fractions(s if bk == 1 else map(mul, s, repeat(bk)), column_dens)
         ak, bk = ak * a, bk * b
     return columns
 

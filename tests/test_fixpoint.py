@@ -515,6 +515,53 @@ def test_kernel_matches_oracle_on_the_cofactors_own_denominators(g):
         assert _division_columns(num, g, p, p + 1) == [col[k:] for k, col in enumerate(columns)]
 
 
+UNIT_SCALE_G = {  # g0 = a/b, a > 0, the sign in b
+    "g0=1": ([1, -2, 0, 3], (1, 1)),
+    "g0=-1": ([-1, 1, 0, 2], (1, -1)),
+    "g0=2": ([2, -1, 0, 1], (2, 1)),
+    "g0=1/2": ([F(1, 2), 1, 0, -1], (1, 2)),
+}
+
+
+@pytest.mark.parametrize("f", [[1, -1, 0, 3], [F(2, 3), F(-1, 2), 0, F(5, 7)]],
+                         ids=["integer f", "rational f"])
+@pytest.mark.parametrize("g, ab", UNIT_SCALE_G.values(), ids=UNIT_SCALE_G)
+def test_a_unit_scale_is_not_multiplied_into_the_columns(monkeypatch, f, g, ab):
+    # entry (n, k) is S_k[n-k]*b**(k+1) / (M*delta_(n-k)*a**(k+1)): a column whose
+    # b**(k+1) is 1 reaches _fractions as the kernel's own integer list, and one whose
+    # a**(k+1) is 1 over M*delta_(n-k) alone
+    p = 9
+    fs, gs = Series(f, p), Series(g, p)
+    runs, handed = [], []
+    integer_columns, fractions = fixpoint._integer_columns, fixpoint._fractions
+
+    def kernel(*args):
+        den_f, split, delta, columns = integer_columns(*args)
+        runs.append((den_f, split, delta, list(columns)))  # the list is overwritten in place
+        return den_f, split, delta, columns
+
+    def boundary(nums, dens):
+        handed.append((nums, list(dens)))
+        return fractions(nums, dens)
+
+    monkeypatch.setattr(fixpoint, "_integer_columns", kernel)
+    monkeypatch.setattr(fixpoint, "_fractions", boundary)
+    rows = [list(row) for row in build_triangle(fs, gs, p + 1).entries]
+    quotient = reciprocal(fs, gs, p)
+    expected = divided_columns(coeffs(fs), coeffs(gs), p, p + 1)
+    assert rows == [[expected[k][n] for k in range(n + 1)] for n in range(p + 1)]
+    assert coeffs(quotient) == expected[0]
+    assert [(split, len(columns)) for _, split, _, columns in runs] == [(ab, p + 1), (ab, 1)]
+    columns = [(k, column, run) for run in runs for k, column in enumerate(run[3])]
+    assert len(handed) == len(columns)
+    a, b = ab
+    for (k, column, (den_f, _, delta, _)), (nums, dens) in zip(columns, handed):
+        assert (nums is column) == (b ** (k + 1) == 1)
+        scale = [den_f * d for d in delta[: len(column)]]
+        assert dens == [d * a ** (k + 1) for d in scale]
+        assert (dens == scale) == (a == 1)
+
+
 def kernel_scale(g, p):
     """The kernel's ``delta_0..delta_p`` for the cofactor ``g``."""
     return _integer_columns(Series.one(p), g, p, 1)[2]

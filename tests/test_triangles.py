@@ -455,8 +455,8 @@ def result_coefficients(*results):
 @pytest.mark.parametrize("f", [[1, -1, 0, 3], [F(2, 3), F(-1, 2), 0, F(5, 7)]],
                          ids=["integer f", "rational f"])
 @pytest.mark.parametrize("g", [[-1, 1, 0, 2], [-2, 0, 1, -1], [F(-3, 2), 1, F(2, 5)],
-                               [1, -1], [1] * 12],
-                         ids=["g0=-1", "g0=-2", "g0=-3/2", "1-x", "1/(1-x)"])
+                               [1, -1], [1] * 12, [2, -1, 0, 1], [F(1, 2), 1, 0, -1]],
+                         ids=["g0=-1", "g0=-2", "g0=-3/2", "1-x", "1/(1-x)", "g0=2", "g0=1/2"])
 def test_results_are_reduced_fractions_that_match_the_oracles(f, g):
     # the sign of g0 goes to the numerators, so every denominator the kernel and the
     # table hand to series._fractions is positive, and the int path gives the same values
