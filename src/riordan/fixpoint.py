@@ -221,17 +221,18 @@ def reciprocal_scheme(f: Series, g: Series, precision: int) -> Callable[[int], A
 
 
 def reciprocal(f: Series, g: Series, precision: int) -> Series:
-    """Exact quotient ``f/g`` through ``precision`` (``g`` needs ``g0 != 0``).
+    """Exact quotient ``f/g`` through ``precision``, its operands checked here (``g0 != 0``).
 
-    Step ``n`` of the crossed iteration of :func:`reciprocal_scheme` only
-    fixes coefficient ``n``, so the contraction is applied one degree per
-    step, ``q_n = f_n/g0 - sum_{j>=1} (g_j/g0) * q_(n-j)``, with the same
-    limit, on the integers ``M*delta_n*g0*q_n`` (:func:`_integer_columns`),
-    ``M`` the lcm of the denominators of ``f``.
+    Step ``n`` of the crossed iteration of :func:`reciprocal_scheme` only fixes coefficient
+    ``n``, so the contraction is applied one degree per step, ``q_n = f_n/g0 - sum_{j>=1}
+    (g_j/g0) * q_(n-j)``, with the same limit, on the integers ``M*delta_n*g0*q_n``
+    (:func:`_integer_columns`), ``M`` the lcm of the denominators of ``f``, and the sign
+    of ``g0`` split off by :func:`_positive`.
 
     >>> print(reciprocal(Series.one(3), Series(["-3/2", 1], 3), 3))
     -2/3-(4/9)x-(8/27)x^2-(16/81)x^3
     """
+    _check_division(f, g, precision)
     return Series._of(_division_columns(f, g, precision, 1)[0])
 
 
@@ -290,16 +291,16 @@ def _apply(f: Series, g: Series, hs: Sequence[Series], p: int) -> list[Series]:
 
 def _integer_columns(f: Series, g: Series, precision: int,
                      count: int) -> tuple[int, tuple[int, int], list[int], list[list[int]]]:
-    """``(M, (a, b), delta, [S_k for k < count])``, the kernel's integer stage, with
-    ``g0 = a/b`` split once by :func:`_positive` and each ``S_k`` indexed by
-    ``m = n - k <= precision - k`` (0 below the order of ``f``).
+    """``(M, (a, b), delta, [S_k for k < count])``, the kernel's integer stage, ``g0 = a/b``
+    split once by :func:`_positive`, each ``S_k`` indexed by ``m = n - k <= precision - k``
+    (0 below the order of ``f``).  It checks nothing: the public entry that reaches it,
+    :func:`reciprocal` or a constructed ``RiordanMatrix``, has already checked its operands.
 
     Column ``k`` divides ``x * column(k-1)`` by ``g``, fraction-free: with ``F = M*f``
     integral through ``precision`` and ``c_j = g_j/g0``, ``S_k[m] = M*delta_m * [x^m]
     f / (1+c)**(k+1)`` is the divide :func:`_step` of ``S_(k-1)``, column 0 that of
     ``F_m*delta_m``, on the taps and scale of :func:`_scale_rows`.
     """
-    _check_division(f, g, precision)
     den_f, big_f = _integral(f.coefficients[: precision + 1])  # M, F
     delta, rows = _scale_rows(g.coefficients[: precision + 1], precision)
     source = [c * d for c, d in zip(big_f, delta)]
@@ -331,25 +332,25 @@ def _step(source: Sequence[int], rows: list[list[tuple[int, int]]], sign: int,
 def _scale_rows(cs: Sequence[Fraction],
                 precision: int) -> tuple[list[int], list[list[tuple[int, int]]]]:
     """``(delta, rows)`` for the coefficients ``cs`` (``cs_0 != 0``): with ``c_j = cs_j/cs_0``
-    for ``1 <= j <= precision``, ``delta_0 = 1``, ``delta_m = lcm_j den(c_j)*delta_(m-j)``
-    and the integer taps ``rows[m] = [(j, t_(m,j))]``, ``t_(m,j) = c_j*delta_m/delta_(m-j)``
-    over the nonzero ``c_j`` with ``j <= m``, for each degree ``m <= precision``.  This is
-    the one integer scale of the package: ``delta_m`` times an integer combination of
-    products ``c_j1*...*c_jr`` with ``j1 + ... + jr = m`` is an integer, so it clears
-    ``[x^m]`` of ``f/g``, of ``(g/g0)**alpha`` and of the table of ``(1, T)`` alike, and
-    each ``delta_m`` divides the next.
+    for ``1 <= j <= precision``, ``cs_0`` split by :func:`_positive` so ``den(c_j) > 0``,
+    ``delta_0 = 1``, ``delta_m = lcm_j den(c_j)*delta_(m-j)`` and the integer taps
+    ``rows[m] = [(j, t_(m,j))]``, ``t_(m,j) = c_j*delta_m/delta_(m-j)`` over the nonzero ``c_j``
+    with ``j <= m``, for each degree ``m <= precision``.  This is the one integer scale of the
+    package: ``delta_m`` times an integer combination of products ``c_j1*...*c_jr`` with
+    ``j1 + ... + jr = m`` is an integer, so it clears ``[x^m]`` of ``f/g``, of
+    ``(g/g0)**alpha`` and of the table of ``(1, T)`` alike; each ``delta_m`` divides the next.
 
     If every ``den(c_j)`` divides ``e**j``, ``e = den(c_1)``, then ``delta_m = e**m``
     and one row serves every degree from the last tap ``d`` on.  Otherwise, from ``d``
     on, the ratio ``delta_m/delta_(m-1)`` and row ``m`` depend only on the ``d - 1``
     ratios before it, so once a window repeats, first seen ``k`` degrees earlier, the
     ratios and rows from there on repeat with period ``k`` and are copied."""
-    a, b = cs[0].numerator, cs[0].denominator
+    a, b = _positive(cs[0])
     taps = []  # (j, num(c_j), den(c_j)) for the nonzero c_j
     for j, cj in enumerate(cs[1: precision + 1], 1):
         if cj:
             num, den = cj.numerator * b, cj.denominator * a
-            c = math.gcd(num, den) if a > 0 else -math.gcd(num, den)
+            c = math.gcd(num, den)
             taps.append((j, num // c, den // c))
     d = taps[-1][0] if taps else 0
     e = taps[0][2] if taps and taps[0][0] == 1 else 1

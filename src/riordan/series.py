@@ -391,17 +391,15 @@ def _fractions(nums: Iterable[int], dens: Sequence[int]) -> list[Fraction]:
 
 
 def distance(s1: Series, s2: Series) -> Fraction:
-    """Ultrametric distance ``1/2**order(s1 - s2)`` as an exact rational.
-
-    Returns 0 when the difference vanishes through the shared precision.
-    The two series must already share a precision; truncate first.
-    """
+    """Ultrametric distance ``1/2**order(s1 - s2)`` as an exact rational, read off the first
+    degree whose coefficients differ (nothing is subtracted); 0 when they agree through the
+    shared precision.  The two series must already share a precision; truncate first."""
     if s1.precision != s2.precision:
         raise ValueError("distance needs a common precision; truncate first")
-    k = (s1 - s2).order()
-    if math.isinf(k):
-        return Fraction(0)
-    return Fraction(1, 2 ** int(k))
+    for k, (c1, c2) in enumerate(zip(s1._coeffs, s2._coeffs)):
+        if c1 != c2:
+            return Fraction(1, 2 ** k)
+    return Fraction(0)
 
 
 def format_polynomial(coeffs: Iterable[Fraction]) -> str:

@@ -152,7 +152,7 @@ class RiordanMatrix:
             raise ValueError("product needs matrices of a common depth")
         p = self.depth - 1
         f2x, g2x = _apply(self.g, self.g, (other.f, other.g), p)
-        return build_triangle(self.f.truncate(p) * f2x, self.g.truncate(p) * g2x, self.depth)
+        return build_triangle(self.f * f2x, self.g * g2x, self.depth)
 
     def __matmul__(self, other: RiordanMatrix) -> RiordanMatrix:
         return self.product(other)
@@ -296,7 +296,7 @@ def from_classical(d: Series, h: Series, depth: int) -> RiordanMatrix:
             f"classical construction at depth {depth} needs d at precision {p} and h at {p + 1}"
         )
     g = reciprocal(Series.one(p), h.shift(-1), p)  # x/h
-    return build_triangle(d.truncate(p) * g, g, depth)
+    return build_triangle(d * g, g, depth)
 
 
 def appell(d: Series, depth: int) -> RiordanMatrix:

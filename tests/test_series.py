@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from riordan import series
 from riordan.series import (
     INFINITE_ORDER,
     DomainError,
@@ -84,6 +85,19 @@ def test_distance_to_self_is_zero():
 
 def test_distance_difference_order_one():
     assert distance(Series([1], 1), Series([1, 1])) == F(1, 2)
+
+
+@pytest.mark.parametrize("s2, expected", [
+    (Series([1, F(1, 2), 0, 3], 6), F(0)),
+    (Series([2, F(1, 2), 0, 3], 6), F(1)),
+    (Series([1, F(1, 2), 0, 3, 0, 0, F(1, 9)]), F(1, 64)),
+], ids=["equal", "early", "late"])
+def test_distance_compares_coefficients_and_subtracts_nothing(monkeypatch, s2, expected):
+    def refuse(*args):
+        raise AssertionError("distance ran Series arithmetic")
+
+    monkeypatch.setattr(series, "_mul_add", refuse)
+    assert distance(Series([1, F(1, 2), 0, 3], 6), s2) == expected
 
 
 def test_distance_requires_common_precision():

@@ -644,6 +644,35 @@ def test_inverse_parameters_make_one_division_of_f_and_no_reversion(monkeypatch)
         assert calls["reciprocal"] == calls["invert_series"] == []
 
 
+@pytest.mark.parametrize("run, checks", [
+    (lambda t, u: reciprocal(t.f, t.g, t.depth - 1), 1),
+    (lambda t, u: build_triangle(t.f, t.g, t.depth), 1),
+    (lambda t, u: t.inverse(), 1),
+    (lambda t, u: t.a_z_sequences(), 0),
+    (lambda t, u: t @ u, 1),
+], ids=["reciprocal", "build_triangle", "inverse", "a_z_sequences", "product"])
+def test_each_entry_checks_its_operands_once(monkeypatch, run, checks):
+    # the kernel checks nothing: reciprocal checks its operands, and every other path
+    # into the kernel starts at a constructed matrix, whose constructor checked them at
+    # the same precision; only a matrix the call builds is checked again
+    rng = random.Random(35)
+    pairs = [(pascal(7), ag_triangle(7)), (random_matrix(rng, 8), random_matrix(rng, 8))]
+    calls = []
+    original = fixpoint._check_division
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    # _check_division is bound in fixpoint and in triangles
+    monkeypatch.setattr(fixpoint, "_check_division", counting)
+    monkeypatch.setattr(triangles, "_check_division", counting)
+    for t, u in pairs:
+        calls.clear()
+        run(t, u)
+        assert len(calls) == checks
+
+
 def test_triangles_decodes_no_integer_format():
     # the kernel's columns are summed in fixpoint and the (1, w) table is read in
     # reversion, each beside the code that makes it; triangles only calls them
