@@ -1,5 +1,11 @@
 """Command-line front end: one row of :data:`COMMANDS` per subcommand.
 
+Each subcommand declares its flags once, as a table of :class:`Flag`, read two ways:
+:func:`build_parser` adds them to argparse, and :func:`main` reads a plain argv,
+``command --flag value ...`` with each flag spelled in full, straight off the table.
+Every other argv (help, an abbreviation, ``--flag=value``, a repeated flag, a usage
+error) goes to argparse, so usage, help and error text are argparse's.
+
 Series arguments are either a preset name or a non-empty JSON array giving
 the coefficients by degree, e.g. ``[1,-1]`` for ``1 - x``: each entry an
 integer of at most 4300 digits or a ``"p/q"``, ``"1.5"`` or ``"1e5"``
@@ -21,7 +27,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .fixpoint import (
     AffineMap,
@@ -135,6 +141,23 @@ def render_pair(pair: SequencePair, fmt: str) -> str:
 # subcommands
 # ----------------------------------------------------------------------
 
+class Flag(NamedTuple):
+    """The option ``--name``: a string, an ``int``, or one of ``kind`` when ``kind`` is a
+    tuple; required when it has no ``default``."""
+
+    name: str
+    kind: type | tuple[str, ...] = str
+    default: object = None
+    help: str | None = None
+
+
+def _flag_table(*flags: Flag) -> dict[str, Flag]:
+    """A subcommand's flags by option string, in ``--help`` order: ``--format`` first."""
+    return {f"--{flag.name}": flag for flag in (
+        Flag("format", ("json", "csv", "pretty"), "pretty", "output format (default: pretty)"),
+        *flags)}
+
+
 @dataclass(frozen=True)
 class Command:
     """A subcommand that parses its series flags at the degree its size flag
@@ -147,10 +170,9 @@ class Command:
     floor: int
     output: Callable[..., str]
 
-    def add_arguments(self, parser: argparse.ArgumentParser) -> None:
-        for flag in self.series:
-            parser.add_argument(f"--{flag}", required=True)
-        parser.add_argument(f"--{self.size}", type=int, default=10, help=f"at most {MAX_SIZE}")
+    @functools.cached_property
+    def flags(self) -> dict[str, Flag]:
+        return _flag_table(*map(Flag, self.series), Flag(self.size, int, 10, f"at most {MAX_SIZE}"))
 
     def run(self, args: argparse.Namespace) -> str:
         size = getattr(args, self.size)
@@ -167,13 +189,9 @@ class Trace:
     """``riordan trace``, whose ``--steps`` and ``--n`` floors are usage errors (exit 2)."""
 
     help = "show iteration traces"
-
-    def add_arguments(self, parser: argparse.ArgumentParser) -> None:
-        parser.add_argument("--scheme", choices=("geometric", "arithgeo", "column", "curious"),
-                            required=True)
-        parser.add_argument("--steps", type=int, default=6, help=f"at most {MAX_SIZE}")
-        parser.add_argument("--n", type=int, default=3,
-                            help="column index for --scheme column (default: 3)")
+    flags = _flag_table(Flag("scheme", ("geometric", "arithgeo", "column", "curious")),
+                        Flag("steps", int, 6, f"at most {MAX_SIZE}"),
+                        Flag("n", int, 3, "column index for --scheme column (default: 3)"))
 
     def run(self, args: argparse.Namespace) -> str:
         steps = args.steps
@@ -233,18 +251,60 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty",
-                       help="output format (default: pretty)")
-        command.add_arguments(p)
+        for option, flag in command.flags.items():
+            p.add_argument(option, type=int if flag.kind is int else None,
+                           choices=flag.kind if isinstance(flag.kind, tuple) else None,
+                           default=flag.default, required=flag.default is None, help=flag.help)
     return parser
 
 
-# main reuses one parser: building it costs more than most commands
+# an argv the plain reader leaves goes to one parser, built on the first such argv: building
+# it costs more than most commands
 _parser = functools.cache(build_parser)
+
+# the most digits the plain reader reads as an int: int() takes at least 640 whatever
+# sys.set_int_max_str_digits allows, so a longer value is left to argparse's int()
+_INT_DIGITS = 640
+
+
+def _read_plain(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The Namespace that ``build_parser().parse_args(argv)`` returns, for an argv
+    ``command --flag value ...`` whose flags are the command's, each spelled in full and
+    given at most once, every required one among them, whose values do not start with
+    ``-``, whose ints are at most ``_INT_DIGITS`` ASCII digits and whose choices are in
+    range; None for every other argv."""
+    command = COMMANDS.get(argv[0]) if len(argv) % 2 else None
+    if command is None:
+        return None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if 2 * len(given) + 1 != len(argv) or not given.keys() <= command.flags.keys():
+        return None
+    values = {"command": argv[0]}
+    for option, flag in command.flags.items():
+        value = given.get(option)
+        if value is None:
+            if flag.default is None:
+                return None
+            values[flag.name] = flag.default
+        elif value[:1] == "-":
+            return None
+        elif flag.kind is int:
+            if not (value.isascii() and value.isdigit() and len(value) <= _INT_DIGITS):
+                return None
+            values[flag.name] = int(value)
+        elif flag.kind is str or value in flag.kind:
+            values[flag.name] = value
+        else:
+            return None
+    return argparse.Namespace(**values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     try:
         print(COMMANDS[args.command].run(args))
         return 0

@@ -164,10 +164,7 @@ def iterate_crossed(scheme: Callable[[int], AffineMap], start: Series,
             raise NotContractiveError(f"scheme map for step {m}: {exc}") from exc
         p = min(current.slope.precision, iterates[-1].precision, current.offset.precision)
         slope, offset = current._scaled
-        den, nums = _integer_mul_add(slope, held, offset, p)
-        c = math.gcd(den, *nums)
-        if c != 1:
-            den, nums = den // c, [v // c for v in nums]
+        den, nums = _lowest(*_integer_mul_add(slope, held, offset, p))
         same = held[1] if den == held[0] else repeat(None)
         fresh = [i for i, (v, u) in enumerate(zip(nums, same)) if v != u]
         values = list(iterates[-1].coefficients[: p + 1])
@@ -206,13 +203,19 @@ def reciprocal_scheme(f: Series, g: Series, precision: int) -> Callable[[int], A
 
     Step ``m`` uses the degree-``m`` Taylor polynomials of that slope and offset; as
     polynomials they are exact, so they are padded back to the working precision.
-    The limit map is scaled to integers once, on the first step, and each step map
-    reads prefixes of its integers.
+    The limit map's integers come from those of ``g`` and ``f`` and the split ``g0 = a/b``
+    of :func:`_positive`, in lowest terms, so they are the ones :func:`_integral` gives its
+    slope and offset; each step map reads prefixes of them.
     """
     _check_division(f, g, precision)
-    inv_g0 = Fraction(1) / g.coefficient(0)
-    # (g0 - g)/g0: zero constant term by construction, hence a 1/2-contraction.
-    limit = AffineMap(1 - g.truncate(precision) * inv_g0, f.truncate(precision) * inv_g0)
+    a, b = _positive(g.coefficient(0))
+    (den_g, big_g), (den_f, big_f) = (_integral(s.coefficients[: precision + 1]) for s in (g, f))
+    # (g0 - g)/g0 = -b*(den_g*g)/(den_g*a) past its zero constant term, hence a
+    # 1/2-contraction, and f/g0 = b*(den_f*f)/(den_f*a)
+    scaled = (_lowest(den_g * a, [0] + [-b * v for v in big_g[1:]]),
+              _lowest(den_f * a, [b * v for v in big_f]))
+    limit = AffineMap(*(Series._of(_fractions(nums, [den] * len(nums))) for den, nums in scaled))
+    limit.__dict__["_scaled"] = scaled
 
     def maps(m: int) -> AffineMap:
         return limit._prefix(min(m, precision))
@@ -252,6 +255,13 @@ def _division_columns(f: Series, g: Series, precision: int, count: int) -> list[
         columns[k] = _fractions(s if bk == 1 else map(mul, s, repeat(bk)), column_dens)
         ak, bk = ak * a, bk * b
     return columns
+
+
+def _lowest(den: int, nums: list[int]) -> tuple[int, list[int]]:
+    """``(den, nums)``, ``den > 0``, divided by their gcd: :func:`_integral` of the Fractions
+    ``n/den``."""
+    c = math.gcd(den, *nums)
+    return (den, nums) if c == 1 else (den // c, [v // c for v in nums])
 
 
 def _positive(g0: Fraction) -> tuple[int, int]:

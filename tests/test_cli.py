@@ -407,8 +407,38 @@ def test_subcommand_help_exits_0(capsys, command):
 
 
 def test_main_builds_the_parser_once(capsys):
+    # a plain argv is read off the flag table; the first argv left to argparse builds the
+    # parser, and every later one reuses it
     cli._parser.cache_clear()
     assert run(capsys, "recip", "--f", "one", "--g", "pascal_g")[0] == 0
     assert run(capsys, "invert", "--omega", "[0,1,-1]")[0] == 0
-    assert cli._parser.cache_info().misses == 1
+    assert cli._parser.cache_info().misses == 0
+    assert run(capsys, "invert", "--omega=[0,1,-1]")[0] == 0
+    assert run(capsys, "recip", "--f", "one", "--g", "pascal_g", "--prec", "3")[0] == 0
+    assert cli._parser.cache_info()[:2] == (1, 1)  # (hits, misses)
     assert cli.build_parser() is not cli.build_parser()
+
+
+def test_main_reads_sys_argv_on_both_paths(capsys, monkeypatch):
+    cli._parser.cache_clear()
+    outputs = []
+    for argv in (["invert", "--omega", "[0,1,-1]", "--precision", "5"],
+                 ["invert", "--omega=[0,1,-1]", "--precision", "5"]):
+        monkeypatch.setattr(sys, "argv", ["riordan", *argv])
+        assert main() == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs == ["x+x^2+2x^3+5x^4+14x^5\n"] * 2
+    assert cli._parser.cache_info().misses == 1  # the second argv went to argparse
+
+
+@pytest.mark.parametrize("argv", [
+    ["triangle", "--f", "one", "--g", "[1,-1]", "--depth", "5", "--format", "csv"],
+    ["recip", "--g", "pascal_g", "--f", "[0,1]"],
+    ["invert", "--format", "json", "--omega", ""],
+    ["trace", "--scheme", "column", "--n", "007", "--steps", "6"],
+    ["azseq", "--f", "one", "--g", "one"],
+    ["inverse", "--f", "one", "--g", "pascal_g", "--depth", "0"],
+    ["product", "--f1", "one", "--g1", "one", "--f2", "x", "--g2", "one", "--depth", "9" * 640],
+])
+def test_the_plain_reader_reads_each_subcommand_as_argparse_does(argv):
+    assert cli._read_plain(argv) == cli.build_parser().parse_args(argv)

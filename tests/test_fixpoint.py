@@ -1,6 +1,7 @@
 """Tests for the contraction maps and the crossed-iteration machinery."""
 
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -179,8 +180,9 @@ def test_a_map_at_its_fixed_point_returns_the_fractions_of_its_argument(den):
 
 @pytest.mark.parametrize("column", [1, 2, 4])
 def test_crossed_runs_scale_the_scheme_data_and_the_start_once(monkeypatch, column):
-    # the scheme scales its slope and offset data once and every step map reads prefixes of
-    # them; each step hands its iterate to the next as integers, so only the start is scaled
+    # the scheme scales g and the numerator once, into the limit map's integers, and every
+    # step map reads prefixes of them; each step hands its iterate to the next as integers,
+    # so only the start is scaled
     p = 7
     f = Series([F(1, 3), 2, 0, F(5, 2)], p)
     g = Series([F(-3, 2), 1, F(2, 5), 0, F(-1, 7)], p)
@@ -194,7 +196,14 @@ def test_crossed_runs_scale_the_scheme_data_and_the_start_once(monkeypatch, colu
         trace = iterate_crossed(scheme, start, steps)
         assert ring == []
         limit = scheme(3 * p)
-        assert scaled == [start.coefficients, limit.slope.coefficients, limit.offset.coefficients]
+        numerator = f if column == 1 else prev.truncate(p - 1).shift(1)
+        assert scaled == [g.coefficients, numerator.coefficients, start.coefficients]
+        assert list(limit.slope.coefficients) == [0] + [-c / g[0] for c in g.coefficients[1:]]
+        assert list(limit.offset.coefficients) == [c / g[0] for c in numerator.coefficients]
+        # the limit map's integers are its slope and offset over their least denominators
+        for (den, nums), s in zip(limit._scaled, (limit.slope, limit.offset)):
+            assert den > 0 and math.gcd(den, *nums) == 1
+            assert [F(v, den) for v in nums] == list(s.coefficients)
         assert trace.iterates == unfused_trace(scheme, start, steps)
 
 

@@ -4,7 +4,8 @@ JSON round trip) and its action on series, at depths 1..8, of
 compositional inversion, at precisions 1..10, with sparse
 small-integer and dense rational parameters, of the division kernel,
 at precisions 0..40, on cofactors with random zero patterns, and of the
-command line: every argv exits 0, 2 or 3, and a literal reads back its series.
+command line: every argv exits 0, 2 or 3, the plain reader returns argparse's
+Namespace or leaves the argv to it, and a literal reads back its series.
 
 Every example is derandomized, so the suite draws the same cases on every
 run."""
@@ -235,11 +236,19 @@ LITERALS = st.one_of(
 )
 
 
+# values the plain reader leaves to argparse: a leading dash, int spellings that int()
+# accepts and an ASCII-digit test does not, a digit int() refuses, and 4301 digits, one past
+# int()'s limit; and a leading zero, which both read
+UNUSUAL_VALUES = ("-1", "--g", "+5", " 5", "5_0", "\u0665", "\u00b2", "9" * 4301, "007")
+
+
 @st.composite
 def argvs(draw):
     """An argv for ``riordan``: a known or unknown subcommand, each of its
     flags present or missing, sizes in -2..30 or over the cap, literals valid
-    or not, any format, and now and then a flag no subcommand has."""
+    or not, any format, and now and then a flag no subcommand has.  Now and
+    then a flag is spelled as only argparse reads it (``--flag=value``, an
+    abbreviation, twice, or with an unusual value) and a ``-h`` or ``--`` is put in."""
     command = draw(st.sampled_from((*cli.COMMANDS, "frobnicate")))
     spec = cli.COMMANDS.get(command)
     if isinstance(spec, cli.Command):
@@ -251,8 +260,22 @@ def argvs(draw):
               ("--bogus", st.just("1"))]
     argv = [command]
     for flag, values in flags:
-        if draw(st.integers(0, 19)) < (1 if flag == "--bogus" else 19):
-            argv += [flag, str(draw(values))]
+        if draw(st.integers(0, 19)) >= (1 if flag == "--bogus" else 19):
+            continue
+        value = str(draw(values))
+        spelling = draw(st.integers(0, 39))
+        if spelling == 0:
+            argv.append(f"{flag}={value}")
+        elif spelling == 1 and len(flag) > 3:  # --prec picks one flag, --s under trace two
+            argv += [flag[: draw(st.integers(3, len(flag) - 1))], value]
+        elif spelling == 2:
+            argv += [flag, value, flag, str(draw(values))]
+        elif spelling == 3:
+            argv += [flag, draw(st.sampled_from(UNUSUAL_VALUES))]
+        else:
+            argv += [flag, value]
+    if draw(st.integers(0, 19)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(("-h", "--"))))
     return argv
 
 
@@ -263,12 +286,36 @@ def test_cli_exits_0_2_or_3_on_any_argv(argv):
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            assert exc.code == 2
+        except SystemExit as exc:  # argparse's help, on stdout, and usage errors, on stderr
+            streams = bool(out.getvalue()), err.getvalue().startswith("usage: ")
+            assert (exc.code, *streams) in ((0, True, False), (2, False, True))
             return
     assert code in (0, 2, 3)
     assert bool(out.getvalue()) == (code == 0)
     assert err.getvalue().startswith("error: ") == (code != 0)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(argvs())
+@example(["recip", "--prec", "3", "--f", "one", "--g", "one"])
+@example(["trace", "--scheme", "column", "--s", "5"])
+@example(["invert", "--omega=[0,1]"])
+@example(["recip", "--f", "one", "--g", "one", "--format", "xml", "--format", "json"])
+@example(["azseq", "--f", "one", "--g", "one", "-h"])
+@example(["azseq", "--f", "one", "--", "--g", "one"])
+@example(["recip", "--f", "-1", "--g", "one"])
+@example(["recip", "--f", "--g", "--g", "one"])
+@example(["trace", "--scheme", "column", "--n", "\u0665"])
+@example(["trace", "--scheme", "column", "--n", "\u00b2"])
+@example(["trace", "--scheme", "column", "--n", "9" * 4301])
+def test_the_plain_reader_returns_argparses_namespace_or_none(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            parsed = cli._parser().parse_args(argv)
+        except SystemExit:  # help or a usage error: the reader must leave the argv
+            parsed = None
+    read = cli._read_plain(argv)
+    assert read is None or read == parsed
 
 
 @PROPERTY
