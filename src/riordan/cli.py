@@ -39,7 +39,7 @@ from .fixpoint import (
 )
 from .reversion import invert_series
 from .series import Series, SeriesError, _literal
-from .triangles import RiordanMatrix, SequencePair, build_triangle
+from .triangles import RiordanMatrix, SequencePair
 
 __all__ = ["main"]
 
@@ -217,10 +217,12 @@ class Trace:
         return render_trace(trace, args.format)
 
 
-# outputs look names up when they run, so a name rebound later (by a tracer) is called
+# outputs look names up when they run, so a name rebound later (by a tracer) is called;
+# the matrices triangle, inverse and product print are constructed, never built: they print
+# straight from the kernel's integers
 COMMANDS: dict[str, Command | Trace] = {
     "triangle": Command("build T(f|g)", ("f", "g"), "depth", 1,
-                        lambda fmt, n, f, g: render_matrix(build_triangle(f, g, n), fmt)),
+                        lambda fmt, n, f, g: render_matrix(RiordanMatrix(f, g, n), fmt)),
     "recip": Command("series quotient f/g", ("f", "g"), "precision", 0,
                      lambda fmt, n, f, g: render_series(reciprocal(f, g, n), fmt)),
     "invert": Command("compositional inverse", ("omega",), "precision", 0,

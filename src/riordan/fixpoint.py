@@ -34,12 +34,13 @@ a constant scheme.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
-from operator import add, floordiv, mul
-from typing import Callable, Iterator, Sequence
+from operator import add, floordiv, itemgetter, mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .series import DomainError, PrecisionError, Series, _fractions, _integer_mul_add, _integral
 
@@ -236,23 +237,25 @@ def reciprocal(f: Series, g: Series, precision: int) -> Series:
     -2/3-(4/9)x-(8/27)x^2-(16/81)x^3
     """
     _check_division(f, g, precision)
-    return Series._of(_division_columns(f, g, precision, 1)[0])
+    return Series._of(_division_columns(f, g, precision, 1, _fractions)[0])
 
 
-def _division_columns(f: Series, g: Series, precision: int, count: int) -> list[list[Fraction]]:
-    """Columns ``k < count`` of ``x**k * f / g**(k+1)``, degrees ``k..precision``: over
-    the integers and the split ``g0 = a/b``, ``a > 0``, of :func:`_integer_columns`, entry
-    ``(n, k)`` is the one Fraction ``S_k[n-k]*b**(k+1) / (M*delta_(n-k)*a**(k+1))``, its
-    denominator positive, so a column with every denominator 1 is built with no gcd
-    (:func:`~riordan.series._fractions`).  A factor that is 1 is not multiplied in: a
-    column whose ``b**(k+1)`` is 1 reaches ``_fractions`` as the kernel's own integers,
+def _division_columns(f: Series, g: Series, precision: int, count: int,
+                      convert: Callable[[Iterable[int], Sequence[int]], list]) -> list[list]:
+    """Columns ``k < count`` of ``x**k * f / g**(k+1)``, degrees ``k..precision``, each
+    converted from the integers by ``convert``: :func:`~riordan.series._fractions` for
+    Fractions, :func:`~riordan.series._strings` for their strings.  Over the integers and
+    the split ``g0 = a/b``, ``a > 0``, of :func:`_integer_columns`, entry ``(n, k)`` is
+    ``S_k[n-k]*b**(k+1) / (M*delta_(n-k)*a**(k+1))``, its denominator positive, so a column
+    with every denominator 1 is converted with no gcd.  A factor that is 1 is not multiplied
+    in: a column whose ``b**(k+1)`` is 1 reaches ``convert`` as the kernel's own integers,
     one whose ``a**(k+1)`` is 1 over ``M*delta`` as it is, and ``M = 1`` leaves ``delta``."""
     den_f, (a, b), delta, columns = _integer_columns(f, g, precision, count)
     dens = delta if den_f == 1 else [den_f * d for d in delta]
     ak, bk = a, b
     for k, s in enumerate(columns):  # in place, so the integers of done columns are freed
         column_dens = dens[: len(s)] if ak == 1 else list(map(mul, dens[: len(s)], repeat(ak)))
-        columns[k] = _fractions(s if bk == 1 else map(mul, s, repeat(bk)), column_dens)
+        columns[k] = convert(s if bk == 1 else map(mul, s, repeat(bk)), column_dens)
         ak, bk = ak * a, bk * b
     return columns
 
@@ -366,7 +369,9 @@ def _scale_rows(cs: Sequence[Fraction],
     e = taps[0][2] if taps and taps[0][0] == 1 else 1
     if all(pow(e, j, den) == 0 for j, _, den in taps):
         row = [(j, num * e ** j // den) for j, num, den in taps]
-        rows = [[(j, t) for j, t in row if j <= m] for m in range(d)] + [row] * (precision + 1 - d)
+        # row is sorted by j, so rows[m] below d is its prefix of taps j <= m
+        rows = [row[: bisect_right(row, m, key=itemgetter(0))] for m in range(d)]
+        rows += [row] * (precision + 1 - d)
         return list(accumulate(repeat(e, precision), mul, initial=1)), rows
     delta, ratios, rows, seen = [1], [1], [[]], {}
     for m in range(1, precision + 1):

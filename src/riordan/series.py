@@ -390,6 +390,21 @@ def _fractions(nums: Iterable[int], dens: Sequence[int]) -> list[Fraction]:
     return list(map(Fraction, nums, dens))
 
 
+def _strings(nums: Iterable[int], dens: Sequence[int]) -> list[str]:
+    """``str(Fraction(n, d))`` for ``n, d`` in ``zip(nums, dens)``, on the terms of
+    :func:`_fractions`, with no Fraction built: one gcd each, then ``n`` or ``n/d`` in
+    lowest terms.  Where every ``d`` is 1 there is no gcd."""
+    if dens.count(1) == len(dens):
+        return list(map(str, nums))
+    out = []
+    for n, d in zip(nums, dens):
+        c = math.gcd(n, d)
+        if c != 1:
+            n, d = n // c, d // c
+        out.append(str(n) if d == 1 else f"{n}/{d}")
+    return out
+
+
 def distance(s1: Series, s2: Series) -> Fraction:
     """Ultrametric distance ``1/2**order(s1 - s2)`` as an exact rational, read off the first
     degree whose coefficients differ (nothing is subtracted); 0 when they agree through the

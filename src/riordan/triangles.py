@@ -5,7 +5,7 @@
 quotient ``f/g`` and column ``k`` is ``x * column(k-1) / g``, so the whole
 matrix is repeated division: every column comes from the one integer
 division kernel behind :func:`riordan.fixpoint.reciprocal`, one Fraction
-per entry.
+per entry read, or one string per entry printed.
 
 These matrices form a group under matrix product (the Riordan group),
 closed in parameter form:
@@ -26,8 +26,10 @@ leading rows and columns; both are provided here as operations.
 
 A matrix builds its entries on first read, while :func:`build_triangle` builds
 them at once.  ``apply``, ``@``, ``inverse`` and ``a_z_sequences`` read only
-``(f, g, depth)``, so a matrix used only there never builds its block: the CLI's
-``inverse``, ``azseq`` and ``product`` build only their output.
+``(f, g, depth)``, so a matrix used only there never builds its block, and ``@``
+and ``inverse`` return matrices whose entries are not yet built.  A matrix printed
+before its entries are read prints straight from one kernel run's integers, so the
+CLI's ``triangle``, ``inverse`` and ``product`` build no Fraction block at all.
 """
 
 from __future__ import annotations
@@ -37,12 +39,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import getitem
+from typing import Callable, Iterator
 
 from .fixpoint import _apply, _check_division, _division_columns, reciprocal
 from .reversion import _inverse_parameters
 # invert_series stays bound here for perfbench's tracer, which patches it in this module
 from .reversion import invert_series  # noqa: F401
-from .series import DomainError, PrecisionError, Series, _literal
+from .series import DomainError, PrecisionError, Series, _fractions, _literal, _strings
 
 __all__ = [
     "RiordanMatrix",
@@ -77,7 +80,9 @@ class RiordanMatrix:
     The parameters are checked at construction; the entries are built on first
     read, so ``apply``, ``@``, ``inverse`` and ``a_z_sequences``, which read only
     ``(f, g, depth)``, never build them.  :func:`build_triangle`
-    constructs and builds the entries at once.
+    constructs and builds the entries at once.  ``to_json``, ``to_csv`` and
+    ``to_pretty`` print the built entries if there are any, and otherwise the
+    kernel's integers, with no Fraction built.
 
     Equality compares the entry blocks (and depth): parameter series of
     different precisions describing the same matrix compare equal.
@@ -95,11 +100,24 @@ class RiordanMatrix:
 
     @cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Row ``n`` is ``(entry(n, 0), ..., entry(n, n))``, read off the columns of
-        one kernel run (see :func:`build_triangle`): entry ``(n, k)`` is ``columns[k][n - k]``,
+        """Row ``n`` is ``(entry(n, 0), ..., entry(n, n))``: :meth:`_rows` of one kernel
+        run's Fractions (see :func:`build_triangle`)."""
+        return tuple(map(tuple, self._rows(_fractions)))
+
+    def _rows(self, convert: Callable[..., list]) -> list[Iterator]:
+        """The rows of the block, off the columns of one kernel run converted by ``convert``
+        (:func:`~riordan.fixpoint._division_columns`): entry ``(n, k)`` is ``columns[k][n - k]``,
         and each row is gathered by one ``map``, with no per-entry Python frame."""
-        columns = _division_columns(self.f, self.g, self.depth - 1, self.depth)
-        return tuple(tuple(map(getitem, columns, range(n, -1, -1))) for n in range(self.depth))
+        columns = _division_columns(self.f, self.g, self.depth - 1, self.depth, convert)
+        return [map(getitem, columns, range(n, -1, -1)) for n in range(self.depth)]
+
+    def _cells(self) -> list[list[str]]:
+        """The rows of ``str`` of the entries: of the built Fractions if ``entries`` has
+        been read, so printing never runs the kernel again, and otherwise straight from one
+        kernel run's integers (:func:`~riordan.series._strings`), with no Fraction built."""
+        if "entries" in self.__dict__:
+            return [list(map(str, row)) for row in self.entries]
+        return list(map(list, self._rows(_strings)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RiordanMatrix):
@@ -152,7 +170,7 @@ class RiordanMatrix:
             raise ValueError("product needs matrices of a common depth")
         p = self.depth - 1
         f2x, g2x = _apply(self.g, self.g, (other.f, other.g), p)
-        return build_triangle(self.f * f2x, self.g * g2x, self.depth)
+        return RiordanMatrix(self.f * f2x, self.g * g2x, self.depth)
 
     def __matmul__(self, other: RiordanMatrix) -> RiordanMatrix:
         return self.product(other)
@@ -169,7 +187,7 @@ class RiordanMatrix:
         -1,3,-3,1
         """
         f_new, g_new = _inverse_parameters(self.f, self.g, self.depth - 1)
-        return build_triangle(f_new, g_new, self.depth)
+        return RiordanMatrix(f_new, g_new, self.depth)
 
     # ------------------------------------------------------------------
     # A/Z sequences
@@ -240,17 +258,17 @@ class RiordanMatrix:
             "f": self.f.to_strings(),
             "g": self.g.to_strings(),
             "depth": self.depth,
-            "rows": [[str(e) for e in row] for row in self.entries],
+            "rows": self._cells(),
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(str(e) for e in row) for row in self.entries)
+        return "\n".join(map(",".join, self._cells()))
 
     def to_pretty(self) -> str:
-        cells = [[str(e) for e in row] for row in self.entries]
+        cells = self._cells()
         width = max(len(c) for row in cells for c in row)
         return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from riordan import cli, triangles
+from riordan import cli, series, triangles
 from riordan.cli import main
 from riordan.fixpoint import column_scheme, iterate_crossed, reciprocal
 from riordan.series import Series
@@ -121,6 +121,10 @@ def test_recip_zero_constant_divisor(capsys):
 @pytest.mark.parametrize("argv", [
     ("recip", "--f", '["1e4300"]', "--g", "one", "--precision", "2"),
     ("triangle", "--f", '["1e4300"]', "--g", "one", "--depth", "2"),
+    # the inverse's f is 1/f = 10**-4300, and the product's block is printed unbuilt
+    ("inverse", "--f", '["1e4300"]', "--g", "one", "--depth", "2"),
+    ("product", "--f1", '["1e4300"]', "--g1", "one", "--f2", "one", "--g2", "pascal_g",
+     "--depth", "2"),
 ])
 @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
 def test_output_past_the_digit_limit_names_the_output(capsys, argv, fmt):
@@ -323,26 +327,29 @@ def test_group_commands_refuse_a_zero_constant_term_with_exit_3(capsys, argv, me
     assert err == f"error: division domain error: {message}\n"
 
 
-@pytest.mark.parametrize("argv, builds", [
+@pytest.mark.parametrize("argv, runs", [
     (("triangle", "--f", "one", "--g", "pascal_g"), 1),
     (("inverse", "--f", "one", "--g", "pascal_g"), 1),
     (("azseq", "--f", "one", "--g", "pascal_g"), 0),
     (("product", "--f1", "one", "--g1", "pascal_g", "--f2", "arithgeo", "--g2", "[2,1]"), 1),
 ], ids=["triangle", "inverse", "azseq", "product"])
-def test_group_commands_build_only_the_blocks_they_read(capsys, monkeypatch, argv, builds):
-    # inverse, azseq and product read only (f, g, depth) of their inputs: the entry
-    # blocks built are the outputs
-    calls = []
+def test_group_commands_build_only_the_blocks_they_read(capsys, monkeypatch, argv, runs):
+    # inverse, azseq and product read only (f, g, depth) of their inputs, and the matrices
+    # triangle, inverse and product print are never built: in each format, the one kernel
+    # run for the output converts its columns to strings, and no column becomes Fractions
+    converters = []
     original = triangles._division_columns
 
     def counting(*args):
-        calls.append(args)
+        converters.append(args[-1])
         return original(*args)
 
     monkeypatch.setattr(triangles, "_division_columns", counting)
-    code, _, _ = run(capsys, *argv)
-    assert code == 0
-    assert len(calls) == builds
+    for fmt in ("json", "csv", "pretty"):
+        converters.clear()
+        code, _, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert converters == [series._strings] * runs
 
 
 @pytest.mark.parametrize("argv, message", [

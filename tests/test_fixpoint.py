@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from riordan import cli, fixpoint, series
+from riordan import cli, fixpoint, series, triangles
 from riordan.fixpoint import (
     AffineMap,
     NotContractiveError,
@@ -19,8 +19,16 @@ from riordan.fixpoint import (
     reciprocal,
     reciprocal_scheme,
 )
-from riordan.series import DomainError, PrecisionError, Series, distance, format_polynomial
-from riordan.triangles import build_triangle
+from riordan.series import (
+    DomainError,
+    PrecisionError,
+    Series,
+    _fractions,
+    _strings,
+    distance,
+    format_polynomial,
+)
+from riordan.triangles import RiordanMatrix, build_triangle
 
 from oracles import (
     coeffs,
@@ -517,11 +525,14 @@ def test_kernel_matches_oracle_on_the_cofactors_own_denominators(g):
     expected = divided_columns(coeffs(f), gc, p, p + 1)
     t = build_triangle(f, g, p + 1)
     assert [coeffs(t.column_series(k)) for k in range(p + 1)] == expected
-    # x**3 * f has columns x**3 * column(k); the zero series has zero columns
-    for num, shifted in ((f.shift(3).truncate(p), 3), (Series.zero(p), p + 1)):
+    # x**3 * f has columns x**3 * column(k); the zero series has zero columns; either
+    # converter gives the columns, as Fractions or as their strings
+    for num, shifted in ((f, 0), (f.shift(3).truncate(p), 3), (Series.zero(p), p + 1)):
         columns = [[F(0)] * shifted + col[: p + 1 - shifted] for col in expected]
         assert coeffs(reciprocal(num, g, p)) == columns[0] == divide(coeffs(num), gc, p)
-        assert _division_columns(num, g, p, p + 1) == [col[k:] for k, col in enumerate(columns)]
+        want = [col[k:] for k, col in enumerate(columns)]
+        assert _division_columns(num, g, p, p + 1, _fractions) == want
+        assert _division_columns(num, g, p, p + 1, _strings) == [list(map(str, c)) for c in want]
 
 
 UNIT_SCALE_G = {  # g0 = a/b, a > 0, the sign in b
@@ -537,30 +548,41 @@ UNIT_SCALE_G = {  # g0 = a/b, a > 0, the sign in b
 @pytest.mark.parametrize("g, ab", UNIT_SCALE_G.values(), ids=UNIT_SCALE_G)
 def test_a_unit_scale_is_not_multiplied_into_the_columns(monkeypatch, f, g, ab):
     # entry (n, k) is S_k[n-k]*b**(k+1) / (M*delta_(n-k)*a**(k+1)): a column whose
-    # b**(k+1) is 1 reaches _fractions as the kernel's own integer list, and one whose
-    # a**(k+1) is 1 over M*delta_(n-k) alone
+    # b**(k+1) is 1 reaches the converter as the kernel's own integer list, and one whose
+    # a**(k+1) is 1 over M*delta_(n-k) alone, whichever converter the caller passes: a
+    # triangle's entries and a quotient are Fractions, a triangle printed unbuilt strings
     p = 9
     fs, gs = Series(f, p), Series(g, p)
-    runs, handed = [], []
-    integer_columns, fractions = fixpoint._integer_columns, fixpoint._fractions
+    runs, handed, converters = [], [], []
+    integer_columns, division_columns = fixpoint._integer_columns, fixpoint._division_columns
 
     def kernel(*args):
         den_f, split, delta, columns = integer_columns(*args)
         runs.append((den_f, split, delta, list(columns)))  # the list is overwritten in place
         return den_f, split, delta, columns
 
-    def boundary(nums, dens):
-        handed.append((nums, list(dens)))
-        return fractions(nums, dens)
+    def columns_by(f, g, precision, count, convert):
+        converters.append(convert)
+
+        def boundary(nums, dens):
+            handed.append((nums, list(dens)))
+            return convert(nums, dens)
+
+        return division_columns(f, g, precision, count, boundary)
 
     monkeypatch.setattr(fixpoint, "_integer_columns", kernel)
-    monkeypatch.setattr(fixpoint, "_fractions", boundary)
+    for module in (fixpoint, triangles):
+        monkeypatch.setattr(module, "_division_columns", columns_by)
     rows = [list(row) for row in build_triangle(fs, gs, p + 1).entries]
+    cells = RiordanMatrix(fs, gs, p + 1).to_csv()
     quotient = reciprocal(fs, gs, p)
     expected = divided_columns(coeffs(fs), coeffs(gs), p, p + 1)
     assert rows == [[expected[k][n] for k in range(n + 1)] for n in range(p + 1)]
+    assert cells == "\n".join(",".join(str(v) for v in row) for row in rows)
     assert coeffs(quotient) == expected[0]
-    assert [(split, len(columns)) for _, split, _, columns in runs] == [(ab, p + 1), (ab, 1)]
+    assert converters == [_fractions, _strings, _fractions]
+    assert [(split, len(columns)) for _, split, _, columns in runs] == \
+           [(ab, p + 1), (ab, p + 1), (ab, 1)]
     columns = [(k, column, run) for run in runs for k, column in enumerate(run[3])]
     assert len(handed) == len(columns)
     a, b = ab

@@ -3,7 +3,8 @@ sums and convolution), of the Riordan group (products, inverses, shifts and the
 JSON round trip) and its action on series, at depths 1..8, of
 compositional inversion, at precisions 1..10, with sparse
 small-integer and dense rational parameters, of the division kernel,
-at precisions 0..40, on cofactors with random zero patterns, and of the
+at precisions 0..40, on cofactors with random zero patterns, of its
+integer-to-text boundary, on integers of any sign and size, and of the
 command line: every argv exits 0, 2 or 3, the plain reader returns argparse's
 Namespace or leaves the argv to it, and a literal reads back its series.
 
@@ -24,7 +25,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from riordan import cli
 from riordan.fixpoint import _integer_columns, reciprocal
 from riordan.reversion import invert_series, verify_lagrange
-from riordan.series import Series
+from riordan.series import Series, _strings
 from riordan.triangles import build_triangle, from_json_dict, identity
 
 from oracles import coeffs, convolve, divide, divided_columns, division_scale, matrix_vector
@@ -225,6 +226,27 @@ def test_division_kernel_matches_back_substitution(case):
     assert [coeffs(t.column_series(k)) for k in range(p + 1)] == divided_columns(head, gc, p, p + 1)
     # the scale is delta_m = lcm_j den(g_j/g0)*delta_(m-j), whatever the zero pattern
     assert _integer_columns(f, g, p, 1)[2] == division_scale(gc, p)
+
+
+
+# numerators and positive denominators past any fixed width, with 0, 1 and -1 among them
+HUGE = 1 << 400
+NUMERATORS = st.one_of(st.sampled_from((0, 1, -1)), st.integers(-9, 9), st.integers(-HUGE, HUGE))
+DENOMINATORS = st.one_of(st.just(1), st.integers(1, 12), st.integers(1, HUGE))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.lists(st.tuples(NUMERATORS, DENOMINATORS), max_size=12), st.booleans())
+@example([(0, 7), (-6, 4), (-HUGE, HUGE), (HUGE + 1, 1)], False)
+@example([(0, 1), (-5, 1), (-HUGE, 1)], False)
+def test_strings_are_the_strings_of_the_reduced_fractions(pairs, unit):
+    # the kernel's integer-to-text boundary prints what str(Fraction(n, d)) prints, for a
+    # list of unit denominators (no gcd) and any other; nums may be an iterator
+    nums = [n for n, _ in pairs]
+    dens = [1] * len(pairs) if unit else [d for _, d in pairs]
+    want = [str(F(n, d)) for n, d in zip(nums, dens)]
+    assert _strings(nums, dens) == want
+    assert _strings(iter(nums), dens) == want
 
 
 SIZES = st.one_of(st.integers(-2, 30), st.sampled_from((cli.MAX_SIZE + 1, 10 ** 20)))
