@@ -264,17 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
 # it costs more than most commands
 _parser = functools.cache(build_parser)
 
-# the most digits the plain reader reads as an int: int() takes at least 640 whatever
-# sys.set_int_max_str_digits allows, so a longer value is left to argparse's int()
-_INT_DIGITS = 640
-
 
 def _read_plain(argv: Sequence[str]) -> argparse.Namespace | None:
     """The Namespace that ``build_parser().parse_args(argv)`` returns, for an argv
     ``command --flag value ...`` whose flags are the command's, each spelled in full and
     given at most once, every required one among them, whose values do not start with
-    ``-``, whose ints are at most ``_INT_DIGITS`` ASCII digits and whose choices are in
-    range; None for every other argv."""
+    ``-``, whose ints ``int()`` reads, as argparse's ``type=int`` does, and whose choices are
+    in range; None for every other argv."""
     command = COMMANDS.get(argv[0]) if len(argv) % 2 else None
     if command is None:
         return None
@@ -291,9 +287,10 @@ def _read_plain(argv: Sequence[str]) -> argparse.Namespace | None:
         elif value[:1] == "-":
             return None
         elif flag.kind is int:
-            if not (value.isascii() and value.isdigit() and len(value) <= _INT_DIGITS):
+            try:
+                values[flag.name] = int(value)
+            except ValueError:
                 return None
-            values[flag.name] = int(value)
         elif flag.kind is str or value in flag.kind:
             values[flag.name] = value
         else:

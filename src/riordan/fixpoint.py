@@ -69,9 +69,9 @@ class AffineMap:
     one step of :func:`iterate_fixed`, at the least precision of ``slope``, ``t`` and
     ``offset``: the same series as ``slope*t + offset``, one integer pass that keeps
     the Fraction of each coefficient of ``t`` it leaves unchanged.  ``slope`` and
-    ``offset`` are scaled to integers once per map (a division scheme's step maps read
-    prefixes of its limit map's), and :func:`iterate_crossed` hands each step the
-    iterate as integers, so an iteration scales no iterate but its start.
+    ``offset`` are scaled to integers once per map (a division scheme hands its step
+    maps theirs), and :func:`iterate_crossed` hands each step the iterate as integers, so
+    an iteration scales no iterate but its start.
     """
 
     slope: Series
@@ -86,18 +86,6 @@ class AffineMap:
     @cached_property
     def _scaled(self) -> tuple[tuple[int, list[int]], tuple[int, list[int]]]:
         return _integral(self.slope.coefficients), _integral(self.offset.coefficients)
-
-    def _prefix(self, cut: int) -> AffineMap:
-        """The map of the degree-``cut`` Taylor polynomials of ``slope`` and ``offset``,
-        padded back to their precisions: its integers are prefixes of this map's, the
-        offset's padded with zeros, so it scales no coefficient."""
-        (ds, big_s), (do, big_o) = self._scaled
-        slope, offset = self.slope, self.offset
-        amap = AffineMap(slope.truncate(cut).pad(slope.precision),
-                         offset.truncate(cut).pad(offset.precision))
-        amap.__dict__["_scaled"] = ((ds, big_s[: cut + 1]),
-                                    (do, big_o[: cut + 1] + [0] * (offset.precision - cut)))
-        return amap
 
     def __call__(self, t: Series) -> Series:
         return iterate_fixed(self, t, 1).last
@@ -204,22 +192,27 @@ def reciprocal_scheme(f: Series, g: Series, precision: int) -> Callable[[int], A
 
     Step ``m`` uses the degree-``m`` Taylor polynomials of that slope and offset; as
     polynomials they are exact, so they are padded back to the working precision.
-    The limit map's integers come from those of ``g`` and ``f`` and the split ``g0 = a/b``
-    of :func:`_positive`, in lowest terms, so they are the ones :func:`_integral` gives its
-    slope and offset; each step map reads prefixes of them.
+    The slope's and offset's integers come from those of ``g`` and ``f`` and the split
+    ``g0 = a/b`` of :func:`_positive`, in lowest terms, so they are the ones :func:`_integral`
+    gives them; step map ``m`` is handed their prefixes through degree ``m``, the offset's
+    padded with zeros, so it scales no coefficient.
     """
     _check_division(f, g, precision)
     a, b = _positive(g.coefficient(0))
     (den_g, big_g), (den_f, big_f) = (_integral(s.coefficients[: precision + 1]) for s in (g, f))
     # (g0 - g)/g0 = -b*(den_g*g)/(den_g*a) past its zero constant term, hence a
     # 1/2-contraction, and f/g0 = b*(den_f*f)/(den_f*a)
-    scaled = (_lowest(den_g * a, [0] + [-b * v for v in big_g[1:]]),
-              _lowest(den_f * a, [b * v for v in big_f]))
-    limit = AffineMap(*(Series._of(_fractions(nums, [den] * len(nums))) for den, nums in scaled))
-    limit.__dict__["_scaled"] = scaled
+    ds, big_s = _lowest(den_g * a, [0] + [-b * v for v in big_g[1:]])
+    do, big_o = _lowest(den_f * a, [b * v for v in big_f])
+    slope = Series._of(_fractions(big_s, [ds] * (precision + 1)))
+    offset = Series._of(_fractions(big_o, [do] * (precision + 1)))
 
     def maps(m: int) -> AffineMap:
-        return limit._prefix(min(m, precision))
+        cut = min(m, precision)
+        amap = AffineMap(slope.truncate(cut).pad(precision), offset.truncate(cut).pad(precision))
+        amap.__dict__["_scaled"] = ((ds, big_s[: cut + 1]),
+                                    (do, big_o[: cut + 1] + [0] * (precision - cut)))
+        return amap
 
     return maps
 
@@ -243,8 +236,9 @@ def reciprocal(f: Series, g: Series, precision: int) -> Series:
 def _division_columns(f: Series, g: Series, precision: int, count: int,
                       convert: Callable[[Iterable[int], Sequence[int]], list]) -> list[list]:
     """Columns ``k < count`` of ``x**k * f / g**(k+1)``, degrees ``k..precision``, each
-    converted from the integers by ``convert``: :func:`~riordan.series._fractions` for
-    Fractions, :func:`~riordan.series._strings` for their strings.  Over the integers and
+    converted from the integers by ``convert`` as the kernel yields it, so a column that
+    cannot convert stops the run there: :func:`~riordan.series._fractions` for Fractions,
+    :func:`~riordan.series._strings` for their strings.  Over the integers and
     the split ``g0 = a/b``, ``a > 0``, of :func:`_integer_columns`, entry ``(n, k)`` is
     ``S_k[n-k]*b**(k+1) / (M*delta_(n-k)*a**(k+1))``, its denominator positive, so a column
     with every denominator 1 is converted with no gcd.  A factor that is 1 is not multiplied
@@ -252,12 +246,13 @@ def _division_columns(f: Series, g: Series, precision: int, count: int,
     one whose ``a**(k+1)`` is 1 over ``M*delta`` as it is, and ``M = 1`` leaves ``delta``."""
     den_f, (a, b), delta, columns = _integer_columns(f, g, precision, count)
     dens = delta if den_f == 1 else [den_f * d for d in delta]
+    out = []
     ak, bk = a, b
-    for k, s in enumerate(columns):  # in place, so the integers of done columns are freed
+    for s in columns:
         column_dens = dens[: len(s)] if ak == 1 else list(map(mul, dens[: len(s)], repeat(ak)))
-        columns[k] = convert(s if bk == 1 else map(mul, s, repeat(bk)), column_dens)
+        out.append(convert(s if bk == 1 else map(mul, s, repeat(bk)), column_dens))
         ak, bk = ak * a, bk * b
-    return columns
+    return out
 
 
 def _lowest(den: int, nums: list[int]) -> tuple[int, list[int]]:
@@ -286,6 +281,7 @@ def _apply(f: Series, g: Series, hs: Sequence[Series], p: int) -> list[Series]:
     a sum of column slices times ``b**(k+1) * D*h_k``, divided exactly by ``delta_p/delta_n``.
     """
     den_f, (a, b), delta, columns = _integer_columns(f, g, p, p + 1)
+    columns = list(columns)
     drop = [delta[p] // d for d in delta]  # delta_p/delta_n
     lift = list(map(mul, drop, accumulate(repeat(a, p), mul, initial=1)))
     if any(v != 1 for v in lift):
@@ -303,10 +299,11 @@ def _apply(f: Series, g: Series, hs: Sequence[Series], p: int) -> list[Series]:
 
 
 def _integer_columns(f: Series, g: Series, precision: int,
-                     count: int) -> tuple[int, tuple[int, int], list[int], list[list[int]]]:
-    """``(M, (a, b), delta, [S_k for k < count])``, the kernel's integer stage, ``g0 = a/b``
+                     count: int) -> tuple[int, tuple[int, int], list[int], Iterator[list[int]]]:
+    """``(M, (a, b), delta, S_k for k < count)``, the kernel's integer stage, ``g0 = a/b``
     split once by :func:`_positive`, each ``S_k`` indexed by ``m = n - k <= precision - k``
-    (0 below the order of ``f``).  It checks nothing: the public entry that reaches it,
+    (0 below the order of ``f``) and made only when the one before has been taken, so a
+    caller that stops early makes no more.  It checks nothing: the public entry that reaches it,
     :func:`reciprocal` or a constructed ``RiordanMatrix``, has already checked its operands.
 
     Column ``k`` divides ``x * column(k-1)`` by ``g``, fraction-free: with ``F = M*f``
@@ -316,12 +313,14 @@ def _integer_columns(f: Series, g: Series, precision: int,
     """
     den_f, big_f = _integral(f.coefficients[: precision + 1])  # M, F
     delta, rows = _scale_rows(g.coefficients[: precision + 1], precision)
-    source = [c * d for c, d in zip(big_f, delta)]
-    columns = []
-    for k in range(count):
-        source = _step(source, rows, -1, precision - k + 1)
-        columns.append(source)
-    return den_f, _positive(g.coefficients[0]), delta, columns
+
+    def columns() -> Iterator[list[int]]:
+        source = [c * d for c, d in zip(big_f, delta)]
+        for k in range(count):
+            source = _step(source, rows, -1, precision - k + 1)
+            yield source
+
+    return den_f, _positive(g.coefficients[0]), delta, columns()
 
 
 def _step(source: Sequence[int], rows: list[list[tuple[int, int]]], sign: int,

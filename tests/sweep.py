@@ -5,13 +5,15 @@ Every family draws its cases ``(f, g, h, depth)`` from its own seed at each dept
 ``DEPTHS`` (and at its one larger depth): ``f`` and ``g`` at precision ``depth``, one
 degree past what a depth-``depth`` matrix reads, so that ``shift(1)`` and the classical
 pairs have what they need, and ``h`` at precision ``depth - 1``.  :func:`outputs` runs
-every operation on a case and :func:`canonical_text` joins a family's outputs, so a
-pinned digest fixes every result of the sweep to the last digit.
+every public operation on a case and :func:`reference_outputs` runs the paper's iteration,
+the reference path the division kernel is checked against; :func:`canonical_text` joins
+a family's outputs of either, so a pinned digest fixes every result of the sweep to the
+last digit.
 
 ``tests/test_sweep.py`` recomputes each digest in tier-1.  Run as a script, this module
-prints one line per family, its name and its sha256: regenerate ``SWEEP_DIGESTS`` that
-way only together with a deliberate change of the generator, as with
-``perfbench/golden.json``.
+prints one line per family, its name and its two sha256 (``SWEEP_DIGESTS``, then
+``REFERENCE_DIGESTS``): regenerate them that way only together with a deliberate change
+of the generator, as with ``perfbench/golden.json``.
 """
 
 from __future__ import annotations
@@ -19,9 +21,17 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from riordan.fixpoint import reciprocal
+from riordan.fixpoint import (
+    AffineMap,
+    IterationTrace,
+    column_scheme,
+    iterate_crossed,
+    iterate_fixed,
+    reciprocal,
+    reciprocal_scheme,
+)
 from riordan.reversion import invert_series, lagrange_coefficient, verify_lagrange
 from riordan.series import Series
 from riordan.triangles import RiordanMatrix, associated, bell, build_triangle, from_classical
@@ -147,11 +157,17 @@ def cases(family: Family) -> Iterator[Case]:
         yield Case(f, g, h, depth)
 
 
+def _rows(rows: Iterable[Iterable[object]]) -> str:
+    return ";".join(",".join(map(str, row)) for row in rows)
+
+
 def _text(value: object) -> str:
     if isinstance(value, Series):
         return ",".join(value.to_strings())
     if isinstance(value, RiordanMatrix):
-        return ";".join(",".join(map(str, row)) for row in value.entries)
+        return _rows(value.entries)
+    if isinstance(value, IterationTrace):
+        return _rows(iterate.to_strings() for iterate in value)
     return str(value)
 
 
@@ -182,16 +198,32 @@ def outputs(case: Case) -> Iterator[tuple[str, object]]:
     yield "lagrange_coefficient", [lagrange_coefficient(g, depth, k) for k in range(1, depth + 1)]
 
 
-def canonical_text(family: Family) -> str:
+def reference_outputs(case: Case) -> Iterator[tuple[str, object]]:
+    """``(name, result)`` for each run of the reference path on ``case``: the crossed
+    iterations of a division scheme and of a column scheme, and a plain iteration, each
+    from ``h``."""
+    f, g, h, depth = case
+    p = depth - 1
+    trace = iterate_crossed(reciprocal_scheme(f, g, p), h, p + 1)
+    yield "crossed", trace
+    yield "remainder_rows", _rows(trace.remainder_rows())
+    yield "column 2", iterate_crossed(column_scheme(f, g, 2, reciprocal(f, g, p)), h, p + 1)
+    yield "fixed", iterate_fixed(AffineMap(g.shift(1).truncate(p), f.truncate(p)), h, depth)
+
+
+Outputs = Callable[[Case], Iterator[tuple[str, object]]]
+
+
+def canonical_text(family: Family, run: Outputs = outputs) -> str:
     lines = []
     for case in cases(family):
         lines.append(f"depth {case.depth} f {_text(case.f)} g {_text(case.g)} h {_text(case.h)}")
-        lines += [f"  {name} {_text(value)}" for name, value in outputs(case)]
+        lines += [f"  {name} {_text(value)}" for name, value in run(case)]
     return "\n".join(lines) + "\n"
 
 
-def digest(family: Family) -> str:
-    return hashlib.sha256(canonical_text(family).encode()).hexdigest()
+def digest(family: Family, run: Outputs = outputs) -> str:
+    return hashlib.sha256(canonical_text(family, run).encode()).hexdigest()
 
 
 SWEEP_DIGESTS = {
@@ -205,7 +237,20 @@ SWEEP_DIGESTS = {
     "omegas": "06b68d5b954422821cddeeb217cdc0f227aa351f4093b997b2e75a882ddfe7b6",
 }
 
+# the reference path's outputs, pinned on the code before the division schemes built their
+# step maps in one place
+REFERENCE_DIGESTS = {
+    "sparse": "20993893a5e400e208ead87947dcb41fc8a3cfb29f3bfb09f3e8d50075a4299f",
+    "gapped": "eeae26d37dc69ebc87acc32e5d50fad63e5a51ee058505d6a741c4a8c4560fbd",
+    "dense_growing": "158457ea4a518b2ae7fe9082fe4b3c6d05ff29920af08dea64c882f6b0de0ee5",
+    "short_reciprocal": "056616e9aa5dbda4f0570f8f45f3eacfacba2007ddd0d9b39c22e777c03fb681",
+    "presets": "92ab66e4da7e137d2c0b75f8ec3f66ddc223f4d7dbdfe55de835cc86854fc6f0",
+    "negative_g0": "fda6e603eaf1c0d8ba025f2f3c38101b54521de2758144298bd5adc97990ab78",
+    "products": "d9386491b8c4d25c58565665329740ff169be33335934aeec510182d888e9922",
+    "omegas": "b997de545c8995811b5fa6930229c46598c288d60fdcaf5fd33dcf6247ef650f",
+}
+
 
 if __name__ == "__main__":
     for family in FAMILIES:
-        print(family.name, digest(family))
+        print(family.name, digest(family), digest(family, reference_outputs))

@@ -446,6 +446,11 @@ def test_main_reads_sys_argv_on_both_paths(capsys, monkeypatch):
     ["azseq", "--f", "one", "--g", "one"],
     ["inverse", "--f", "one", "--g", "pascal_g", "--depth", "0"],
     ["product", "--f1", "one", "--g1", "one", "--f2", "x", "--g2", "one", "--depth", "9" * 640],
+    # int spellings beyond ASCII digits: int() reads each, as argparse's type=int does
+    ["recip", "--f", "one", "--g", "one", "--precision", " 6"],
+    ["invert", "--omega", "[0,1]", "--precision", "+6"],
+    ["azseq", "--f", "one", "--g", "one", "--precision", "6_0"],
+    ["trace", "--scheme", "column", "--n", "\u0665"],
 ])
 def test_the_plain_reader_reads_each_subcommand_as_argparse_does(argv):
     assert cli._read_plain(argv) == cli.build_parser().parse_args(argv)

@@ -188,9 +188,9 @@ def test_a_map_at_its_fixed_point_returns_the_fractions_of_its_argument(den):
 
 @pytest.mark.parametrize("column", [1, 2, 4])
 def test_crossed_runs_scale_the_scheme_data_and_the_start_once(monkeypatch, column):
-    # the scheme scales g and the numerator once, into the limit map's integers, and every
-    # step map reads prefixes of them; each step hands its iterate to the next as integers,
-    # so only the start is scaled
+    # the scheme scales g and the numerator once, into the integers of the limit map's slope
+    # and offset, and hands every step map prefixes of them; each step hands its iterate to
+    # the next as integers, so only the start is scaled
     p = 7
     f = Series([F(1, 3), 2, 0, F(5, 2)], p)
     g = Series([F(-3, 2), 1, F(2, 5), 0, F(-1, 7)], p)
@@ -208,10 +208,19 @@ def test_crossed_runs_scale_the_scheme_data_and_the_start_once(monkeypatch, colu
         assert scaled == [g.coefficients, numerator.coefficients, start.coefficients]
         assert list(limit.slope.coefficients) == [0] + [-c / g[0] for c in g.coefficients[1:]]
         assert list(limit.offset.coefficients) == [c / g[0] for c in numerator.coefficients]
-        # the limit map's integers are its slope and offset over their least denominators
-        for (den, nums), s in zip(limit._scaled, (limit.slope, limit.offset)):
-            assert den > 0 and math.gcd(den, *nums) == 1
-            assert [F(v, den) for v in nums] == list(s.coefficients)
+        # every step map's integers are its slope, through its last term, and its offset,
+        # zeros included; from degree p on they are the limit map's, over the least
+        # denominators (a prefix's may be smaller)
+        for m in range(3 * p + 1):
+            amap = scheme(m)
+            cut = min(m, p)
+            assert amap.slope == limit.slope.truncate(cut).pad(p)
+            assert amap.offset == limit.offset.truncate(cut).pad(p)
+            slope, offset = amap._scaled
+            for (den, nums), want in ((slope, amap.slope.coefficients[: cut + 1]),
+                                      (offset, amap.offset.coefficients)):
+                assert den > 0 and [F(v, den) for v in nums] == list(want)
+                assert m < p or math.gcd(den, *nums) == 1
         assert trace.iterates == unfused_trace(scheme, start, steps)
 
 
@@ -558,7 +567,8 @@ def test_a_unit_scale_is_not_multiplied_into_the_columns(monkeypatch, f, g, ab):
 
     def kernel(*args):
         den_f, split, delta, columns = integer_columns(*args)
-        runs.append((den_f, split, delta, list(columns)))  # the list is overwritten in place
+        columns = list(columns)  # the kernel yields its columns: hand on the ones recorded
+        runs.append((den_f, split, delta, columns))
         return den_f, split, delta, columns
 
     def columns_by(f, g, precision, count, convert):

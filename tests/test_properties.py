@@ -258,9 +258,10 @@ LITERALS = st.one_of(
 )
 
 
-# values the plain reader leaves to argparse: a leading dash, int spellings that int()
-# accepts and an ASCII-digit test does not, a digit int() refuses, and 4301 digits, one past
-# int()'s limit; and a leading zero, which both read
+# unusual values: the plain reader leaves a leading dash, a digit int() refuses and 4301
+# digits, one past int()'s limit, to argparse, and reads the int spellings int() accepts
+# beyond ASCII digits (a sign, a space, an underscore, a non-ASCII digit, a leading zero)
+# as argparse's int() does
 UNUSUAL_VALUES = ("-1", "--g", "+5", " 5", "5_0", "\u0665", "\u00b2", "9" * 4301, "007")
 
 

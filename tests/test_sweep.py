@@ -1,23 +1,29 @@
-"""The seeded sweep (``tests/sweep.py``), run in-process: every family's canonical text,
-recomputed, has the sha256 pinned for it, and every matrix of its cases prints the same
-text before and after its entries are built."""
+"""The seeded sweep (``tests/sweep.py``), run in-process: every family's canonical texts,
+of the public operations and of the reference path, recomputed, have the sha256 pinned
+for them, and every matrix of its cases prints the same text before and after its entries
+are built."""
 
 import pytest
 
 from riordan.triangles import RiordanMatrix
 
-from sweep import FAMILIES, SWEEP_DIGESTS, cases, digest
+from sweep import FAMILIES, REFERENCE_DIGESTS, SWEEP_DIGESTS, cases, digest, reference_outputs
 
 
 def test_every_family_has_one_pinned_digest():
     names = [family.name for family in FAMILIES]
     assert len(set(names)) == len(names) == 8
-    assert sorted(SWEEP_DIGESTS) == sorted(names)
+    assert sorted(SWEEP_DIGESTS) == sorted(REFERENCE_DIGESTS) == sorted(names)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=[family.name for family in FAMILIES])
 def test_sweep_family_matches_its_digest(family):
     assert digest(family) == SWEEP_DIGESTS[family.name]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=[family.name for family in FAMILIES])
+def test_reference_path_of_each_family_matches_its_digest(family):
+    assert digest(family, reference_outputs) == REFERENCE_DIGESTS[family.name]
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=[family.name for family in FAMILIES])

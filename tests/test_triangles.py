@@ -250,6 +250,24 @@ def test_build_triangle_builds_the_entries_at_once():
     assert "entries" in vars(pascal(1))
 
 
+def test_a_matrix_that_cannot_print_stops_at_its_first_column(monkeypatch):
+    # column 0 of T(1 | 1 + 10**4299 x) holds 10**8598, past the digits str prints: the
+    # kernel yields its columns one at a time, so printing fails after one divide step,
+    # not after all 40
+    steps = []
+    step = fixpoint._step
+
+    def counting(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(fixpoint, "_step", counting)
+    m = triangles.RiordanMatrix(Series.one(39), Series([1, "1e4299"], 39), 40)
+    with pytest.raises(ValueError):
+        m.to_csv()
+    assert len(steps) == 1
+
+
 @pytest.mark.parametrize("f, g, depth, error, message", [
     (Series([0, 1], 3), Series([1, 1], 3), 4, DomainError,
      "division domain error: f must have a nonzero constant term"),
