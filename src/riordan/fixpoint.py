@@ -279,8 +279,11 @@ def _apply(f: Series, g: Series, hs: Sequence[Series], p: int) -> list[Series]:
     ``(delta_n/delta_(n-k)) * a**(n-k) * b**(k+1)``, and each coefficient is one Fraction.
     Each column is lifted once, by ``a**m * delta_p/delta_m`` at ``m = n - k``, so a row is
     a sum of column slices times ``b**(k+1) * D*h_k``, divided exactly by ``delta_p/delta_n``.
+    The kernel runs only through the last column some ``h`` reads, the highest degree ``k``
+    with ``h_k != 0``.
     """
-    den_f, (a, b), delta, columns = _integer_columns(f, g, p, p + 1)
+    count = 1 + max((k for h in hs for k, c in enumerate(h.coefficients[: p + 1]) if c), default=-1)
+    den_f, (a, b), delta, columns = _integer_columns(f, g, p, count)
     columns = list(columns)
     drop = [delta[p] // d for d in delta]  # delta_p/delta_n
     lift = list(map(mul, drop, accumulate(repeat(a, p), mul, initial=1)))

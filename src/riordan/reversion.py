@@ -27,7 +27,10 @@ reference path recomposes every stage by Horner, O(P**4).
 The same rows of ``(1, w)``, ``w = x*g(w)``, give the Riordan group inverse
 ``T(1/f(w) | 1/g(w))`` of ``T(f|g)`` (:func:`_inverse_parameters`): ``x/w = 1/g(w)`` is
 the rows' edge, the row rule read one column to the left, and ``(1/f)(w)`` is a dot
-product of each row with ``1/f``.
+product of each row with ``1/f``.  The inverse has ``(1, w)``'s A-sequence ``g``: its rows
+are those of ``((1/f)(w), w)`` less the first row and column, which the same row rule
+(:func:`_fill_rows`, the table's own loop) fills from ``(1/f)(w)`` on the table's taps,
+one row at a time, in ``O(P**2 d)``, with no kernel run on ``1/g(w)`` and no table kept.
 The same fixed-point equation yields the coefficient identities
 
     ``n * [x^n] (omega^{-1})**k == k * [x^(n-k)] g**n``
@@ -42,6 +45,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .fixpoint import _integer_columns, _positive, _scale_rows, _step
 # reciprocal stays bound here for perfbench's tracer, which patches it in this module
@@ -57,20 +63,34 @@ __all__ = [
 ]
 
 
-def _fill_table(taps: list[list[tuple[int, int]]], sign: int,
-                precision: int) -> tuple[list[list[int]], list[int]]:
-    """``(rows, edge)``: the rows ``E[n][k] = delta_(n-k) * [x^n] T**k / g0**n`` (``k <= n <=
-    precision``) of ``(1, T)``, ``T = x*g(T)``, and ``edge[n] = -delta_n [x^n] (x/T) / g0**(n-1)``,
-    on one side's taps and scale from :func:`~riordan.fixpoint._scale_rows`.
+def _fill_rows(taps: list[list[tuple[int, int]]], sign: int, diag: list[int],
+               count: int) -> Iterator[list[int]]:
+    """Rows ``1..count-1`` of a Riordan array ``(d, T)``, ``T = x*g(T)``, whose row 0 is
+    ``diag`` (``diag[m]`` is row ``n``'s entry at ``k = n - m``), on one side's taps and scale
+    from :func:`~riordan.fixpoint._scale_rows`, each made only when it is taken.
 
     Along ``m = n - k``, row ``n`` is the :func:`~riordan.fixpoint._step` of row ``n-1``: on the
     g side (``sign = 1``, ``c_i = g_i/g0``) ``T**k = x * T**(k-1) * g(T)`` makes it the multiply
     step, the A-sequence rule; on the omega side (``sign = -1``, ``c_i = omega_(i+1)/omega_1``)
-    ``omega(T) = x`` makes it the divide step.  Its entry at ``k = 0`` is that rule one column
-    to the left, ``x/T = 1/g(T)``: kept as ``edge[n]``, then ``E[n][0] = 0``."""
-    diag, rows, edge = [1], [[1]], [-1]  # diag[m] = E[n][n-m]; edge[0] gives [x^0] x/T = 1/g0
-    for n in range(1, precision + 1):
-        diag = _step(diag + [0], taps, sign, n + 1)
+    ``omega(T) = x`` makes it the divide step.  Both hold for every column ``k >= 1`` whatever
+    ``d`` is.  The step's entry at ``k = 0``, slot ``n``, is that rule one column to the left:
+    the taker reads it there and writes column 0's own entry in its place before it takes the
+    next row, which is stepped from that list, extended in place: the taker copies what it
+    keeps."""
+    for n in range(1, count):
+        diag.append(0)
+        diag = _step(diag, taps, sign, n + 1)
+        yield diag
+
+
+def _fill_table(taps: list[list[tuple[int, int]]], sign: int,
+                precision: int) -> tuple[list[list[int]], list[int]]:
+    """``(rows, edge)``: the rows ``E[n][k] = delta_(n-k) * [x^n] T**k / g0**n`` (``k <= n <=
+    precision``) of ``(1, T)``, ``T = x*g(T)``, and ``edge[n] = -delta_n [x^n] (x/T) / g0**(n-1)``,
+    by :func:`_fill_rows`: the entry at ``k = 0``, the rule one column to the left, is
+    ``x/T = 1/g(T)``; it is kept as ``edge[n]``, then ``E[n][0] = 0``."""
+    rows, edge = [[1]], [-1]  # edge[0] gives [x^0] x/T = 1/g0
+    for n, diag in enumerate(_fill_rows(taps, sign, [1], precision + 1), 1):
         edge.append(diag[n])
         diag[n] = 0
         rows.append(diag[::-1])
@@ -97,36 +117,58 @@ def _table(cs: tuple[Fraction, ...], sign: int, precision: int) -> tuple[
     return g0, delta, taps, sign, rows, edge[: len(cs)]
 
 
-def _inverse_parameters(f: Series, g: Series, p: int) -> tuple[Series, Series]:
-    """``(1/f(w), 1/g(w))`` through degree ``p``, ``w`` the compositional inverse of ``x/g``
+def _inverse_parameters(f: Series, g: Series, p: int) -> tuple[
+        Series, Series, Callable[[Callable[[Iterable[int], Sequence[int]], list]], Iterator[list]]]:
+    """``(1/f(w), 1/g(w), rows)`` through degree ``p``, ``w`` the compositional inverse of ``x/g``
     (the parameters of the Riordan group inverse of ``T(f|g)``), off the rows
     ``E[n][k] = delta_(n-k) [x^n] w**k / g0**n`` of ``(1, w)`` and their edge that
     :func:`_table` fills from ``g`` on either side: ``[x^n] 1/g(w) = [x^n] x/w =
     -edge[n] * g0**(n-1) / delta_n``.  With ``R = M/f`` integral, ``[x^n] (1/f)(w) =
-    g0**n * sum_j R_j E[n][j] (delta_n/delta_(n-j)) / (M*delta_n)``, the factor a product of
-    ``delta_m/delta_(m-1)``: the one division is ``1/f``, and nothing is composed.  ``R`` is
-    the division kernel's integer column ``S_j = d_j f0 [x^j] 1/f`` at ``f``'s own scale
-    ``d_j``, lifted to ``d_p`` (each ``d_j`` divides the next): with the kernel's split
-    ``f0 = a/b``, ``a > 0``, ``R_j = S_j * b * d_p/d_j`` and ``M = a*d_p``."""
-    g0, delta, _, _, rows, edge = _table(g.coefficients[: p + 1], 1, p)
+    g0**n * Y_n / (M*delta_n)``, ``Y_n = sum_j R_j E[n][j] (delta_n/delta_(n-j))``, the factor a
+    product of ``delta_m/delta_(m-1)``: the one division is ``1/f``, and nothing is composed.
+    ``R`` is the division kernel's integer column ``S_j = d_j f0 [x^j] 1/f`` at ``f``'s own
+    scale ``d_j``, lifted to ``d_p`` (each ``d_j`` divides the next): with the kernel's split
+    ``f0 = a/b``, ``a > 0``, ``R_j = S_j * b * d_p/d_j`` and ``M = a*d_p``.
+
+    ``rows(convert)`` yields rows ``0..p`` of the inverse block, each converted from its
+    integers by ``convert`` as it is filled, so a row that cannot convert stops the fill; the
+    table is not kept.  Entry ``(n, k)``, ``[x^n] x**k (1/f)(w) / (1/g(w))**(k+1) = [x^(n+1)]
+    w**(k+1) (1/f)(w)``, is entry ``(n+1, k+1)`` of the array ``((1/f)(w), w)``, whose column 0
+    is ``(1/f)(w)`` and whose A-sequence is ``g``: :func:`_fill_rows` fills it on the table's
+    taps from the column ``Y``, and each of its rows past the first, less its column 0, is a
+    row of the inverse, ``X[n][k] * g0**(n+1) / (M*delta_(n-k))``."""
+    g0, delta, taps, sign, table, edge = _table(g.coefficients[: p + 1], 1, p)
     ratios = [1] + [d // c for c, d in zip(delta, delta[1:])]
     _, (fa, fb), f_delta, (column,) = _integer_columns(Series.one(p), f, p, 1)
     big_r = [s * fb * (f_delta[p] // d) for s, d in zip(column, f_delta)]
     den_f = fa * f_delta[p]
     a, b = g0.numerator, g0.denominator
     inv_den, inv_num = _positive(g0)  # 1/g0 = inv_num/inv_den, inv_den > 0
-    f_nums, f_dens, g_nums, g_dens = [], [], [], []
+    big_y, f_nums, f_dens, g_nums, g_dens = [], [], [], [], []
     an, bn = 1, 1  # g0**n = an/bn, bn > 0
-    for n, row in enumerate(rows):
+    for n, row in enumerate(table):
         acc = 0
         for j in range(n, -1, -1):  # Horner: R_j E[n][j] gains ratio_n*...*ratio_(n-j+1)
             acc = acc * ratios[n - j] + big_r[j] * row[j]
+        big_y.append(acc)
         f_nums.append(acc * an)
         f_dens.append(den_f * delta[n] * bn)
         g_nums.append(-edge[n] * an * inv_num)
         g_dens.append(delta[n] * bn * inv_den)
         an, bn = an * a, bn * b
-    return Series._of(_fractions(f_nums, f_dens)), Series._of(_fractions(g_nums, g_dens))
+
+    def rows(convert: Callable[[Iterable[int], Sequence[int]], list]) -> Iterator[list]:
+        dens = delta if den_f == 1 else [den_f * d for d in delta]
+        # row p + 1's column 0 is never read: it takes 0, and its slot no taps
+        fill = _fill_rows(taps + [[]], sign, big_y[:1], p + 2)
+        an, bn = 1, 1
+        for n, (diag, y) in enumerate(zip(fill, chain(big_y[1:], [0]))):
+            diag[n + 1] = y
+            an, bn = an * a, bn * b  # g0**(n+1)
+            nums = diag[n::-1] if an == 1 else map(mul, diag[n::-1], repeat(an))
+            yield convert(nums, dens[n::-1] if bn == 1 else [d * bn for d in dens[n::-1]])
+
+    return Series._of(_fractions(f_nums, f_dens)), Series._of(_fractions(g_nums, g_dens)), rows
 
 
 def _power_table(omega: Series, precision: int) -> tuple[

@@ -5,7 +5,8 @@
 quotient ``f/g`` and column ``k`` is ``x * column(k-1) / g``, so the whole
 matrix is repeated division: every column comes from the one integer
 division kernel behind :func:`riordan.fixpoint.reciprocal`, one Fraction
-per entry read, or one string per entry printed.
+per entry read, or one string per entry printed.  A group inverse is the
+exception: its rows come from reversion's A-sequence rule instead.
 
 These matrices form a group under matrix product (the Riordan group),
 closed in parameter form:
@@ -16,9 +17,11 @@ closed in parameter form:
 
 Neither is computed by composing series.  The matrix acts on ``h`` as
 ``(f/g) * h(x/g)``, and ``T(g1|g1)`` acts as ``h -> h(x/g1)``: the division kernel
-sums its own integer columns for both (:func:`~riordan.fixpoint._apply`).  The
-inverse's parameters come off reversion's table of ``(1, w)``
-(:func:`~riordan.reversion._inverse_parameters`).
+sums its own integer columns for both (:func:`~riordan.fixpoint._apply`), through the
+last column ``h`` reads.  The inverse's parameters come off reversion's table of
+``(1, w)`` (:func:`~riordan.reversion._inverse_parameters`), and its rows follow
+by the A-sequence rule of that table: the one kernel run an inverse makes is the
+column ``1/f``.
 
 The inverse is also expressible through the classical A- and Z-sequences,
 and multiplying the first parameter by powers of ``g`` prepends or deletes
@@ -28,18 +31,19 @@ A matrix builds its entries on first read, while :func:`build_triangle` builds
 them at once.  ``apply``, ``@``, ``inverse`` and ``a_z_sequences`` read only
 ``(f, g, depth)``, so a matrix used only there never builds its block, and ``@``
 and ``inverse`` return matrices whose entries are not yet built.  A matrix printed
-before its entries are read prints straight from one kernel run's integers, so the
-CLI's ``triangle``, ``inverse`` and ``product`` build no Fraction block at all.
+before its entries are read prints straight from the integers of one kernel run, or,
+for an inverse, of one fill of its rows, so the CLI's ``triangle``, ``inverse`` and
+``product`` build no Fraction block at all.  The fill stops at the first column, or
+row, that cannot print.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import getitem
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .fixpoint import _apply, _check_division, _division_columns, reciprocal
 from .reversion import _inverse_parameters
@@ -82,7 +86,7 @@ class RiordanMatrix:
     ``(f, g, depth)``, never build them.  :func:`build_triangle`
     constructs and builds the entries at once.  ``to_json``, ``to_csv`` and
     ``to_pretty`` print the built entries if there are any, and otherwise the
-    kernel's integers, with no Fraction built.
+    integers of the kernel (of the row fill, for an inverse), with no Fraction built.
 
     Equality compares the entry blocks (and depth): parameter series of
     different precisions describing the same matrix compare equal.
@@ -91,6 +95,9 @@ class RiordanMatrix:
     f: Series
     g: Series
     depth: int
+    # set by inverse() only: the block's rows as reversion fills them, by the A-sequence rule
+    _inverse_rows: Callable[[Callable[..., list]], Iterator[list]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = _degree(self.depth)
@@ -104,17 +111,22 @@ class RiordanMatrix:
         run's Fractions (see :func:`build_triangle`)."""
         return tuple(map(tuple, self._rows(_fractions)))
 
-    def _rows(self, convert: Callable[..., list]) -> list[Iterator]:
-        """The rows of the block, off the columns of one kernel run converted by ``convert``
-        (:func:`~riordan.fixpoint._division_columns`): entry ``(n, k)`` is ``columns[k][n - k]``,
-        and each row is gathered by one ``map``, with no per-entry Python frame."""
+    def _rows(self, convert: Callable[..., list]) -> Iterable[Iterable]:
+        """The rows of the block, each converted from integers by ``convert``.  The rows of a
+        matrix that :meth:`inverse` returned come one at a time, as reversion fills them
+        (:func:`~riordan.reversion._inverse_parameters`).  Any other matrix's come off the
+        columns of one kernel run (:func:`~riordan.fixpoint._division_columns`): entry ``(n, k)``
+        is ``columns[k][n - k]``, and each row is gathered by one ``map``, with no per-entry
+        Python frame."""
+        if self._inverse_rows is not None:
+            return self._inverse_rows(convert)
         columns = _division_columns(self.f, self.g, self.depth - 1, self.depth, convert)
         return [map(getitem, columns, range(n, -1, -1)) for n in range(self.depth)]
 
     def _cells(self) -> list[list[str]]:
         """The rows of ``str`` of the entries: of the built Fractions if ``entries`` has
-        been read, so printing never runs the kernel again, and otherwise straight from one
-        kernel run's integers (:func:`~riordan.series._strings`), with no Fraction built."""
+        been read, so printing never fills the block again, and otherwise straight from the
+        integers of :meth:`_rows` (:func:`~riordan.series._strings`), with no Fraction built."""
         if "entries" in self.__dict__:
             return [list(map(str, row)) for row in self.entries]
         return list(map(list, self._rows(_strings)))
@@ -178,7 +190,10 @@ class RiordanMatrix:
     def inverse(self) -> RiordanMatrix:
         """Group inverse ``T(1/f(w) | 1/g(w))``, ``w`` the compositional
         inverse of ``x/g``.  Neither parameter is composed: both come off reversion's
-        table of ``(1, w)`` (:func:`~riordan.reversion._inverse_parameters`).
+        table of ``(1, w)`` (:func:`~riordan.reversion._inverse_parameters`).  The returned
+        matrix keeps the integers of ``(1/f)(w)`` and the table's taps, not the table: its
+        rows follow by the A-sequence rule ``g`` when they are first read or printed, one at a
+        time, with no kernel run.
 
         >>> print(build_triangle(Series.one(3), Series([1, -1], 3), 4).inverse().to_csv())
         1
@@ -186,8 +201,10 @@ class RiordanMatrix:
         1,-2,1
         -1,3,-3,1
         """
-        f_new, g_new = _inverse_parameters(self.f, self.g, self.depth - 1)
-        return RiordanMatrix(f_new, g_new, self.depth)
+        f_new, g_new, rows = _inverse_parameters(self.f, self.g, self.depth - 1)
+        matrix = RiordanMatrix(f_new, g_new, self.depth)
+        object.__setattr__(matrix, "_inverse_rows", rows)
+        return matrix
 
     # ------------------------------------------------------------------
     # A/Z sequences
@@ -199,7 +216,7 @@ class RiordanMatrix:
         ``Z`` one degree shorter (the division by ``x``)."""
         if self.depth < 2:
             raise ValueError("sequence extraction needs depth >= 2")
-        f_inv, a_seq = _inverse_parameters(self.f, self.g, self.depth - 1)
+        f_inv, a_seq, _ = _inverse_parameters(self.f, self.g, self.depth - 1)
         ratio = self.f.coefficient(0) / self.g.coefficient(0)
         numerator = a_seq - f_inv * ratio
         if numerator.coefficient(0) != 0:
@@ -262,7 +279,13 @@ class RiordanMatrix:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """The text ``json.dumps(self.to_json_dict(), indent=2)`` gives, made by joins: every
+        string in it is the ``str`` of a Fraction, digits, ``-`` and ``/``, which JSON writes as
+        they are, and no list is empty."""
+        rows = ",\n    ".join(_json_strings(row, "    ") for row in self._cells())
+        return (f'{{\n  "f": {_json_strings(self.f.to_strings(), "  ")},\n'
+                f'  "g": {_json_strings(self.g.to_strings(), "  ")},\n'
+                f'  "depth": {self.depth},\n  "rows": [\n    {rows}\n  ]\n}}')
 
     def to_csv(self) -> str:
         return "\n".join(map(",".join, self._cells()))
@@ -271,6 +294,12 @@ class RiordanMatrix:
         cells = self._cells()
         width = max(len(c) for row in cells for c in row)
         return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
+
+
+def _json_strings(cs: list[str], pad: str) -> str:
+    """The ``indent=2`` JSON text of the non-empty list ``cs`` of strings that need no
+    escape, its brackets at the indent ``pad``."""
+    return f'[\n{pad}  "' + f'",\n{pad}  "'.join(cs) + f'"\n{pad}]'
 
 
 def build_triangle(f: Series, g: Series, depth: int) -> RiordanMatrix:

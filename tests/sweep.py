@@ -137,6 +137,17 @@ def omegas(rng: random.Random, p: int) -> tuple[Series, Series]:
     return _dense(rng, p), q
 
 
+def unit_f_gapped(rng: random.Random, p: int) -> tuple[Series, Series]:
+    """``f = 1`` and ``g = 1/q`` read dense for a ``q`` with zeros inside and denominators
+    that grow with the degree (terms at degrees ``0, 2, 5``, of denominators up to ``1, 3,
+    6``): past the first few depths ``1/g`` is the shorter side, so the group inverse fills
+    the omega side of its table, and its first column is ``g(w)`` alone."""
+    q2 = Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
+    q5 = Fraction(rng.choice((-3, -1, 1, 4)), rng.randint(2, 6))
+    q = Series([rng.choice((-2, -1, 1, 3)), 0, q2, 0, 0, q5], p)
+    return Series.one(p), _reciprocal(q, p)
+
+
 FAMILIES = (
     Family("sparse", 101, 80, sparse),
     Family("gapped", 102, 64, gapped),
@@ -146,6 +157,7 @@ FAMILIES = (
     Family("negative_g0", 106, 72, negative_g0),
     Family("products", 107, 60, products),
     Family("omegas", 108, 64, omegas),
+    Family("unit_f_gapped", 109, 72, unit_f_gapped),
 )
 
 
@@ -235,6 +247,8 @@ SWEEP_DIGESTS = {
     "negative_g0": "695847c03add2a3e16bbac769319440c15f626c7fc921b675a4d9fbbbf3f0a6f",
     "products": "3098089f95d00d30dbbc6f273de7e0547a624d6287d9c15604e3e468d57534fc",
     "omegas": "06b68d5b954422821cddeeb217cdc0f227aa351f4093b997b2e75a882ddfe7b6",
+    # pinned on the code before the group inverse printed its rows off its table
+    "unit_f_gapped": "d8ae1d908bf3dc54dd0dd4ed7f339a21cc4c3115cfaf465124cea8b1565fa13d",
 }
 
 # the reference path's outputs, pinned on the code before the division schemes built their
@@ -248,6 +262,7 @@ REFERENCE_DIGESTS = {
     "negative_g0": "fda6e603eaf1c0d8ba025f2f3c38101b54521de2758144298bd5adc97990ab78",
     "products": "d9386491b8c4d25c58565665329740ff169be33335934aeec510182d888e9922",
     "omegas": "b997de545c8995811b5fa6930229c46598c288d60fdcaf5fd33dcf6247ef650f",
+    "unit_f_gapped": "6cf9fd4711e4850dbbb0bc0ef43cf62165bef9aa587c2c74ae6541fe3fa83b3f",
 }
 
 

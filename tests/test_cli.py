@@ -329,27 +329,35 @@ def test_group_commands_refuse_a_zero_constant_term_with_exit_3(capsys, argv, me
 
 @pytest.mark.parametrize("argv, runs", [
     (("triangle", "--f", "one", "--g", "pascal_g"), 1),
-    (("inverse", "--f", "one", "--g", "pascal_g"), 1),
+    (("inverse", "--f", "one", "--g", "pascal_g"), 0),
     (("azseq", "--f", "one", "--g", "pascal_g"), 0),
     (("product", "--f1", "one", "--g1", "pascal_g", "--f2", "arithgeo", "--g2", "[2,1]"), 1),
 ], ids=["triangle", "inverse", "azseq", "product"])
 def test_group_commands_build_only_the_blocks_they_read(capsys, monkeypatch, argv, runs):
     # inverse, azseq and product read only (f, g, depth) of their inputs, and the matrices
     # triangle, inverse and product print are never built: in each format, the one kernel
-    # run for the output converts its columns to strings, and no column becomes Fractions
-    converters = []
+    # run for the output converts its columns to strings, an inverse's rows are filled by
+    # the row rule of the table its parameters came from with no kernel run, and no row or
+    # column of a block becomes Fractions
+    converters, fractions = [], []
     original = triangles._division_columns
 
     def counting(*args):
         converters.append(args[-1])
         return original(*args)
 
+    def recorded(*args):
+        fractions.append(args)
+        return series._fractions(*args)
+
     monkeypatch.setattr(triangles, "_division_columns", counting)
+    monkeypatch.setattr(triangles, "_fractions", recorded)
     for fmt in ("json", "csv", "pretty"):
         converters.clear()
         code, _, _ = run(capsys, *argv, "--format", fmt)
         assert code == 0
         assert converters == [series._strings] * runs
+        assert fractions == []
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -268,6 +268,47 @@ def test_a_matrix_that_cannot_print_stops_at_its_first_column(monkeypatch):
     assert len(steps) == 1
 
 
+def test_an_inverse_that_cannot_print_stops_at_its_first_row_that_cannot(monkeypatch):
+    # T(1 | 1 + c x), c = 10**4299, has the inverse T(1/(1 - c x) | 1 - c x) whose row 2
+    # holds c**2, past the digits str prints: inverse row n is row n + 1 of an array that
+    # is filled one row at a time, so printing fails after three row steps, not after all 40
+    t = triangles.RiordanMatrix(Series.one(39), Series([1, "1e4299"], 39), 40).inverse()
+    steps = []
+    step = reversion._step
+
+    def counting(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(reversion, "_step", counting)
+    with pytest.raises(ValueError):
+        t.to_csv()
+    assert len(steps) == 3
+
+
+@pytest.mark.parametrize("run", [
+    lambda t, h: [t.apply(h)],
+    lambda t, h: [(u := t @ triangles.RiordanMatrix(h, h, t.depth)).f, u.g],
+], ids=["apply", "product"])
+def test_the_matrix_action_runs_the_kernel_through_the_last_column_it_reads(monkeypatch, run):
+    # (f/g) * h(x/g) reads column k of T(f|g) only where h_k != 0: a degree-2 h at depth
+    # 20 takes 3 of the kernel's 20 columns, one divide step each
+    steps = []
+    step = fixpoint._step
+
+    def counting(*args):
+        steps.append(args)
+        return step(*args)
+
+    t = random_matrix(random.Random(39), 20)
+    h = Series([2, 0, F(-1, 3)], 19)
+    expected = run(t, h)
+    monkeypatch.setattr(fixpoint, "_step", counting)
+    assert run(t, h) == expected
+    assert len(steps) == 3
+    assert t.apply(h) == Series(matrix_vector(coeffs(t.f), coeffs(t.g), coeffs(h), 19))
+
+
 @pytest.mark.parametrize("f, g, depth, error, message", [
     (Series([0, 1], 3), Series([1, 1], 3), 4, DomainError,
      "division domain error: f must have a nonzero constant term"),
@@ -599,11 +640,30 @@ def test_table_integers_stay_near_the_size_of_the_results(monkeypatch):
 
     seen = record_table_calls(monkeypatch)
     t = bell(Series([1, F(1, 3), 2], p), p + 1)
-    f_inv, g_inv = reversion._inverse_parameters(t.f, t.g, p)
+    f_inv, g_inv, _ = reversion._inverse_parameters(t.f, t.g, p)
     # g's scale, then omega's (x + x^2/3 + 2x^3 reads 3 taps), then the omega-side rows
     assert [name for name, _, _ in seen] == ["_scale_rows", "_scale_rows", "_fill_table"]
     assert seen[2][1][1] == -1
     assert bits([out for _, _, out in seen]) <= 2 * bits(f_inv.coefficients + g_inv.coefficients)
+
+
+@pytest.mark.parametrize("build, sign", [
+    (lambda p: bell(Series([1, F(1, 3), 2], p), p + 1), -1),
+    (lambda p: triangles.RiordanMatrix(Series([1, F(1, 3), 2], p),
+                                       Series([F(-3, 2), 1, F(2, 5)], p), p + 1), 1),
+], ids=["bell", "dense"])
+def test_inverse_row_integers_stay_near_the_size_of_the_entries(monkeypatch, build, sign):
+    # the inverse's rows, filled on its table's taps and scale, reach the Fraction
+    # boundary as integers no more than twice as long as the entries they make
+    t = build(60)
+    seen = record_table_calls(monkeypatch)
+    _, _, rows = reversion._inverse_parameters(t.f, t.g, t.depth - 1)
+    assert [args[1] for name, args, _ in seen if name == "_fill_table"] == [sign]
+    integers = list(rows(lambda nums, dens: [list(nums), dens]))
+    assert len(integers) == t.depth
+    entries = t.inverse().entries
+    assert [len(nums) for nums, _ in integers] == [len(row) for row in entries]
+    assert bits(integers) <= 2 * bits(entries)
 
 
 def record_table_calls(monkeypatch):
@@ -1005,6 +1065,20 @@ def test_json_round_trip():
     t = ag_triangle(6)
     again = from_json_dict(json.loads(t.to_json()))
     assert again == t
+
+
+@pytest.mark.parametrize("depth", [1, 2, 30])
+def test_json_text_is_the_text_of_the_json_module(depth):
+    # to_json joins its text; json.dumps of the same dict at indent=2 is the reference, for a
+    # built matrix, one printed before its entries are read, and an inverse, all unbuilt ones
+    # printed before and after their entries are read
+    rng = random.Random(depth)
+    for _ in range(4):
+        t = random_matrix(rng, depth)
+        for m in (t, triangles.RiordanMatrix(t.f, t.g, depth), t.inverse()):
+            for _ in range(2):
+                assert m.to_json() == json.dumps(m.to_json_dict(), indent=2)
+                m.entries
 
 
 def test_matrix_equality_hash_and_repr_read_the_block():
