@@ -27,18 +27,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
-from .fixpoint import (
-    AffineMap,
-    IterationTrace,
-    column_scheme,
-    iterate_crossed,
-    iterate_fixed,
-    reciprocal,
-)
+from .fixpoint import _crossed_integers, _division_steps, reciprocal
 from .reversion import invert_series
-from .series import Series, SeriesError, _literal
+from .series import Series, SeriesError, _literal, _strings, format_polynomial
 from .triangles import RiordanMatrix, SequencePair
 
 __all__ = ["main"]
@@ -120,12 +114,15 @@ def render_matrix(t: RiordanMatrix, fmt: str) -> str:
 
 
 @_checked
-def render_trace(trace: IterationTrace, fmt: str) -> str:
+def render_trace(rows: list[tuple[int, list[int]]], fmt: str) -> str:
+    """The iterates ``(D, D*t)`` of a crossed iteration, each coefficient printed as the
+    ``str`` of its Fraction with none built."""
+    iterates = [_strings(nums, [den] * len(nums)) for den, nums in rows]
     if fmt == "json":
-        return json.dumps([it.to_strings() for it in trace])
+        return json.dumps(iterates)
     if fmt == "csv":
-        return "\n".join(",".join(it.to_strings()) for it in trace)
-    return "\n".join(str(it) for it in trace)
+        return "\n".join(map(",".join, iterates))
+    return "\n".join(map(format_polynomial, iterates))
 
 
 @_checked
@@ -186,7 +183,8 @@ class Command:
 
 
 class Trace:
-    """``riordan trace``, whose ``--steps`` and ``--n`` floors are usage errors (exit 2)."""
+    """``riordan trace``, whose ``--steps`` and ``--n`` floors are usage errors (exit 2).
+    It runs the crossed iteration on integers and prints them: no Fraction is built."""
 
     help = "show iteration traces"
     flags = _flag_table(Flag("scheme", ("geometric", "arithgeo", "column", "curious")),
@@ -202,19 +200,20 @@ class Trace:
         if args.scheme in ("geometric", "curious"):
             # t -> x*t + 1, or t -> (2x - x^2)*t + 1, whose iterates reach degree 2*steps
             p = steps if args.scheme == "geometric" else 2 * steps
-            slope = Series.x(p) if args.scheme == "geometric" else Series([0, 2, -1], p)
-            trace = iterate_fixed(AffineMap(slope, Series.one(p)), Series.zero(p), steps)
+            slope = [0, 1] if args.scheme == "geometric" else [0, 2, -1]
+            maps = repeat(((1, slope), (1, [1] + [0] * p), p), steps)
         else:
             n = 2 if args.scheme == "arithgeo" else args.n
             if n < 2:
                 raise SeriesParseError("--n: column index must be at least 2")
             p = steps
-            # previous column of the binomial triangle, x^(n-2)/(1-x)^(n-1) = sum C(m, n-2) x^m,
-            # read by column_scheme only below degree p (math.comb is 0 for m < n - 2)
-            prev = Series([math.comb(m, n - 2) for m in range(p)])
-            scheme = column_scheme(Series.one(p), Series([1, -1], p), n, prev)
-            trace = iterate_crossed(scheme, Series.zero(p), steps)
-        return render_trace(trace, args.format)
+            # column n of the binomial triangle is the division by 1 - x of x times column
+            # n - 1, x^(n-1)/(1-x)^(n-1) = sum C(m-1, n-2) x^m (math.comb is 0 for m < n - 2)
+            numerator = [0] + [math.comb(m, n - 2) for m in range(p)]
+            division = _division_steps((1, numerator), (1, [1, -1] + [0] * (p - 1)), p)
+            maps = ((*division(m), p) for m in range(steps))
+        start = (1, [0] * (p + 1))
+        return render_trace([start, *_crossed_integers(start, maps)], args.format)
 
 
 # outputs look names up when they run, so a name rebound later (by a tracer) is called;

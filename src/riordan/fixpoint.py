@@ -8,9 +8,13 @@ from the result; applying a map is one such step of :func:`iterate_fixed`.  The
 iteration runs on integers end to end: the start is scaled once, each step hands
 the next its iterate as the integers ``(D, D*t)``, ``D`` the lcm of the iterate's
 denominators, and ``a`` and ``b`` are scaled once (a map's on its first use, a
-division scheme's once for all its step maps).
-A coefficient whose integer a step leaves unchanged keeps its Fraction, so the
-converged degrees of an iterate are not built again.
+division scheme's once for all its step maps).  That integer loop is one generator,
+:func:`_crossed_integers`, with two consumers: :func:`iterate_crossed` builds the
+iterates' Series from it, and ``riordan trace`` prints the integers it yields, fed
+with a division scheme's step integers straight from :func:`_division_steps`, so it
+builds no Fraction.  In :func:`iterate_crossed` a coefficient whose integer a step
+leaves unchanged keeps its Fraction, so the converged degrees of an iterate are not
+built again.
 Iterating a *sequence* of such maps (the "crossed" iteration of a scheme, the
 step function ``m -> AffineMap`` whose map ``m`` is applied at step ``m``)
 converges to the fixed point of the pointwise limit map while only ever touching
@@ -134,34 +138,49 @@ def iterate_crossed(scheme: Callable[[int], AffineMap], start: Series,
                     steps: int) -> IterationTrace:
     """Crossed iteration: apply the contraction ``scheme(m)`` at step ``m``.
 
-    The run is on integers: the start is scaled once, and each step runs the integer
-    stage of ``scheme(m)`` on the integers ``(D, D*t)`` of the iterate before it and
-    divides its output by the gcd of its denominator and numerators, which leaves
-    ``_integral`` of the new iterate, the integers it hands on.  For the trace, a
-    coefficient whose integer over the same ``D`` is unchanged keeps the Fraction of
-    the iterate before (the converged degrees, and zeros not yet reached); one
-    Fraction is built for each other coefficient.
+    The run is :func:`_crossed_integers` on the start, scaled once, and the integers of
+    each ``scheme(m)``.  For the trace, a coefficient whose integer over the same ``D`` is
+    unchanged keeps the Fraction of the iterate before (the converged degrees, and zeros
+    not yet reached); one Fraction is built for each other coefficient.
     """
     if steps < 0:
         raise ValueError("steps must be a natural number")
+
+    def maps() -> Iterator[tuple[tuple[int, list[int]], tuple[int, list[int]], int]]:
+        for m in range(steps):
+            try:
+                current = scheme(m)
+            except NotContractiveError as exc:
+                raise NotContractiveError(f"scheme map for step {m}: {exc}") from exc
+            yield (*current._scaled, min(current.slope.precision, current.offset.precision))
+
     iterates = [start]
     held = _integral(start.coefficients)
-    for m in range(steps):
-        try:
-            current = scheme(m)
-        except NotContractiveError as exc:
-            raise NotContractiveError(f"scheme map for step {m}: {exc}") from exc
-        p = min(current.slope.precision, iterates[-1].precision, current.offset.precision)
-        slope, offset = current._scaled
-        den, nums = _lowest(*_integer_mul_add(slope, held, offset, p))
+    for den, nums in _crossed_integers(held, maps()):
         same = held[1] if den == held[0] else repeat(None)
         fresh = [i for i, (v, u) in enumerate(zip(nums, same)) if v != u]
-        values = list(iterates[-1].coefficients[: p + 1])
+        values = list(iterates[-1].coefficients[: len(nums)])
         for i, value in zip(fresh, _fractions([nums[i] for i in fresh], [den] * len(fresh))):
             values[i] = value
         iterates.append(Series._of(values))
         held = den, nums
     return IterationTrace(tuple(iterates))
+
+
+def _crossed_integers(held: tuple[int, list[int]],
+                      maps: Iterable[tuple[tuple[int, list[int]], tuple[int, list[int]], int]]
+                      ) -> Iterator[tuple[int, list[int]]]:
+    """The crossed iteration on integers, the one loop behind :func:`iterate_crossed` and
+    ``riordan trace``: from ``held``, :func:`~riordan.series._integral` of the start,
+    ``(D, D*t)`` of each iterate after it, one per ``(slope, offset, p)`` of ``maps``, a
+    step map's integers as :func:`_integral` returns them and its precision.  A step runs
+    :func:`~riordan.series._integer_mul_add` on the integers of the iterate before, through
+    the least of ``p`` and that iterate's precision, and divides its output by the gcd of
+    its denominator and numerators, which leaves ``_integral`` of the new iterate, the
+    integers it hands on."""
+    for slope, offset, p in maps:
+        held = _lowest(*_integer_mul_add(slope, held, offset, min(p, len(held[1]) - 1)))
+        yield held
 
 
 def iterate_fixed(map_: AffineMap, start: Series, steps: int) -> IterationTrace:
@@ -192,29 +211,45 @@ def reciprocal_scheme(f: Series, g: Series, precision: int) -> Callable[[int], A
 
     Step ``m`` uses the degree-``m`` Taylor polynomials of that slope and offset; as
     polynomials they are exact, so they are padded back to the working precision.
-    The slope's and offset's integers come from those of ``g`` and ``f`` and the split
-    ``g0 = a/b`` of :func:`_positive`, in lowest terms, so they are the ones :func:`_integral`
-    gives them; step map ``m`` is handed their prefixes through degree ``m``, the offset's
-    padded with zeros, so it scales no coefficient.
+    ``g`` and ``f`` are scaled once, and step map ``m`` is handed the integers
+    :func:`_division_steps` gives step ``m``, so it scales no coefficient.
     """
     _check_division(f, g, precision)
-    a, b = _positive(g.coefficient(0))
-    (den_g, big_g), (den_f, big_f) = (_integral(s.coefficients[: precision + 1]) for s in (g, f))
-    # (g0 - g)/g0 = -b*(den_g*g)/(den_g*a) past its zero constant term, hence a
-    # 1/2-contraction, and f/g0 = b*(den_f*f)/(den_f*a)
-    ds, big_s = _lowest(den_g * a, [0] + [-b * v for v in big_g[1:]])
-    do, big_o = _lowest(den_f * a, [b * v for v in big_f])
+    big_g, big_f = (_integral(s.coefficients[: precision + 1]) for s in (g, f))
+    steps = _division_steps(big_f, big_g, precision)
+    (ds, big_s), (do, big_o) = steps(precision)
     slope = Series._of(_fractions(big_s, [ds] * (precision + 1)))
     offset = Series._of(_fractions(big_o, [do] * (precision + 1)))
 
     def maps(m: int) -> AffineMap:
         cut = min(m, precision)
         amap = AffineMap(slope.truncate(cut).pad(precision), offset.truncate(cut).pad(precision))
-        amap.__dict__["_scaled"] = ((ds, big_s[: cut + 1]),
-                                    (do, big_o[: cut + 1] + [0] * (precision - cut)))
+        amap.__dict__["_scaled"] = steps(m)
         return amap
 
     return maps
+
+
+def _division_steps(f: tuple[int, list[int]], g: tuple[int, list[int]], precision: int
+                    ) -> Callable[[int], tuple[tuple[int, list[int]], tuple[int, list[int]]]]:
+    """Step ``m``'s slope and offset integers in the division scheme of ``f`` by ``g``
+    (``g_0 != 0``), both given as :func:`_integral` returns them through ``precision``:
+    those of the degree-``min(m, precision)`` Taylor polynomials of ``(g0 - g)/g0`` and
+    ``f/g0``, the slope's through its last term and the offset's padded with zeros to
+    ``precision``.  They are in lowest terms, so they are the ones :func:`_integral` gives
+    those polynomials."""
+    (den_f, big_f), (den_g, big_g) = f, g
+    sign = 1 if big_g[0] > 0 else -1
+    # with F = den_f*f and G = den_g*g, (g0 - g)/g0 = -G/G_0 past its zero constant term,
+    # hence a 1/2-contraction, and f/g0 = den_g*F/(den_f*G_0)
+    ds, big_s = _lowest(sign * big_g[0], [0] + [-sign * v for v in big_g[1:]])
+    do, big_o = _lowest(sign * big_g[0] * den_f, [sign * den_g * v for v in big_f])
+
+    def step(m: int) -> tuple[tuple[int, list[int]], tuple[int, list[int]]]:
+        cut = min(m, precision)
+        return (ds, big_s[: cut + 1]), (do, big_o[: cut + 1] + [0] * (precision - cut))
+
+    return step
 
 
 def reciprocal(f: Series, g: Series, precision: int) -> Series:

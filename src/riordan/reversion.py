@@ -19,11 +19,12 @@ same equation ``omega(T) = x`` gives a second row rule whose taps are
 Math. 1997).  Both rules, and ``g``'s taps from ``omega``'s, are the division kernel's
 one integer recurrence (:func:`~riordan.fixpoint._step`) at the per-degree scale
 ``delta_m`` of the side that fills the rows, so their integers follow its denominators.
-:func:`_table`, given either side, runs whichever rule reads fewer taps, so
+:func:`_side`, given either side, picks whichever rule reads fewer taps, so
 the table costs ``O(P**2 d)`` for ``d`` the smaller of ``omega``'s count of nonzero terms
 and ``g``'s degree plus one: ``g = x/omega`` is dense for every polynomial
-``omega`` of degree >= 2, and ``omega = x/(1-x)`` has ``g = 1 - x``.  The tests'
-reference path recomposes every stage by Horner, O(P**4).
+``omega`` of degree >= 2, and ``omega = x/(1-x)`` has ``g = 1 - x``.
+:func:`invert_series` reads column 1 off each row as it is filled and keeps no table.
+The tests' reference path recomposes every stage by Horner, O(P**4).
 The same rows of ``(1, w)``, ``w = x*g(w)``, give the Riordan group inverse
 ``T(1/f(w) | 1/g(w))`` of ``T(f|g)`` (:func:`_inverse_parameters`): ``x/w = 1/g(w)`` is
 the rows' edge, the row rule read one column to the left, and ``(1/f)(w)`` is a dot
@@ -64,47 +65,56 @@ __all__ = [
 
 
 def _fill_rows(taps: list[list[tuple[int, int]]], sign: int, diag: list[int],
-               count: int) -> Iterator[list[int]]:
-    """Rows ``1..count-1`` of a Riordan array ``(d, T)``, ``T = x*g(T)``, whose row 0 is
-    ``diag`` (``diag[m]`` is row ``n``'s entry at ``k = n - m``), on one side's taps and scale
-    from :func:`~riordan.fixpoint._scale_rows`, each made only when it is taken.
+               column: Iterable[int]) -> Iterator[tuple[list[int], int]]:
+    """Rows ``1, 2, ...`` of a Riordan array ``(d, T)``, ``T = x*g(T)``, whose row 0 is ``diag``
+    (``diag[m]`` is row ``n``'s entry at ``k = n - m``) and whose column 0 below it is
+    ``column``, one row per entry, on one side's taps and scale from
+    :func:`~riordan.fixpoint._scale_rows`, each made only when it is taken.
 
     Along ``m = n - k``, row ``n`` is the :func:`~riordan.fixpoint._step` of row ``n-1``: on the
     g side (``sign = 1``, ``c_i = g_i/g0``) ``T**k = x * T**(k-1) * g(T)`` makes it the multiply
     step, the A-sequence rule; on the omega side (``sign = -1``, ``c_i = omega_(i+1)/omega_1``)
     ``omega(T) = x`` makes it the divide step.  Both hold for every column ``k >= 1`` whatever
     ``d`` is.  The step's entry at ``k = 0``, slot ``n``, is that rule one column to the left:
-    the taker reads it there and writes column 0's own entry in its place before it takes the
-    next row, which is stepped from that list, extended in place: the taker copies what it
+    it is yielded beside the row, ``(diag, rule)``, and column 0's own entry takes its slot.
+    The next row is stepped from that list, extended in place: the taker copies what it
     keeps."""
-    for n in range(1, count):
+    for n, entry in enumerate(column, 1):
         diag.append(0)
         diag = _step(diag, taps, sign, n + 1)
-        yield diag
+        rule = diag[n]
+        diag[n] = entry
+        yield diag, rule
+
+
+def _table_rows(taps: list[list[tuple[int, int]]], sign: int,
+                precision: int) -> Iterator[tuple[list[int], int]]:
+    """``(diag, edge[n])`` for ``n = 1..precision``: row ``n`` of ``(1, T)``, ``T = x*g(T)``, by
+    :func:`_fill_rows`, ``diag[m] = E[n][n-m] = delta_m * [x^n] T**(n-m) / g0**n``, and
+    ``edge[n] = -delta_n [x^n] (x/T) / g0**(n-1)``: the rule at ``k = 0`` is ``x/T = 1/g(T)``,
+    and column 0 is 0 past row 0."""
+    return _fill_rows(taps, sign, [1], repeat(0, precision))
 
 
 def _fill_table(taps: list[list[tuple[int, int]]], sign: int,
                 precision: int) -> tuple[list[list[int]], list[int]]:
     """``(rows, edge)``: the rows ``E[n][k] = delta_(n-k) * [x^n] T**k / g0**n`` (``k <= n <=
     precision``) of ``(1, T)``, ``T = x*g(T)``, and ``edge[n] = -delta_n [x^n] (x/T) / g0**(n-1)``,
-    by :func:`_fill_rows`: the entry at ``k = 0``, the rule one column to the left, is
-    ``x/T = 1/g(T)``; it is kept as ``edge[n]``, then ``E[n][0] = 0``."""
+    kept from :func:`_table_rows`."""
     rows, edge = [[1]], [-1]  # edge[0] gives [x^0] x/T = 1/g0
-    for n, diag in enumerate(_fill_rows(taps, sign, [1], precision + 1), 1):
-        edge.append(diag[n])
-        diag[n] = 0
+    for diag, entry in _table_rows(taps, sign, precision):
+        edge.append(entry)
         rows.append(diag[::-1])
     return rows, edge
 
 
-def _table(cs: tuple[Fraction, ...], sign: int, precision: int) -> tuple[
-        Fraction, list[int], list[list[tuple[int, int]]], int, list[list[int]], list[int]]:
-    """``(g0, delta, taps, sign, *_fill_table(...))`` through ``precision`` from one side's
-    coefficients ``cs``, ``g``'s (``sign = 1``) or ``omega/x``'s (``-1``), ``g0 = cs_0**sign``.
-    As ``omega/x = 1/g``, each side's ``c`` gives the other's, the divide step of 1.  The rows
-    take the other side when it, cut after its last nonzero term, is no longer than ``cs``'
-    count of nonzero terms: ``O(P**2 d)``.  The edge stops at degree ``len(cs) - 1``, the
-    last one whose taps ``cs`` holds."""
+def _side(cs: tuple[Fraction, ...], sign: int, precision: int) -> tuple[
+        Fraction, list[int], list[list[tuple[int, int]]], int]:
+    """``(g0, delta, taps, sign)`` of the side whose rule fills the rows of ``(1, T)`` through
+    ``precision``, from one side's coefficients ``cs``, ``g``'s (``sign = 1``) or ``omega/x``'s
+    (``-1``), ``g0 = cs_0**sign``.  As ``omega/x = 1/g``, each side's ``c`` gives the other's,
+    the divide step of 1.  The rows take the other side when it, cut after its last nonzero
+    term, is no longer than ``cs``' count of nonzero terms: ``O(P**2 d)``."""
     g0 = cs[0] ** sign
     delta, taps = _scale_rows(cs, precision)
     other = _step([1] + [0] * (len(cs) - 1), taps, -1, len(cs))
@@ -113,6 +123,15 @@ def _table(cs: tuple[Fraction, ...], sign: int, precision: int) -> tuple[
     if len(other) <= sum(map(bool, cs)):
         delta, taps = _scale_rows(_fractions(other, delta[: len(other)]), precision)
         sign = -sign
+    return g0, delta, taps, sign
+
+
+def _table(cs: tuple[Fraction, ...], sign: int, precision: int) -> tuple[
+        Fraction, list[int], list[list[tuple[int, int]]], int, list[list[int]], list[int]]:
+    """``(g0, delta, taps, sign, *_fill_table(...))`` through ``precision`` on the
+    :func:`_side` of ``cs``.  The edge stops at degree ``len(cs) - 1``, the last one whose
+    taps ``cs`` holds."""
+    g0, delta, taps, sign = _side(cs, sign, precision)
     rows, edge = _fill_table(taps, sign, precision)
     return g0, delta, taps, sign, rows, edge[: len(cs)]
 
@@ -160,10 +179,9 @@ def _inverse_parameters(f: Series, g: Series, p: int) -> tuple[
     def rows(convert: Callable[[Iterable[int], Sequence[int]], list]) -> Iterator[list]:
         dens = delta if den_f == 1 else [den_f * d for d in delta]
         # row p + 1's column 0 is never read: it takes 0, and its slot no taps
-        fill = _fill_rows(taps + [[]], sign, big_y[:1], p + 2)
+        fill = _fill_rows(taps + [[]], sign, big_y[:1], chain(big_y[1:], [0]))
         an, bn = 1, 1
-        for n, (diag, y) in enumerate(zip(fill, chain(big_y[1:], [0]))):
-            diag[n + 1] = y
+        for n, (diag, _) in enumerate(fill):
             an, bn = an * a, bn * b  # g0**(n+1)
             nums = diag[n::-1] if an == 1 else map(mul, diag[n::-1], repeat(an))
             yield convert(nums, dens[n::-1] if bn == 1 else [d * bn for d in dens[n::-1]])
@@ -171,10 +189,9 @@ def _inverse_parameters(f: Series, g: Series, p: int) -> tuple[
     return Series._of(_fractions(f_nums, f_dens)), Series._of(_fractions(g_nums, g_dens)), rows
 
 
-def _power_table(omega: Series, precision: int) -> tuple[
-        Fraction, list[int], list[list[tuple[int, int]]], int, list[list[int]], list[int]]:
-    """:func:`_table` of ``omega/x``, read through ``max(precision, 1)``: the rows (and edge)
-    of ``(1, T)`` for ``g = x/omega``, ``g0 = 1/omega_1``, on the side that fills them."""
+def _omega_over_x(omega: Series, precision: int) -> tuple[Fraction, ...]:
+    """The coefficients of ``omega/x`` a table of ``(1, T)`` through ``precision`` reads,
+    for ``g = x/omega``, ``g0 = 1/omega_1``: through ``max(precision, 1)``."""
     if precision < 0:
         raise ValueError("precision must be a natural number")
     if omega.order() != 1:
@@ -182,7 +199,14 @@ def _power_table(omega: Series, precision: int) -> tuple[
     if omega.precision < precision:
         raise PrecisionError(
             f"inverting to degree {precision} needs omega at precision {precision}")
-    return _table(omega.coefficients[1: max(precision, 1) + 1], -1, precision)
+    return omega.coefficients[1: max(precision, 1) + 1]
+
+
+def _power_table(omega: Series, precision: int) -> tuple[
+        Fraction, list[int], list[list[tuple[int, int]]], int, list[list[int]], list[int]]:
+    """:func:`_table` of :func:`_omega_over_x`: the rows (and edge) of ``(1, T)`` for
+    ``g = x/omega`` on the side that fills them."""
+    return _table(_omega_over_x(omega, precision), -1, precision)
 
 
 def _power_coefficients(taps: list[list[tuple[int, int]]], alpha: int, count: int) -> list[int]:
@@ -209,11 +233,13 @@ def invert_series(omega: Series, precision: int) -> Series:
     ``omega`` is read through degree ``max(precision, 1)`` and no further, so
     at ``precision`` 0 it still needs ``omega_1``.  The
     result ``y`` satisfies ``omega(y) == y(omega) == x`` through the
-    requested degree; it is column 1 of the power table's rows, unscaled.
+    requested degree; it is column 1 of the power table's rows, unscaled, read from each
+    row as :func:`_table_rows` yields it, so no table is kept.
     """
-    g0, delta, _, _, rows, _ = _power_table(omega, precision)
+    g0, delta, taps, sign = _side(_omega_over_x(omega, precision), -1, precision)
     a, b = g0.numerator, g0.denominator
-    nums = [0] + [row[1] * a ** n for n, row in enumerate(rows[1:], 1)]
+    rows = _table_rows(taps, sign, precision)
+    nums = [0] + [diag[n - 1] * a ** n for n, (diag, _) in enumerate(rows, 1)]
     dens = [1] + [d * b ** n for n, d in enumerate(delta[:-1], 1)]
     return Series._of(_fractions(nums, dens))
 

@@ -417,26 +417,32 @@ def distance(s1: Series, s2: Series) -> Fraction:
     return Fraction(0)
 
 
-def format_polynomial(coeffs: Iterable[Fraction]) -> str:
+def format_polynomial(coeffs: Iterable[Fraction | str]) -> str:
     """Render coefficients in ascending degree: ``1+2x+3x^2-4x^3``.
 
-    Zero terms are omitted; the zero polynomial renders as ``"0"``.
-    Non-integer coefficients are parenthesised: ``(1/2)x^3``.
+    Each coefficient is a Fraction or its ``str``, ``"n"`` or ``"p/q"`` in lowest terms,
+    and is read as that string, so the two render alike.  Zero terms are omitted; the zero
+    polynomial renders as ``"0"``.  Non-integer coefficients are parenthesised:
+    ``(1/2)x^3``.
+
+    >>> format_polynomial(["1", "-1/2", "0", "-1"])
+    '1-(1/2)x-x^3'
     """
     parts: list[str] = []
-    for d, c in enumerate(coeffs):
-        num, den = c.as_integer_ratio()
-        if not num:
+    for d, c in enumerate(map(str, coeffs)):
+        if c == "0":
             continue
-        if num < 0:
+        if c[0] == "-":
             parts.append("-")
-            num = -num
+            c = c[1:]
         elif parts:
             parts.append("+")
-        if den != 1:
-            parts.append(f"{num}/{den}" if d == 0 else f"({num}/{den})")
-        elif num != 1 or d == 0:
-            parts.append(str(num))
-        if d:
-            parts.append("x" if d == 1 else f"x^{d}")
+        if d == 0:
+            parts.append(c)
+            continue
+        if "/" in c:
+            parts.append(f"({c})")
+        elif c != "1":
+            parts.append(c)
+        parts.append("x" if d == 1 else f"x^{d}")
     return "".join(parts) or "0"

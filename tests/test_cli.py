@@ -1,6 +1,7 @@
 """Tests for the command-line interface: output formats, round trips and
 exit codes."""
 
+import fractions
 import json
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 
 from riordan import cli, series, triangles
 from riordan.cli import main
-from riordan.fixpoint import column_scheme, iterate_crossed, reciprocal
+from riordan.fixpoint import AffineMap, column_scheme, iterate_crossed, reciprocal
 from riordan.series import Series
 from riordan.triangles import build_triangle, from_json_dict
 
@@ -228,6 +229,29 @@ def test_trace_column_n_huge_index(capsys):
                         "--steps", "3")
     assert code == 0
     assert huge == run(capsys, "trace", "--scheme", "column", "--n", "5", "--steps", "3")[1]
+
+
+@pytest.mark.parametrize("scheme", ["geometric", "arithgeo", "curious", "column"])
+def test_trace_prints_from_integers_alone(capsys, scheme):
+    # the iterates are printed from the crossed iteration's integers: no code of the
+    # fractions module runs, and no Series or step AffineMap is made
+    watched = {Series.__init__.__code__, Series._of.__func__.__code__,
+               AffineMap.__post_init__.__code__}
+    ran = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and (code.co_filename == fractions.__file__ or code in watched):
+            ran.append(code.co_name)
+
+    for fmt in ("json", "csv", "pretty"):
+        sys.setprofile(profile)
+        try:
+            code = main(["trace", "--scheme", scheme, "--steps", "12", "--format", fmt])
+        finally:
+            sys.setprofile(None)
+        assert code == 0 and capsys.readouterr().out
+        assert ran == []
 
 
 def test_trace_json_round_trip(capsys):

@@ -224,20 +224,20 @@ def test_crossed_runs_scale_the_scheme_data_and_the_start_once(monkeypatch, colu
         assert trace.iterates == unfused_trace(scheme, start, steps)
 
 
-def record_iterations(monkeypatch):
-    """Every ``iterate_crossed`` run, ``iterate_fixed`` and the CLI's included, as
-    ``(scheme, start, steps, trace)``."""
-    runs = []
-    real = fixpoint.iterate_crossed
-
-    def recording(scheme, start, steps):
-        trace = real(scheme, start, steps)
-        runs.append((scheme, start, steps, trace))
-        return trace
-
-    monkeypatch.setattr(fixpoint, "iterate_crossed", recording)
-    monkeypatch.setattr(cli, "iterate_crossed", recording)
-    return runs
+def cli_trace_run(argv, steps):
+    """``(scheme, start)`` of the run that ``riordan trace argv --steps steps`` prints, built
+    from the library's maps: ``t -> x*t + 1``, ``t -> (2x - x^2)*t + 1``, or the column scheme
+    of the binomial triangle, ``T(1 | 1 - x)``, on its full previous column."""
+    scheme = argv[1]
+    if scheme in ("geometric", "curious"):
+        p = steps if scheme == "geometric" else 2 * steps
+        amap = AffineMap(Series.x(p) if scheme == "geometric" else Series([0, 2, -1], p),
+                         Series.one(p))
+        return (lambda m: amap), Series.zero(p)
+    n = 2 if scheme == "arithgeo" else int(argv[3]) if len(argv) > 2 else 3
+    one, g = Series.one(steps), Series([1, -1], steps)
+    prev = reciprocal(one, g ** (n - 1), steps).shift(n - 2)
+    return column_scheme(one, g, n, prev), Series.zero(steps)
 
 
 @pytest.mark.parametrize("argv", [
@@ -248,20 +248,18 @@ def record_iterations(monkeypatch):
     ["--scheme", "column"],
     ["--scheme", "column", "--n", "5"],
 ])
-def test_cli_traces_equal_the_unfused_reference_loop(monkeypatch, capsys, argv):
-    runs = record_iterations(monkeypatch)
-    refuse_series_ring_operations(monkeypatch)
-    printed = []
+def test_cli_traces_equal_the_unfused_reference_loop(capsys, argv):
+    # each format prints the unfused iterates: json and csv their coefficients' strings,
+    # pretty the reference formatter's rows
     for steps in range(1, 25):
-        assert cli.main(["trace", *argv, "--steps", str(steps), "--format", "json"]) == 0
-        printed.append(json.loads(capsys.readouterr().out))
-    monkeypatch.undo()  # the reference loop is the unfused ring operations
-    assert [run[2] for run in runs] == list(range(1, 25))
-    for (scheme, start, steps, trace), out in zip(runs, printed):
-        want = unfused_trace(scheme, start, steps)
-        for got, expected in zip(trace, want, strict=True):
-            fraction_for_fraction(got, expected)
-        assert out == [it.to_strings() for it in want]
+        want = unfused_trace(*cli_trace_run(argv, steps), steps)
+        printed = {}
+        for fmt in ("json", "csv", "pretty"):
+            assert cli.main(["trace", *argv, "--steps", str(steps), "--format", fmt]) == 0
+            printed[fmt] = capsys.readouterr().out
+        assert json.loads(printed["json"]) == [it.to_strings() for it in want]
+        assert printed["csv"] == "".join(",".join(it.to_strings()) + "\n" for it in want)
+        assert printed["pretty"] == "".join(reference_format(coeffs(it)) + "\n" for it in want)
 
 
 def unfused_trace(scheme, start, steps):
@@ -333,6 +331,31 @@ def test_format_polynomial_equals_the_fraction_based_reference():
     for cs in polynomial_panel():
         assert format_polynomial(cs) == reference_format(cs), cs
         assert str(Series(cs or [0])) == reference_format(cs or [0])
+
+
+def test_series_and_trace_rows_print_as_the_reference_formatter():
+    # 200 seeded coefficient lists drawn from zero, +-1, other integers of either sign,
+    # rationals, and 400-bit integers and rationals: str of the Series, the formatter on
+    # the coefficients' strings and the trace's pretty rows, printed from the integers
+    # (D, D*t), each give the reference's text
+    rng = random.Random(24)
+
+    def big():
+        return rng.getrandbits(400) | 1 << 399
+
+    def sign():
+        return rng.choice((1, -1))
+
+    draws = (lambda: F(0), lambda: F(1), lambda: F(-1), lambda: F(sign() * rng.randint(2, 99)),
+             lambda: F(sign() * rng.randint(1, 99), rng.randint(2, 99)),
+             lambda: F(sign() * big()), lambda: F(sign() * big(), big()))
+    panel = [[rng.choice(draws)() for _ in range(rng.randint(1, 12))] for _ in range(200)]
+    for cs in panel:
+        want = reference_format(cs)
+        assert str(Series(cs)) == want
+        assert format_polynomial([str(c) for c in cs]) == want
+    rows = [series._integral(cs) for cs in panel]
+    assert cli.render_trace(rows, "pretty").split("\n") == list(map(reference_format, panel))
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Tests for compositional inversion and the Lagrange identities."""
 
+import json
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +13,7 @@ from riordan import fixpoint, reversion
 from riordan.reversion import invert_series, lagrange_coefficient, verify_lagrange
 from riordan.series import DomainError, PrecisionError, Series, distance
 
+from cap_answers import x_over_g_omega
 from oracles import (
     coeffs,
     cofactor,
@@ -146,6 +149,29 @@ def test_invert_matches_oracle_at_bigint_sizes(omega1):
     assert verify_lagrange(omega, 30).ok
     assert verify_lagrange(past_precision(omega, 30), 30).ok
 
+
+def test_invert_series_keeps_no_table(monkeypatch):
+    # at P = 200 on the x/g omega of the size-cap answers the rows of (1, T) hold 20,301
+    # integers, 1.5 MB; invert_series reads column 1 off each row as it is filled and
+    # keeps none.  The peak restarts once the side that fills the rows is chosen, so the
+    # side rule's own scale is not counted
+    omega = Series(json.loads(x_over_g_omega()))
+    side = reversion._side
+
+    def chosen(*args):
+        out = side(*args)
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(reversion, "_side", chosen)
+    tracemalloc.start()
+    try:
+        y = invert_series(omega, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+    assert y.truncate(30) == Series(compositional_inverse(coeffs(omega), 30))
 
 
 # A polynomial A-sequence g leaves most taps A_i zero; the table multiplies
