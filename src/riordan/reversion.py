@@ -20,18 +20,20 @@ Math. 1997).  Both rules, and ``g``'s taps from ``omega``'s, are the division ke
 one integer recurrence (:func:`~riordan.fixpoint._step`) at the per-degree scale
 ``delta_m`` of the side that fills the rows, so their integers follow its denominators.
 :func:`_side`, given either side, picks whichever rule reads fewer taps, so
-the table costs ``O(P**2 d)`` for ``d`` the smaller of ``omega``'s count of nonzero terms
+filling them costs ``O(P**2 d)`` for ``d`` the smaller of ``omega``'s count of nonzero terms
 and ``g``'s degree plus one: ``g = x/omega`` is dense for every polynomial
 ``omega`` of degree >= 2, and ``omega = x/(1-x)`` has ``g = 1 - x``.
-:func:`invert_series` reads column 1 off each row as it is filled and keeps no table.
+:func:`_table_rows` yields those rows one at a time, and no caller keeps them:
+:func:`invert_series` reads column 1 off each row as it is filled.
 The tests' reference path recomposes every stage by Horner, O(P**4).
 The same rows of ``(1, w)``, ``w = x*g(w)``, give the Riordan group inverse
 ``T(1/f(w) | 1/g(w))`` of ``T(f|g)`` (:func:`_inverse_parameters`): ``x/w = 1/g(w)`` is
 the rows' edge, the row rule read one column to the left, and ``(1/f)(w)`` is a dot
-product of each row with ``1/f``.  The inverse has ``(1, w)``'s A-sequence ``g``: its rows
-are those of ``((1/f)(w), w)`` less the first row and column, which the same row rule
-(:func:`_fill_rows`, the table's own loop) fills from ``(1/f)(w)`` on the table's taps,
-one row at a time, in ``O(P**2 d)``, with no kernel run on ``1/g(w)`` and no table kept.
+product of each row with ``1/f``, each read as the row is filled.  The inverse has
+``(1, w)``'s A-sequence ``g``: its rows are those of ``((1/f)(w), w)`` less the first row
+and column, which the same row rule (:func:`_fill_rows`, the loop behind
+:func:`_table_rows`) fills from ``(1/f)(w)`` on the same taps, one row at a time, in
+``O(P**2 d)``, with no kernel run on ``1/g(w)`` and no row kept.
 The same fixed-point equation yields the coefficient identities
 
     ``n * [x^n] (omega^{-1})**k == k * [x^(n-k)] g**n``
@@ -96,18 +98,6 @@ def _table_rows(taps: list[list[tuple[int, int]]], sign: int,
     return _fill_rows(taps, sign, [1], repeat(0, precision))
 
 
-def _fill_table(taps: list[list[tuple[int, int]]], sign: int,
-                precision: int) -> tuple[list[list[int]], list[int]]:
-    """``(rows, edge)``: the rows ``E[n][k] = delta_(n-k) * [x^n] T**k / g0**n`` (``k <= n <=
-    precision``) of ``(1, T)``, ``T = x*g(T)``, and ``edge[n] = -delta_n [x^n] (x/T) / g0**(n-1)``,
-    kept from :func:`_table_rows`."""
-    rows, edge = [[1]], [-1]  # edge[0] gives [x^0] x/T = 1/g0
-    for diag, entry in _table_rows(taps, sign, precision):
-        edge.append(entry)
-        rows.append(diag[::-1])
-    return rows, edge
-
-
 def _side(cs: tuple[Fraction, ...], sign: int, precision: int) -> tuple[
         Fraction, list[int], list[list[tuple[int, int]]], int]:
     """``(g0, delta, taps, sign)`` of the side whose rule fills the rows of ``(1, T)`` through
@@ -126,23 +116,13 @@ def _side(cs: tuple[Fraction, ...], sign: int, precision: int) -> tuple[
     return g0, delta, taps, sign
 
 
-def _table(cs: tuple[Fraction, ...], sign: int, precision: int) -> tuple[
-        Fraction, list[int], list[list[tuple[int, int]]], int, list[list[int]], list[int]]:
-    """``(g0, delta, taps, sign, *_fill_table(...))`` through ``precision`` on the
-    :func:`_side` of ``cs``.  The edge stops at degree ``len(cs) - 1``, the last one whose
-    taps ``cs`` holds."""
-    g0, delta, taps, sign = _side(cs, sign, precision)
-    rows, edge = _fill_table(taps, sign, precision)
-    return g0, delta, taps, sign, rows, edge[: len(cs)]
-
-
 def _inverse_parameters(f: Series, g: Series, p: int) -> tuple[
         Series, Series, Callable[[Callable[[Iterable[int], Sequence[int]], list]], Iterator[list]]]:
     """``(1/f(w), 1/g(w), rows)`` through degree ``p``, ``w`` the compositional inverse of ``x/g``
     (the parameters of the Riordan group inverse of ``T(f|g)``), off the rows
-    ``E[n][k] = delta_(n-k) [x^n] w**k / g0**n`` of ``(1, w)`` and their edge that
-    :func:`_table` fills from ``g`` on either side: ``[x^n] 1/g(w) = [x^n] x/w =
-    -edge[n] * g0**(n-1) / delta_n``.  With ``R = M/f`` integral, ``[x^n] (1/f)(w) =
+    ``E[n][k] = delta_(n-k) [x^n] w**k / g0**n`` of ``(1, w)`` and their edge, read one row at
+    a time as :func:`_table_rows` fills them on the :func:`_side` of ``g``: ``[x^n] 1/g(w) =
+    [x^n] x/w = -edge[n] * g0**(n-1) / delta_n``.  With ``R = M/f`` integral, ``[x^n] (1/f)(w) =
     g0**n * Y_n / (M*delta_n)``, ``Y_n = sum_j R_j E[n][j] (delta_n/delta_(n-j))``, the factor a
     product of ``delta_m/delta_(m-1)``: the one division is ``1/f``, and nothing is composed.
     ``R`` is the division kernel's integer column ``S_j = d_j f0 [x^j] 1/f`` at ``f``'s own
@@ -150,13 +130,13 @@ def _inverse_parameters(f: Series, g: Series, p: int) -> tuple[
     ``f0 = a/b``, ``a > 0``, ``R_j = S_j * b * d_p/d_j`` and ``M = a*d_p``.
 
     ``rows(convert)`` yields rows ``0..p`` of the inverse block, each converted from its
-    integers by ``convert`` as it is filled, so a row that cannot convert stops the fill; the
-    table is not kept.  Entry ``(n, k)``, ``[x^n] x**k (1/f)(w) / (1/g(w))**(k+1) = [x^(n+1)]
+    integers by ``convert`` as it is filled, so a row that cannot convert stops the fill, and
+    no row is kept.  Entry ``(n, k)``, ``[x^n] x**k (1/f)(w) / (1/g(w))**(k+1) = [x^(n+1)]
     w**(k+1) (1/f)(w)``, is entry ``(n+1, k+1)`` of the array ``((1/f)(w), w)``, whose column 0
-    is ``(1/f)(w)`` and whose A-sequence is ``g``: :func:`_fill_rows` fills it on the table's
+    is ``(1/f)(w)`` and whose A-sequence is ``g``: :func:`_fill_rows` fills it on the same
     taps from the column ``Y``, and each of its rows past the first, less its column 0, is a
     row of the inverse, ``X[n][k] * g0**(n+1) / (M*delta_(n-k))``."""
-    g0, delta, taps, sign, table, edge = _table(g.coefficients[: p + 1], 1, p)
+    g0, delta, taps, sign = _side(g.coefficients[: p + 1], 1, p)
     ratios = [1] + [d // c for c, d in zip(delta, delta[1:])]
     _, (fa, fb), f_delta, (column,) = _integer_columns(Series.one(p), f, p, 1)
     big_r = [s * fb * (f_delta[p] // d) for s, d in zip(column, f_delta)]
@@ -165,14 +145,15 @@ def _inverse_parameters(f: Series, g: Series, p: int) -> tuple[
     inv_den, inv_num = _positive(g0)  # 1/g0 = inv_num/inv_den, inv_den > 0
     big_y, f_nums, f_dens, g_nums, g_dens = [], [], [], [], []
     an, bn = 1, 1  # g0**n = an/bn, bn > 0
-    for n, row in enumerate(table):
+    # row 0 is [1], and edge[0] = -1 gives [x^0] x/w = 1/g0
+    for n, (diag, edge) in enumerate(chain([([1], -1)], _table_rows(taps, sign, p))):
         acc = 0
-        for j in range(n, -1, -1):  # Horner: R_j E[n][j] gains ratio_n*...*ratio_(n-j+1)
-            acc = acc * ratios[n - j] + big_r[j] * row[j]
+        for m in range(n + 1):  # Horner: R_j E[n][j], j = n - m, gains ratio_n*...*ratio_(m+1)
+            acc = acc * ratios[m] + big_r[n - m] * diag[m]
         big_y.append(acc)
         f_nums.append(acc * an)
         f_dens.append(den_f * delta[n] * bn)
-        g_nums.append(-edge[n] * an * inv_num)
+        g_nums.append(-edge * an * inv_num)
         g_dens.append(delta[n] * bn * inv_den)
         an, bn = an * a, bn * b
 
@@ -190,7 +171,7 @@ def _inverse_parameters(f: Series, g: Series, p: int) -> tuple[
 
 
 def _omega_over_x(omega: Series, precision: int) -> tuple[Fraction, ...]:
-    """The coefficients of ``omega/x`` a table of ``(1, T)`` through ``precision`` reads,
+    """The coefficients of ``omega/x`` the rows of ``(1, T)`` through ``precision`` read,
     for ``g = x/omega``, ``g0 = 1/omega_1``: through ``max(precision, 1)``."""
     if precision < 0:
         raise ValueError("precision must be a natural number")
@@ -200,13 +181,6 @@ def _omega_over_x(omega: Series, precision: int) -> tuple[Fraction, ...]:
         raise PrecisionError(
             f"inverting to degree {precision} needs omega at precision {precision}")
     return omega.coefficients[1: max(precision, 1) + 1]
-
-
-def _power_table(omega: Series, precision: int) -> tuple[
-        Fraction, list[int], list[list[tuple[int, int]]], int, list[list[int]], list[int]]:
-    """:func:`_table` of :func:`_omega_over_x`: the rows (and edge) of ``(1, T)`` for
-    ``g = x/omega`` on the side that fills them."""
-    return _table(_omega_over_x(omega, precision), -1, precision)
 
 
 def _power_coefficients(taps: list[list[tuple[int, int]]], alpha: int, count: int) -> list[int]:
@@ -233,8 +207,8 @@ def invert_series(omega: Series, precision: int) -> Series:
     ``omega`` is read through degree ``max(precision, 1)`` and no further, so
     at ``precision`` 0 it still needs ``omega_1``.  The
     result ``y`` satisfies ``omega(y) == y(omega) == x`` through the
-    requested degree; it is column 1 of the power table's rows, unscaled, read from each
-    row as :func:`_table_rows` yields it, so no table is kept.
+    requested degree; it is column 1 of the rows of ``(1, T)``, unscaled, read from each
+    row as :func:`_table_rows` yields it, so no row is kept.
     """
     g0, delta, taps, sign = _side(_omega_over_x(omega, precision), -1, precision)
     a, b = g0.numerator, g0.denominator
@@ -302,22 +276,23 @@ def verify_lagrange(omega: Series, max_n: int) -> LagrangeReport:
     ``1 <= k <= n <= max_n``, exactly, from ``omega`` known through degree
     ``max(max_n, 1)`` (``omega_1`` fixes the order even at ``max_n`` 0).
 
-    The left side is read off the power table's rows.  The right side comes from a
-    second recurrence on the table's taps: ``g**n = g0**n * (1+c)**(sign*n)`` for the
-    table's side ``c``, and :func:`_power_coefficients` gives
-    ``Q_m = delta_m [x^m] (1+c)**(sign*n)`` for ``m < n`` at one product per tap.  So a
-    cell compares ``n*E[n][k]`` with ``k*Q_(n-k)``, integers at the same scale
-    ``g0**n/delta_(n-k)``, and the grid costs ``O(max_n**2 d)``.  Violations are
-    collected into the report, unscaled, not raised; an empty list means the identity
-    holds on the whole grid.
+    The left side is read off row ``n`` of ``(1, T)`` as :func:`_table_rows` yields it.  The
+    right side comes from a second recurrence on the same taps: ``g**n = g0**n *
+    (1+c)**(sign*n)`` for the rows' side ``c``, and :func:`_power_coefficients` gives
+    ``Q_m = delta_m [x^m] (1+c)**(sign*n)`` for ``m < n`` at one product per tap, at row
+    ``n`` only.  So a cell compares ``n*E[n][k]`` with ``k*Q_(n-k)``, integers at the same
+    scale ``g0**n/delta_(n-k)``, the grid costs ``O(max_n**2 d)``, and no row is kept.
+    Violations are collected into the report, unscaled and ordered by ``(k, n)``, not
+    raised; an empty list means the identity holds on the whole grid.
     """
-    g0, delta, taps, sign, rows, _ = _power_table(omega, max_n)
-    powers = [_power_coefficients(taps, sign * n, n) for n in range(max_n + 1)]
+    g0, delta, taps, sign = _side(_omega_over_x(omega, max_n), -1, max_n)
     violations: list[LagrangeViolation] = []
-    for k in range(1, max_n + 1):
-        for n in range(k, max_n + 1):
-            lhs, rhs = n * rows[n][k], k * powers[n][n - k]
+    for n, (diag, _) in enumerate(_table_rows(taps, sign, max_n), 1):
+        powers = _power_coefficients(taps, sign * n, n)
+        for m in range(n):  # diag[m] = E[n][k], k = n - m
+            lhs, rhs = n * diag[m], (n - m) * powers[m]
             if lhs != rhs:
-                lhs, rhs = (v * g0 ** n / delta[n - k] for v in (lhs, rhs))
-                violations.append(LagrangeViolation(n, k, lhs, rhs))
+                lhs, rhs = (v * g0 ** n / delta[m] for v in (lhs, rhs))
+                violations.append(LagrangeViolation(n, n - m, lhs, rhs))
+    violations.sort(key=lambda v: (v.k, v.n))
     return LagrangeReport(max_n, tuple(violations))

@@ -18,10 +18,10 @@ closed in parameter form:
 Neither is computed by composing series.  The matrix acts on ``h`` as
 ``(f/g) * h(x/g)``, and ``T(g1|g1)`` acts as ``h -> h(x/g1)``: the division kernel
 sums its own integer columns for both (:func:`~riordan.fixpoint._apply`), through the
-last column ``h`` reads.  The inverse's parameters come off reversion's table of
-``(1, w)`` (:func:`~riordan.reversion._inverse_parameters`), and its rows follow
-by the A-sequence rule of that table: the one kernel run an inverse makes is the
-column ``1/f``.
+last column ``h`` reads.  The inverse's parameters come off reversion's rows of
+``(1, w)``, read one at a time and not kept (:func:`~riordan.reversion._inverse_parameters`),
+and its rows follow by the A-sequence rule of those rows: the one kernel run an inverse
+makes is the column ``1/f``.
 
 The inverse is also expressible through the classical A- and Z-sequences,
 and multiplying the first parameter by powers of ``g`` prepends or deletes
@@ -190,8 +190,8 @@ class RiordanMatrix:
     def inverse(self) -> RiordanMatrix:
         """Group inverse ``T(1/f(w) | 1/g(w))``, ``w`` the compositional
         inverse of ``x/g``.  Neither parameter is composed: both come off reversion's
-        table of ``(1, w)`` (:func:`~riordan.reversion._inverse_parameters`).  The returned
-        matrix keeps the integers of ``(1/f)(w)`` and the table's taps, not the table: its
+        rows of ``(1, w)``, read one at a time (:func:`~riordan.reversion._inverse_parameters`).
+        The returned matrix keeps the integers of ``(1/f)(w)`` and the rows' taps, no row: its
         rows follow by the A-sequence rule ``g`` when they are first read or printed, one at a
         time, with no kernel run.
 

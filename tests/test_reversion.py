@@ -6,12 +6,14 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
 from riordan import fixpoint, reversion
 from riordan.reversion import invert_series, lagrange_coefficient, verify_lagrange
 from riordan.series import DomainError, PrecisionError, Series, distance
+from riordan.triangles import bell
 
 from cap_answers import x_over_g_omega
 from oracles import (
@@ -150,12 +152,51 @@ def test_invert_matches_oracle_at_bigint_sizes(omega1):
     assert verify_lagrange(past_precision(omega, 30), 30).ok
 
 
-def test_invert_series_keeps_no_table(monkeypatch):
+def x_over_w(g, p):
+    """``[x^n] x/w`` for ``n <= p``, ``w = x*g(w)``, by the oracle's compositional inverse."""
+    w = compositional_inverse([F(0)] + divide([F(1)], coeffs(g), p), p + 1)
+    return Series(divide([F(1)], w[1:], p))
+
+
+def table_of(taps, sign, p):
+    """``(rows, edge)``: the rows ``rows[n][k] = E[n][k]`` of ``(1, T)`` through ``p`` and their
+    edge, gathered from what :func:`reversion._table_rows` yields; the library keeps none."""
+    rows, edge = [[1]], [-1]  # edge[0] gives [x^0] x/T = 1/g0
+    for diag, entry in reversion._table_rows(taps, sign, p):
+        rows.append(diag[::-1])
+        edge.append(entry)
+    return rows, edge
+
+
+def power_table(omega, p):
+    """``(g0, delta, taps, sign, rows, edge)``: the :func:`reversion._side` that fills the rows
+    of ``(1, T)`` for ``g = x/omega`` through ``p``, and those rows by :func:`table_of`."""
+    side = reversion._side(reversion._omega_over_x(omega, p), -1, p)
+    return (*side, *table_of(*side[2:], p))
+
+
+@pytest.mark.parametrize("job, check", [
+    (lambda omega: partial(invert_series, omega, 200),
+     lambda omega, y: y.truncate(30) == Series(compositional_inverse(coeffs(omega), 30))),
+    (lambda omega: partial(verify_lagrange, omega, 120), lambda omega, report: report.ok),
+    (lambda omega: partial(reversion._inverse_parameters,
+                           Series.one(199), Series([F(-3, 2), 1, F(2, 5)], 199), 199),
+     lambda omega, out: out[0] == Series.one(199)
+     and out[1].truncate(30) == x_over_w(Series([F(-3, 2), 1, F(2, 5)], 30), 30)),
+    (lambda omega: partial(reversion._inverse_parameters,
+                           Series.one(199), bell(Series([1, F(1, 3), 2], 199), 200).g, 199),
+     lambda omega, out: out[0] == Series.one(199)
+     and out[1].truncate(30) == x_over_w(bell(Series([1, F(1, 3), 2], 30), 31).g, 30)),
+], ids=["invert_series", "verify_lagrange", "inverse_dense", "inverse_bell"])
+def test_invert_series_keeps_no_table(monkeypatch, job, check):
     # at P = 200 on the x/g omega of the size-cap answers the rows of (1, T) hold 20,301
-    # integers, 1.5 MB; invert_series reads column 1 off each row as it is filled and
-    # keeps none.  The peak restarts once the side that fills the rows is chosen, so the
-    # side rule's own scale is not counted
+    # integers, 1.5 MB; invert_series reads column 1 off each row as it is filled, and
+    # verify_lagrange and the group inverse's parameters read row n, and row n's powers,
+    # at step n only: none keeps a row.  The peak restarts once the side that fills the
+    # rows is chosen, so the side rule's own scale is not counted, and each job's inputs
+    # are built before the trace starts
     omega = Series(json.loads(x_over_g_omega()))
+    run = job(omega)
     side = reversion._side
 
     def chosen(*args):
@@ -166,12 +207,12 @@ def test_invert_series_keeps_no_table(monkeypatch):
     monkeypatch.setattr(reversion, "_side", chosen)
     tracemalloc.start()
     try:
-        y = invert_series(omega, 200)
+        out = run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 500_000
-    assert y.truncate(30) == Series(compositional_inverse(coeffs(omega), 30))
+    assert check(omega, out)
 
 
 # A polynomial A-sequence g leaves most taps A_i zero; the table multiplies
@@ -212,7 +253,7 @@ def test_power_table_taps_come_from_omega_without_the_kernel(monkeypatch, omega,
     powers = fixpoint._step([1] + [0] * (read - 1), taps, -1, read)
     while not powers[-1]:
         powers.pop()
-    table = reversion._power_table(omega, p)
+    table = power_table(omega, p)
     g = coeffs(cofactor(omega, read - 1))
     expected = [c / g[0] for c in g]
     while not expected[-1]:
@@ -230,8 +271,7 @@ def test_power_table_taps_come_from_omega_without_the_kernel(monkeypatch, omega,
 def test_both_row_rules_fill_the_same_table():
     # the omega-side rule and the A-sequence rule, each forced, on sparse polynomial
     # omega (g dense), on dense omega, on long gaps inside omega's tail and on omega = c*x
-    # (no tail), against the table _power_table returns: each at its own side's scale,
-    # the edge cut after the read taps of omega/x (entry `read` would need one more)
+    # (no tail), each at its own side's scale; _side picks one of the two
     rng = random.Random(65)
     for p in range(31):
         degree = 1 + p % 8
@@ -246,19 +286,18 @@ def test_both_row_rules_fill_the_same_table():
                       Series([0, sparse[1]], read)):
             cs = coeffs(omega)[1: read + 1]
             omega_delta, omega_taps = fixpoint._scale_rows(cs, p)
-            by_omega, omega_edge = reversion._fill_table(omega_taps, -1, p)
+            by_omega = table_of(omega_taps, -1, p)[0]
             powers = reversion._power_coefficients(omega_taps, -1, read)
             g_delta, g_taps = fixpoint._scale_rows(
                 [F(q, d) for q, d in zip(powers, omega_delta)], p)
-            by_g, g_edge = reversion._fill_table(g_taps, 1, p)
+            by_g = table_of(g_taps, 1, p)[0]
             assert [[F(e, omega_delta[n - k]) for k, e in enumerate(row)]
                     for n, row in enumerate(by_omega)] == \
                    [[F(e, g_delta[n - k]) for k, e in enumerate(row)]
                     for n, row in enumerate(by_g)]
             g0 = 1 / omega[1]
-            table = reversion._power_table(omega, p)
-            assert table in ((g0, omega_delta, omega_taps, -1, by_omega, omega_edge[:read]),
-                             (g0, g_delta, g_taps, 1, by_g, g_edge[:read]))
+            side = reversion._side(reversion._omega_over_x(omega, p), -1, p)
+            assert side in ((g0, omega_delta, omega_taps, -1), (g0, g_delta, g_taps, 1))
 
 
 def test_the_edge_is_x_over_w_on_both_sides():
@@ -274,19 +313,19 @@ def test_the_edge_is_x_over_w_on_both_sides():
             omega = [F(0)] + divide([F(1)], gc, p)  # x/g through degree p + 1
             w = compositional_inverse(omega, p + 1)
             expected = divide([F(1)], w[1:], p)
-            g0, delta, _, _, _, edge = reversion._table(gc, 1, p)
-            edges = [(delta, edge)]
+            g0, delta, taps, sign = reversion._side(gc, 1, p)
+            edges = [(delta, table_of(taps, sign, p)[1])]
             for cs, sign in ((gc, 1), (omega[1:], -1)):
                 delta, taps = fixpoint._scale_rows(cs, p)
-                edges.append((delta, reversion._fill_table(taps, sign, p)[1]))
+                edges.append((delta, table_of(taps, sign, p)[1]))
             for delta, edge in edges:
                 assert [-e * g0 ** (n - 1) / delta[n] for n, e in enumerate(edge)] == expected
 
 
 def test_the_power_tables_edge_is_x_over_w_on_both_sides():
-    # every edge entry _power_table returns is [x^n] x/w, w the inverse of omega: the
-    # edge stops at degree P - 1, the last whose tap omega/x was read (on the first
-    # omega at P = 5, g side, an entry for degree 5 would read omega_6, not given)
+    # every edge entry through degree P - 1, the last whose tap omega/x was read, is
+    # [x^n] x/w, w the inverse of omega (on the first omega at P = 5, g side, the entry
+    # for degree 5 would read omega_6, not given)
     rng = random.Random(67)
     sides = set()
     for p in range(1, 16):
@@ -295,8 +334,8 @@ def test_the_power_tables_edge_is_x_over_w_on_both_sides():
                       Series([0] + [F(1, 3)] * (p + 1))):
             w = compositional_inverse(coeffs(omega), p)
             expected = divide([F(1)], w[1:], p - 1)
-            g0, delta, _, sign, _, edge = reversion._power_table(omega, p)
-            assert [-e * g0 ** (n - 1) / delta[n] for n, e in enumerate(edge)] == expected
+            g0, delta, _, sign, _, edge = power_table(omega, p)
+            assert [-e * g0 ** (n - 1) / delta[n] for n, e in enumerate(edge[:p])] == expected
             sides.add(sign)
     assert sides == {1, -1}
 
@@ -322,7 +361,7 @@ def test_power_table_reads_omega_only_through_its_degree():
     for p in range(16):
         omega = random_order_one(rng, p + 3)
         read = omega.truncate(max(p, 1))
-        assert reversion._power_table(omega, p) == reversion._power_table(read, p)
+        assert power_table(omega, p) == power_table(read, p)
 
 
 def test_invert_precision_zero():
@@ -457,15 +496,17 @@ def test_report_json_shape():
 
 def test_a_failing_cell_is_reported_unscaled(monkeypatch):
     omega = random_order_one(random.Random(62), 8)
-    build = reversion._power_table
-    g0, delta, *_ = build(omega, 7)
+    g0, delta, *_ = power_table(omega, 7)
+    build = reversion._table_rows
 
-    def perturbed(omega, precision):
-        *head, rows, edge = build(omega, precision)
-        rows[5][2] += 1  # delta_3 * [x^5] T**2 / g0**5, off by one
-        return *head, rows, edge
+    def perturbed(taps, sign, precision):
+        for n, (diag, edge) in enumerate(build(taps, sign, precision), 1):
+            if n == 5:  # the next row steps from diag: perturb a copy
+                diag = diag.copy()
+                diag[3] += 1  # E[5][2] = delta_3 * [x^5] T**2 / g0**5, off by one
+            yield diag, edge
 
-    monkeypatch.setattr(reversion, "_power_table", perturbed)
+    monkeypatch.setattr(reversion, "_table_rows", perturbed)
     report = verify_lagrange(omega, 7)
     (v,) = report.violations
     assert (v.n, v.k) == (5, 2)
@@ -484,7 +525,7 @@ def test_a_failing_cell_is_reported_unscaled(monkeypatch):
 def test_a_failing_power_is_reported_at_its_cell(monkeypatch, omega, sign):
     # [x^3] (1+c)**(sign*5), off by one on either side of the table's rule: the cell
     # n = 5, k = 2 fails
-    g0, delta, _, table_sign, _, _ = reversion._power_table(omega, 7)
+    g0, delta, _, table_sign = reversion._side(reversion._omega_over_x(omega, 7), -1, 7)
     assert table_sign == sign
     build = reversion._power_coefficients
 
@@ -499,6 +540,29 @@ def test_a_failing_power_is_reported_at_its_cell(monkeypatch, omega, sign):
     assert (v.n, v.k) == (5, 2)
     assert v.lhs == 2 * list_power(coeffs(cofactor(omega, 5)), 5, 3)[3]
     assert v.rhs == v.lhs + 2 * g0 ** 5 / delta[3]
+
+
+@pytest.mark.parametrize("omega, sign", [
+    (Series([0, 1, -1, 2], 7), -1),  # g = 1/(1 - x + 2x^2) is dense
+    (Series([0] + [1] * 7), 1),  # x/(1-x): g = 1 - x
+], ids=["omega_taps", "g_taps"])
+def test_violations_are_reported_by_k_then_n(monkeypatch, omega, sign):
+    # the rows come in order of n, but the report lists its violations by (k, n): cell
+    # (6, 1) before cell (5, 2)
+    assert reversion._side(reversion._omega_over_x(omega, 7), -1, 7)[3] == sign
+    build = reversion._power_coefficients
+
+    def perturbed(taps, alpha, count):
+        powers = build(taps, alpha, count)
+        if abs(alpha) == 5:
+            powers[3] += 1  # cell (5, 2)
+        if abs(alpha) == 6:
+            powers[5] += 1  # cell (6, 1)
+        return powers
+
+    monkeypatch.setattr(reversion, "_power_coefficients", perturbed)
+    report = verify_lagrange(omega, 7)
+    assert [(v.n, v.k) for v in report.violations] == [(6, 1), (5, 2)]
 
 
 @pytest.mark.parametrize("omega, max_n, error, message", [

@@ -635,14 +635,15 @@ def test_table_integers_stay_near_the_size_of_the_results(monkeypatch):
     # for 195-bit parameters on bell(1 + x/3 + 2x^2)
     p = 60
     omega = Series([0] + divide([F(1)], [F(-3, 2), F(1), F(2, 5)], p - 1))
-    table = reversion._power_table(omega, p)  # delta, taps and rows included
-    assert bits(table) <= 2 * bits(invert_series(omega, p).coefficients)
+    side = reversion._side(reversion._omega_over_x(omega, p), -1, p)  # g0, delta and taps
+    rows = [(diag.copy(), edge) for diag, edge in reversion._table_rows(*side[2:], p)]
+    assert bits([side, rows]) <= 2 * bits(invert_series(omega, p).coefficients)
 
     seen = record_table_calls(monkeypatch)
     t = bell(Series([1, F(1, 3), 2], p), p + 1)
     f_inv, g_inv, _ = reversion._inverse_parameters(t.f, t.g, p)
     # g's scale, then omega's (x + x^2/3 + 2x^3 reads 3 taps), then the omega-side rows
-    assert [name for name, _, _ in seen] == ["_scale_rows", "_scale_rows", "_fill_table"]
+    assert [name for name, _, _ in seen] == ["_scale_rows", "_scale_rows", "_table_rows"]
     assert seen[2][1][1] == -1
     assert bits([out for _, _, out in seen]) <= 2 * bits(f_inv.coefficients + g_inv.coefficients)
 
@@ -658,7 +659,7 @@ def test_inverse_row_integers_stay_near_the_size_of_the_entries(monkeypatch, bui
     t = build(60)
     seen = record_table_calls(monkeypatch)
     _, _, rows = reversion._inverse_parameters(t.f, t.g, t.depth - 1)
-    assert [args[1] for name, args, _ in seen if name == "_fill_table"] == [sign]
+    assert [args[1] for name, args, _ in seen if name == "_table_rows"] == [sign]
     integers = list(rows(lambda nums, dens: [list(nums), dens]))
     assert len(integers) == t.depth
     entries = t.inverse().entries
@@ -667,15 +668,25 @@ def test_inverse_row_integers_stay_near_the_size_of_the_entries(monkeypatch, bui
 
 
 def record_table_calls(monkeypatch):
-    """Record ``(name, args, result)`` of every ``_scale_rows`` and ``_fill_table`` call
-    made through :mod:`riordan.reversion`."""
+    """Record ``(name, args, result)`` of every ``_scale_rows`` and ``_table_rows`` call
+    made through :mod:`riordan.reversion`; a ``_table_rows`` result is the list of the
+    ``(diag, edge)`` pairs taken so far, each row copied as it is yielded."""
     seen = []
-    for name in ("_scale_rows", "_fill_table"):
-        def recorded(*args, name=name, original=getattr(reversion, name)):
-            seen.append((name, args, original(*args)))
-            return seen[-1][2]
+    scale_rows, table_rows = reversion._scale_rows, reversion._table_rows
 
-        monkeypatch.setattr(reversion, name, recorded)
+    def scaled(*args):
+        seen.append(("_scale_rows", args, scale_rows(*args)))
+        return seen[-1][2]
+
+    def rows(*args):
+        taken = []
+        seen.append(("_table_rows", args, taken))
+        for diag, edge in table_rows(*args):
+            taken.append((diag.copy(), edge))
+            yield diag, edge
+
+    monkeypatch.setattr(reversion, "_scale_rows", scaled)
+    monkeypatch.setattr(reversion, "_table_rows", rows)
     return seen
 
 
@@ -693,7 +704,7 @@ def test_group_inverse_fills_the_shorter_side_of_the_table(monkeypatch, build, s
     f_inv, g_inv = composed_inverse(t)
     seen = record_table_calls(monkeypatch)
     inv = t.inverse()
-    assert [args[1] for name, args, _ in seen if name == "_fill_table"] == [sign]
+    assert [args[1] for name, args, _ in seen if name == "_table_rows"] == [sign]
     assert (inv.f, inv.g) == (f_inv, g_inv)
     pair = t.a_z_sequences()
     z_seq = (g_inv - f_inv * (t.f[0] / t.g[0])).shift(-1)
@@ -752,10 +763,10 @@ def test_each_entry_checks_its_operands_once(monkeypatch, run, checks):
 
 
 def test_triangles_decodes_no_integer_format():
-    # the kernel's columns are summed in fixpoint and the (1, w) table is read in
+    # the kernel's columns are summed in fixpoint and the rows of (1, w) are read in
     # reversion, each beside the code that makes it; triangles only calls them
-    for name in ("_integer_columns", "_step", "_table", "_fill_table", "_scale_rows",
-                 "_integral"):
+    for name in ("_integer_columns", "_step", "_side", "_table_rows", "_fill_rows",
+                 "_scale_rows", "_integral"):
         assert not hasattr(triangles, name), name
     assert not hasattr(triangles.RiordanMatrix, "_inverse_parameters")
     assert triangles._apply is fixpoint._apply
