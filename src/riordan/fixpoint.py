@@ -2,19 +2,9 @@
 
 In the ultrametric of :mod:`riordan.series`, the map ``t -> a*t + b`` is a
 1/2-contraction whenever ``order(a) >= 1``, so plain iteration converges to
-its unique fixed point from any start.  One step is one integer pass: ``a*t`` is
-convolved onto the scaled ``b``, and the iterate's reduced Fractions are built
-from the result; applying a map is one such step of :func:`iterate_fixed`.  The
-iteration runs on integers end to end: the start is scaled once, each step hands
-the next its iterate as the integers ``(D, D*t)``, ``D`` the lcm of the iterate's
-denominators, and ``a`` and ``b`` are scaled once (a map's on its first use, a
-division scheme's once for all its step maps).  That integer loop is one generator,
-:func:`_crossed_integers`, with two consumers: :func:`iterate_crossed` builds the
-iterates' Series from it, and ``riordan trace`` prints the integers it yields, fed
-with a division scheme's step integers straight from :func:`_division_steps`, so it
-builds no Fraction.  In :func:`iterate_crossed` a coefficient whose integer a step
-leaves unchanged keeps its Fraction, so the converged degrees of an iterate are not
-built again.
+its unique fixed point from any start.  Applying a map is one integer pass,
+:func:`~riordan.series._mul_add`: ``a*t`` is convolved onto the scaled ``b``, and the
+iterate's reduced Fractions are built from the result.
 Iterating a *sequence* of such maps (the "crossed" iteration of a scheme, the
 step function ``m -> AffineMap`` whose map ``m`` is applied at step ``m``)
 converges to the fixed point of the pointwise limit map while only ever touching
@@ -28,11 +18,14 @@ division kernel, applies it one degree per step, on integers: scaled by
 ``M*delta_n*g0``, ``delta_n`` the least common denominator the taps ``g_j/g0``
 can give it, degree ``n`` obeys the same map with every division multiplied
 out (:func:`_step`, the one integer recurrence, which also fills the table of
-:mod:`riordan.reversion`).  The reference path the tests check it against is one
-division scheme, :func:`reciprocal_scheme`, run by one loop,
-:func:`iterate_crossed`: a triangle column is the division scheme of
-``x * previous column``, and plain iteration is the crossed iteration of
-a constant scheme.
+:mod:`riordan.reversion`).  The reference path the tests check it against is the
+iteration as the paper defines it: one division scheme, :func:`reciprocal_scheme`, run
+by one loop, :func:`iterate_crossed`, that applies each step's map to the iterate
+before; a triangle column is the division scheme of ``x * previous column``, and plain
+iteration is the crossed iteration of a constant scheme.  ``riordan trace`` prints the
+same iterates from integers, off its own loop, :func:`_crossed_integers`, fed with a
+division scheme's step integers by :func:`_division_steps`; the tests check its output
+against the reference.
 """
 
 from __future__ import annotations
@@ -41,12 +34,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, repeat
 from operator import add, floordiv, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .series import DomainError, PrecisionError, Series, _fractions, _integer_mul_add, _integral
+from .series import (DomainError, PrecisionError, Series, _fractions, _integer_mul_add, _integral,
+                     _mul_add)
 
 __all__ = [
     "AffineMap",
@@ -69,13 +62,9 @@ class AffineMap:
     """The map ``t -> slope*t + offset`` on series.
 
     ``order(slope) >= 1`` is enforced at construction; it guarantees
-    ``distance(map(t1), map(t2)) <= distance(t1, t2) / 2``.  Applying the map is
-    one step of :func:`iterate_fixed`, at the least precision of ``slope``, ``t`` and
-    ``offset``: the same series as ``slope*t + offset``, one integer pass that keeps
-    the Fraction of each coefficient of ``t`` it leaves unchanged.  ``slope`` and
-    ``offset`` are scaled to integers once per map (a division scheme hands its step
-    maps theirs), and :func:`iterate_crossed` hands each step the iterate as integers, so
-    an iteration scales no iterate but its start.
+    ``distance(map(t1), map(t2)) <= distance(t1, t2) / 2``.  Applying the map gives
+    ``slope*t + offset`` at the least precision of ``slope``, ``t`` and ``offset``, in
+    one :func:`~riordan.series._mul_add` pass.
     """
 
     slope: Series
@@ -87,12 +76,10 @@ class AffineMap:
                 "not contractive: slope has a nonzero constant term"
             )
 
-    @cached_property
-    def _scaled(self) -> tuple[tuple[int, list[int]], tuple[int, list[int]]]:
-        return _integral(self.slope.coefficients), _integral(self.offset.coefficients)
-
     def __call__(self, t: Series) -> Series:
-        return iterate_fixed(self, t, 1).last
+        p = min(self.slope.precision, t.precision, self.offset.precision)
+        return _mul_add(_integral(self.slope.coefficients[: p + 1]), t,
+                        _integral(self.offset.coefficients[: p + 1]), p)
 
 
 @dataclass(frozen=True)
@@ -136,48 +123,31 @@ class IterationTrace:
 
 def iterate_crossed(scheme: Callable[[int], AffineMap], start: Series,
                     steps: int) -> IterationTrace:
-    """Crossed iteration: apply the contraction ``scheme(m)`` at step ``m``.
-
-    The run is :func:`_crossed_integers` on the start, scaled once, and the integers of
-    each ``scheme(m)``.  For the trace, a coefficient whose integer over the same ``D`` is
-    unchanged keeps the Fraction of the iterate before (the converged degrees, and zeros
-    not yet reached); one Fraction is built for each other coefficient.
-    """
+    """Crossed iteration: apply the contraction ``scheme(m)`` at step ``m``, to the
+    iterate before it."""
     if steps < 0:
         raise ValueError("steps must be a natural number")
-
-    def maps() -> Iterator[tuple[tuple[int, list[int]], tuple[int, list[int]], int]]:
-        for m in range(steps):
-            try:
-                current = scheme(m)
-            except NotContractiveError as exc:
-                raise NotContractiveError(f"scheme map for step {m}: {exc}") from exc
-            yield (*current._scaled, min(current.slope.precision, current.offset.precision))
-
     iterates = [start]
-    held = _integral(start.coefficients)
-    for den, nums in _crossed_integers(held, maps()):
-        same = held[1] if den == held[0] else repeat(None)
-        fresh = [i for i, (v, u) in enumerate(zip(nums, same)) if v != u]
-        values = list(iterates[-1].coefficients[: len(nums)])
-        for i, value in zip(fresh, _fractions([nums[i] for i in fresh], [den] * len(fresh))):
-            values[i] = value
-        iterates.append(Series._of(values))
-        held = den, nums
+    for m in range(steps):
+        try:
+            current = scheme(m)
+        except NotContractiveError as exc:
+            raise NotContractiveError(f"scheme map for step {m}: {exc}") from exc
+        iterates.append(current(iterates[-1]))
     return IterationTrace(tuple(iterates))
 
 
 def _crossed_integers(held: tuple[int, list[int]],
                       maps: Iterable[tuple[tuple[int, list[int]], tuple[int, list[int]], int]]
                       ) -> Iterator[tuple[int, list[int]]]:
-    """The crossed iteration on integers, the one loop behind :func:`iterate_crossed` and
-    ``riordan trace``: from ``held``, :func:`~riordan.series._integral` of the start,
-    ``(D, D*t)`` of each iterate after it, one per ``(slope, offset, p)`` of ``maps``, a
-    step map's integers as :func:`_integral` returns them and its precision.  A step runs
-    :func:`~riordan.series._integer_mul_add` on the integers of the iterate before, through
-    the least of ``p`` and that iterate's precision, and divides its output by the gcd of
-    its denominator and numerators, which leaves ``_integral`` of the new iterate, the
-    integers it hands on."""
+    """The crossed iteration on integers, the loop ``riordan trace`` prints: from ``held``,
+    :func:`~riordan.series._integral` of the start, ``(D, D*t)`` of each iterate after it,
+    one per ``(slope, offset, p)`` of ``maps``, a step map's integers as :func:`_integral`
+    returns them and its precision.  A step runs :func:`~riordan.series._integer_mul_add` on
+    the integers of the iterate before, through the least of ``p`` and that iterate's
+    precision, and divides its output by the gcd of its denominator and numerators, which
+    leaves ``_integral`` of the new iterate, the integers it hands on.  Its iterates are
+    those of :func:`iterate_crossed` on the same maps."""
     for slope, offset, p in maps:
         held = _lowest(*_integer_mul_add(slope, held, offset, min(p, len(held[1]) - 1)))
         yield held
@@ -211,21 +181,15 @@ def reciprocal_scheme(f: Series, g: Series, precision: int) -> Callable[[int], A
 
     Step ``m`` uses the degree-``m`` Taylor polynomials of that slope and offset; as
     polynomials they are exact, so they are padded back to the working precision.
-    ``g`` and ``f`` are scaled once, and step map ``m`` is handed the integers
-    :func:`_division_steps` gives step ``m``, so it scales no coefficient.
     """
     _check_division(f, g, precision)
-    big_g, big_f = (_integral(s.coefficients[: precision + 1]) for s in (g, f))
-    steps = _division_steps(big_f, big_g, precision)
-    (ds, big_s), (do, big_o) = steps(precision)
-    slope = Series._of(_fractions(big_s, [ds] * (precision + 1)))
-    offset = Series._of(_fractions(big_o, [do] * (precision + 1)))
+    g0 = g.coefficients[0]
+    slope = Series._of([Fraction(0), *(-c / g0 for c in g.coefficients[1: precision + 1])])
+    offset = Series._of([c / g0 for c in f.coefficients[: precision + 1]])
 
     def maps(m: int) -> AffineMap:
         cut = min(m, precision)
-        amap = AffineMap(slope.truncate(cut).pad(precision), offset.truncate(cut).pad(precision))
-        amap.__dict__["_scaled"] = steps(m)
-        return amap
+        return AffineMap(slope.truncate(cut).pad(precision), offset.truncate(cut).pad(precision))
 
     return maps
 
@@ -233,11 +197,12 @@ def reciprocal_scheme(f: Series, g: Series, precision: int) -> Callable[[int], A
 def _division_steps(f: tuple[int, list[int]], g: tuple[int, list[int]], precision: int
                     ) -> Callable[[int], tuple[tuple[int, list[int]], tuple[int, list[int]]]]:
     """Step ``m``'s slope and offset integers in the division scheme of ``f`` by ``g``
-    (``g_0 != 0``), both given as :func:`_integral` returns them through ``precision``:
-    those of the degree-``min(m, precision)`` Taylor polynomials of ``(g0 - g)/g0`` and
-    ``f/g0``, the slope's through its last term and the offset's padded with zeros to
-    ``precision``.  They are in lowest terms, so they are the ones :func:`_integral` gives
-    those polynomials."""
+    (``g_0 != 0``), both given as :func:`_integral` returns them through ``precision``, for
+    ``riordan trace``: those of the degree-``min(m, precision)`` Taylor polynomials of
+    ``(g0 - g)/g0`` and ``f/g0``, the slope's through its last term and the offset's padded
+    with zeros to ``precision``: the Fractions of :func:`reciprocal_scheme`'s map ``m``, over
+    the least denominators of its limit map's, so from ``m = precision`` on they are the
+    ones :func:`_integral` gives that map."""
     (den_f, big_f), (den_g, big_g) = f, g
     sign = 1 if big_g[0] > 0 else -1
     # with F = den_f*f and G = den_g*g, (g0 - g)/g0 = -G/G_0 past its zero constant term,

@@ -13,8 +13,9 @@ convolution of ``a`` and ``b`` is added straight onto the scaled ``c``, and one
 reduced Fraction is built per output coefficient by ``_fractions``, where every
 integer stage of the package becomes Fractions (with no gcd when the scale is
 1).  ``s * t`` is ``s*t + 0``, ``s + t`` is ``1*s + t`` and ``s - t`` is
-``(-1)*t + s``.  The affine step of the iteration engine runs only the integer
-stage, ``_integer_mul_add``, on the integers each step hands the next.  The
+``(-1)*t + s``, and the affine step ``a*t + b`` of the iteration engine is one
+such pass.  The loop that ``riordan trace`` prints runs only the integer stage,
+``_integer_mul_add``, on the integers each step hands the next.  The
 entries are canonical, so the result is the same series the schoolbook Fraction
 sums give.
 
@@ -350,8 +351,8 @@ def _mul_add(a: tuple[int, list[int]], b: Series, c: tuple[int, list[int]], p: i
     as :func:`_integral` returns them: ``b`` is scaled once, :func:`_integer_mul_add` adds
     the convolution of ``a`` and ``b`` straight onto ``c``, and one reduced Fraction is
     built per coefficient by :func:`_fractions` (with no gcd when the denominator is 1).
-    ``*``, ``+`` and ``-`` on two series run this pass; the crossed iteration of
-    :mod:`riordan.fixpoint` runs only the integer stage, on the iterate it already holds."""
+    ``*``, ``+`` and ``-`` on two series and a call of :class:`~riordan.fixpoint.AffineMap`
+    run this pass."""
     den, out = _integer_mul_add(a, _integral(b._coeffs[: p + 1]), c, p)
     return Series._of(_fractions(out, [den] * len(out)))
 

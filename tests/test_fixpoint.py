@@ -40,6 +40,7 @@ from oracles import (
     random_fraction,
     random_series,
 )
+from sweep import FAMILIES, cases
 
 GEOMETRIC_MAP_PRECISION = 6
 
@@ -153,62 +154,54 @@ def record_scalings(monkeypatch):
 
 
 def test_affine_map_scales_its_data_once_for_every_precision(monkeypatch):
-    # slope and offset are scaled on the first call, over all their coefficients: a
-    # denominator read past the iterate's precision reduces to the same Fractions; a call
-    # is one iteration step, so it scales its argument once, as the start of that run
+    # a call is one _mul_add pass at the least precision of slope, t and offset: it scales
+    # slope and offset through that precision, and t once, as the pass's operand
     amap = AffineMap(Series([0, F(1, 2), 0, F(-2, 3), 0, 0, 0, F(5, 11)], 9),
                      Series([F(3, 4), 1, 0, 0, 0, F(1, 13)], 9))
     scaled, ring = record_scalings(monkeypatch)
-    ts = []
     for p in (0, 2, 4, 9, 7):
         t = Series([F(-1, 5), 2, F(1, 3), 0, 7, F(2, 7), 0, 1, 0, F(-9, 2)], p)
-        ts.append(t.coefficients)
-        fraction_for_fraction(amap(t), amap.slope.truncate(p) * t + amap.offset.truncate(p))
-    assert scaled == [ts[0], amap.slope.coefficients, amap.offset.coefficients, *ts[1:]]
-    # plain iteration scales the start once and the map data once, and no iterate
-    fresh, start = AffineMap(amap.slope, amap.offset), Series([F(2, 3), 0, F(-1, 7)], 9)
-    scaled.clear()
-    ring.clear()
-    trace = iterate_fixed(fresh, start, 12)
-    assert scaled == [start.coefficients, amap.slope.coefficients, amap.offset.coefficients]
-    assert ring == []
+        scaled.clear()
+        ring.clear()
+        got = amap(t)
+        assert scaled == [amap.slope.coefficients[: p + 1], amap.offset.coefficients[: p + 1]]
+        assert ring == [t.coefficients]
+        fraction_for_fraction(got, amap.slope.truncate(p) * t + amap.offset.truncate(p))
+    # plain iteration applies the map to each iterate
+    trace = iterate_fixed(amap, Series([F(2, 3), 0, F(-1, 7)], 9), 12)
     assert trace.last == amap(trace[-2])
 
 
 @pytest.mark.parametrize("den", [1, 2])
 def test_a_map_at_its_fixed_point_returns_the_fractions_of_its_argument(den):
-    # a call is one iterate_crossed step, which keeps the Fraction of every integer it
-    # leaves unchanged: t -> (x/den)*t + 1 on the truncation of 1/(1 - x/den)
+    # t -> (x/den)*t + 1 on the truncation of 1/(1 - x/den)
     amap = AffineMap(Series([0, F(1, den)], 6), Series.one(6))
     t = Series([F(1, den ** n) for n in range(7)])
     got = amap(t)
     assert got == amap.slope * t + amap.offset
-    assert all(a is b for a, b in zip(got.coefficients, t.coefficients, strict=True))
+    assert got == t
 
 
 @pytest.mark.parametrize("column", [1, 2, 4])
 def test_crossed_runs_scale_the_scheme_data_and_the_start_once(monkeypatch, column):
-    # the scheme scales g and the numerator once, into the integers of the limit map's slope
-    # and offset, and hands every step map prefixes of them; each step hands its iterate to
-    # the next as integers, so only the start is scaled
+    # every step map is the truncation of the limit map's slope and offset, padded back to
+    # the precision; the trace scales g and the numerator once, into the integers that
+    # _division_steps hands every step
     p = 7
     f = Series([F(1, 3), 2, 0, F(5, 2)], p)
     g = Series([F(-3, 2), 1, F(2, 5), 0, F(-1, 7)], p)
     start = Series([F(1, 2), F(-4, 3)], p)
     prev = reciprocal(f, g ** (column - 1), p).shift(column - 2) if column > 1 else None
-    scaled, ring = record_scalings(monkeypatch)
+    numerator = f if column == 1 else prev.truncate(p - 1).shift(1)
+    steps_of = fixpoint._division_steps(series._integral(numerator.coefficients[: p + 1]),
+                                        series._integral(g.coefficients[: p + 1]), p)
     for steps in (1, 2, 5, p + 1, 3 * p):
-        scaled.clear()
-        ring.clear()
         scheme = reciprocal_scheme(f, g, p) if column == 1 else column_scheme(f, g, column, prev)
         trace = iterate_crossed(scheme, start, steps)
-        assert ring == []
         limit = scheme(3 * p)
-        numerator = f if column == 1 else prev.truncate(p - 1).shift(1)
-        assert scaled == [g.coefficients, numerator.coefficients, start.coefficients]
         assert list(limit.slope.coefficients) == [0] + [-c / g[0] for c in g.coefficients[1:]]
         assert list(limit.offset.coefficients) == [c / g[0] for c in numerator.coefficients]
-        # every step map's integers are its slope, through its last term, and its offset,
+        # every step's integers are its map's slope, through its last term, and its offset,
         # zeros included; from degree p on they are the limit map's, over the least
         # denominators (a prefix's may be smaller)
         for m in range(3 * p + 1):
@@ -216,7 +209,7 @@ def test_crossed_runs_scale_the_scheme_data_and_the_start_once(monkeypatch, colu
             cut = min(m, p)
             assert amap.slope == limit.slope.truncate(cut).pad(p)
             assert amap.offset == limit.offset.truncate(cut).pad(p)
-            slope, offset = amap._scaled
+            slope, offset = steps_of(m)
             for (den, nums), want in ((slope, amap.slope.coefficients[: cut + 1]),
                                       (offset, amap.offset.coefficients)):
                 assert den > 0 and [F(v, den) for v in nums] == list(want)
@@ -273,9 +266,9 @@ def unfused_trace(scheme, start, steps):
 
 
 def test_crossed_iteration_hands_each_step_the_integers_of_its_iterate(monkeypatch):
-    # the integers carried from step to step are those of _integral on the iterate, whose
-    # denominators stop growing once the iterate converges, even past the precision; the
-    # Fractions of the unchanged ones are shared, and every iterate is the unfused one
+    # the integers the trace's loop carries from step to step are those of _integral on the
+    # reference iterate, whose denominators stop growing once the iterate converges, even
+    # past the precision; every iterate of iterate_crossed is the unfused one
     rng = random.Random(31)
     handed = []
     real = fixpoint._integer_mul_add
@@ -295,19 +288,46 @@ def test_crossed_iteration_hands_each_step_the_integers_of_its_iterate(monkeypat
         if not g[0]:
             g = g + 1
         amap = AffineMap(rational(p, order=1), rational(p))
-        for scheme in (reciprocal_scheme(f, g, p), lambda m, amap=amap: amap):
+        division = fixpoint._division_steps(series._integral(f.coefficients),
+                                            series._integral(g.coefficients), p)
+        constant = (series._integral(amap.slope.coefficients),
+                    series._integral(amap.offset.coefficients), p)
+        for scheme, step in ((reciprocal_scheme(f, g, p), lambda m: (*division(m), p)),
+                             (lambda m, amap=amap: amap, lambda m: constant)):
             start = rational(p)
             for steps in (0, 1, p, p + 1, 3 * p):
+                want = unfused_trace(scheme, start, steps)
                 handed.clear()
+                held = series._integral(start.coefficients)
+                yielded = list(fixpoint._crossed_integers(held, map(step, range(steps))))
+                assert yielded == [series._integral(t.coefficients) for t in want[1:]]
+                assert handed == [series._integral(t.coefficients) for t in want[:steps]]
                 trace = iterate_crossed(scheme, start, steps)
-                assert handed == [series._integral(t.coefficients) for t in trace[:steps]]
-                # a coefficient whose integer over the same denominator stays keeps its Fraction
-                for before, after in zip(trace, trace[1:]):
-                    (d0, n0), (d1, n1) = (series._integral(t.coefficients) for t in (before, after))
-                    kept = [x is y for x, y in zip(after.coefficients, before.coefficients)]
-                    assert kept == [d0 == d1 and u == v for u, v in zip(n1, n0)]
-                for got, want in zip(trace, unfused_trace(scheme, start, steps), strict=True):
-                    fraction_for_fraction(got, want)
+                for got, reference in zip(trace, want, strict=True):
+                    fraction_for_fraction(got, reference)
+
+
+def test_reference_path_runs_without_the_trace_integer_loop(monkeypatch):
+    # the reference iterates come from the maps alone, applied as the paper defines them:
+    # with the trace's integer loop and step integers refused, every reference run of the
+    # sweep's families, at its small depths, is still the unfused one
+    def refused(*args):
+        raise AssertionError("the reference path read the trace's integer loop")
+
+    monkeypatch.setattr(fixpoint, "_crossed_integers", refused)
+    monkeypatch.setattr(fixpoint, "_division_steps", refused)
+    for family in FAMILIES:
+        for f, g, h, depth in cases(family):
+            if depth > 8:
+                break
+            p = depth - 1
+            amap = AffineMap(g.shift(1).truncate(p), f.truncate(p))
+            for scheme in (reciprocal_scheme(f, g, p),
+                           column_scheme(f, g, 2, reciprocal(f, g, p))):
+                assert iterate_crossed(scheme, h, p + 1).iterates == unfused_trace(scheme, h, p + 1)
+            fixed = unfused_trace(lambda m: amap, h, depth)
+            assert iterate_fixed(amap, h, depth).iterates == fixed
+            assert amap(h) == fixed[1]
 
 
 def polynomial_panel():
