@@ -27,12 +27,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
-from .fixpoint import _crossed_integers, _division_steps, reciprocal
+from .fixpoint import reciprocal
 from .reversion import invert_series
-from .series import Series, SeriesError, _literal, _strings, format_polynomial
+from .series import Series, SeriesError, _integer_mul_add, _literal, format_polynomial
 from .triangles import RiordanMatrix, SequencePair
 
 __all__ = ["main"]
@@ -114,10 +113,9 @@ def render_matrix(t: RiordanMatrix, fmt: str) -> str:
 
 
 @_checked
-def render_trace(rows: list[tuple[int, list[int]]], fmt: str) -> str:
-    """The iterates ``(D, D*t)`` of a crossed iteration, each coefficient printed as the
-    ``str`` of its Fraction with none built."""
-    iterates = [_strings(nums, [den] * len(nums)) for den, nums in rows]
+def render_trace(rows: list[list[int]], fmt: str) -> str:
+    """The integer iterates of a crossed iteration, each coefficient printed as its ``str``."""
+    iterates = [list(map(str, row)) for row in rows]
     if fmt == "json":
         return json.dumps(iterates)
     if fmt == "csv":
@@ -184,7 +182,8 @@ class Command:
 
 class Trace:
     """``riordan trace``, whose ``--steps`` and ``--n`` floors are usage errors (exit 2).
-    It runs the crossed iteration on integers and prints them: no Fraction is built."""
+    Every scheme it prints is an integer map ``t -> slope*t + offset`` from the zero start,
+    so it steps the crossed iteration on integers and prints them: no Fraction is built."""
 
     help = "show iteration traces"
     flags = _flag_table(Flag("scheme", ("geometric", "arithgeo", "column", "curious")),
@@ -201,19 +200,23 @@ class Trace:
             # t -> x*t + 1, or t -> (2x - x^2)*t + 1, whose iterates reach degree 2*steps
             p = steps if args.scheme == "geometric" else 2 * steps
             slope = [0, 1] if args.scheme == "geometric" else [0, 2, -1]
-            maps = repeat(((1, slope), (1, [1] + [0] * p), p), steps)
+            offset = [1] + [0] * p
         else:
             n = 2 if args.scheme == "arithgeo" else args.n
             if n < 2:
                 raise SeriesParseError("--n: column index must be at least 2")
             p = steps
             # column n of the binomial triangle is the division by 1 - x of x times column
-            # n - 1, x^(n-1)/(1-x)^(n-1) = sum C(m-1, n-2) x^m (math.comb is 0 for m < n - 2)
-            numerator = [0] + [math.comb(m, n - 2) for m in range(p)]
-            division = _division_steps((1, numerator), (1, [1, -1] + [0] * (p - 1)), p)
-            maps = ((*division(m), p) for m in range(steps))
-        start = (1, [0] * (p + 1))
-        return render_trace([start, *_crossed_integers(start, maps)], args.format)
+            # n - 1, x^(n-1)/(1-x)^(n-1) = sum C(m-1, n-2) x^m (math.comb is 0 for m < n - 2);
+            # step m reads the offset through degree m, and at step 0 the slope x acts on the
+            # zero start as the scheme's T_0(x) = 0 does
+            slope = [0, 1]
+            offset = [0] + [math.comb(m, n - 2) for m in range(p)]
+        rows = [[0] * (p + 1)]
+        for m in range(steps):
+            cut = offset[: m + 1] + [0] * (p - m)
+            rows.append(_integer_mul_add((1, slope), (1, rows[-1]), (1, cut), p)[1])
+        return render_trace(rows, args.format)
 
 
 # outputs look names up when they run, so a name rebound later (by a tracer) is called;

@@ -23,9 +23,8 @@ iteration as the paper defines it: one division scheme, :func:`reciprocal_scheme
 by one loop, :func:`iterate_crossed`, that applies each step's map to the iterate
 before; a triangle column is the division scheme of ``x * previous column``, and plain
 iteration is the crossed iteration of a constant scheme.  ``riordan trace`` prints the
-same iterates from integers, off its own loop, :func:`_crossed_integers`, fed with a
-division scheme's step integers by :func:`_division_steps`; the tests check its output
-against the reference.
+same iterates off a loop of its own on integers, which the tests check against this
+reference.
 """
 
 from __future__ import annotations
@@ -38,8 +37,7 @@ from itertools import accumulate, repeat
 from operator import add, floordiv, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .series import (DomainError, PrecisionError, Series, _fractions, _integer_mul_add, _integral,
-                     _mul_add)
+from .series import DomainError, PrecisionError, Series, _fractions, _integral, _mul_add
 
 __all__ = [
     "AffineMap",
@@ -137,22 +135,6 @@ def iterate_crossed(scheme: Callable[[int], AffineMap], start: Series,
     return IterationTrace(tuple(iterates))
 
 
-def _crossed_integers(held: tuple[int, list[int]],
-                      maps: Iterable[tuple[tuple[int, list[int]], tuple[int, list[int]], int]]
-                      ) -> Iterator[tuple[int, list[int]]]:
-    """The crossed iteration on integers, the loop ``riordan trace`` prints: from ``held``,
-    :func:`~riordan.series._integral` of the start, ``(D, D*t)`` of each iterate after it,
-    one per ``(slope, offset, p)`` of ``maps``, a step map's integers as :func:`_integral`
-    returns them and its precision.  A step runs :func:`~riordan.series._integer_mul_add` on
-    the integers of the iterate before, through the least of ``p`` and that iterate's
-    precision, and divides its output by the gcd of its denominator and numerators, which
-    leaves ``_integral`` of the new iterate, the integers it hands on.  Its iterates are
-    those of :func:`iterate_crossed` on the same maps."""
-    for slope, offset, p in maps:
-        held = _lowest(*_integer_mul_add(slope, held, offset, min(p, len(held[1]) - 1)))
-        yield held
-
-
 def iterate_fixed(map_: AffineMap, start: Series, steps: int) -> IterationTrace:
     """Plain iteration of one contraction: the crossed iteration of the
     constant scheme ``m -> map_``.
@@ -194,29 +176,6 @@ def reciprocal_scheme(f: Series, g: Series, precision: int) -> Callable[[int], A
     return maps
 
 
-def _division_steps(f: tuple[int, list[int]], g: tuple[int, list[int]], precision: int
-                    ) -> Callable[[int], tuple[tuple[int, list[int]], tuple[int, list[int]]]]:
-    """Step ``m``'s slope and offset integers in the division scheme of ``f`` by ``g``
-    (``g_0 != 0``), both given as :func:`_integral` returns them through ``precision``, for
-    ``riordan trace``: those of the degree-``min(m, precision)`` Taylor polynomials of
-    ``(g0 - g)/g0`` and ``f/g0``, the slope's through its last term and the offset's padded
-    with zeros to ``precision``: the Fractions of :func:`reciprocal_scheme`'s map ``m``, over
-    the least denominators of its limit map's, so from ``m = precision`` on they are the
-    ones :func:`_integral` gives that map."""
-    (den_f, big_f), (den_g, big_g) = f, g
-    sign = 1 if big_g[0] > 0 else -1
-    # with F = den_f*f and G = den_g*g, (g0 - g)/g0 = -G/G_0 past its zero constant term,
-    # hence a 1/2-contraction, and f/g0 = den_g*F/(den_f*G_0)
-    ds, big_s = _lowest(sign * big_g[0], [0] + [-sign * v for v in big_g[1:]])
-    do, big_o = _lowest(sign * big_g[0] * den_f, [sign * den_g * v for v in big_f])
-
-    def step(m: int) -> tuple[tuple[int, list[int]], tuple[int, list[int]]]:
-        cut = min(m, precision)
-        return (ds, big_s[: cut + 1]), (do, big_o[: cut + 1] + [0] * (precision - cut))
-
-    return step
-
-
 def reciprocal(f: Series, g: Series, precision: int) -> Series:
     """Exact quotient ``f/g`` through ``precision``, its operands checked here (``g0 != 0``).
 
@@ -253,13 +212,6 @@ def _division_columns(f: Series, g: Series, precision: int, count: int,
         out.append(convert(s if bk == 1 else map(mul, s, repeat(bk)), column_dens))
         ak, bk = ak * a, bk * b
     return out
-
-
-def _lowest(den: int, nums: list[int]) -> tuple[int, list[int]]:
-    """``(den, nums)``, ``den > 0``, divided by their gcd: :func:`_integral` of the Fractions
-    ``n/den``."""
-    c = math.gcd(den, *nums)
-    return (den, nums) if c == 1 else (den // c, [v // c for v in nums])
 
 
 def _positive(g0: Fraction) -> tuple[int, int]:

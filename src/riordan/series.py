@@ -14,10 +14,9 @@ reduced Fraction is built per output coefficient by ``_fractions``, where every
 integer stage of the package becomes Fractions (with no gcd when the scale is
 1).  ``s * t`` is ``s*t + 0``, ``s + t`` is ``1*s + t`` and ``s - t`` is
 ``(-1)*t + s``, and the affine step ``a*t + b`` of the iteration engine is one
-such pass.  The loop that ``riordan trace`` prints runs only the integer stage,
-``_integer_mul_add``, on the integers each step hands the next.  The
-entries are canonical, so the result is the same series the schoolbook Fraction
-sums give.
+such pass.  The entries are canonical, so the result is the same series the
+schoolbook Fraction sums give.  ``riordan trace``, whose maps and iterates are
+integers, steps them by the integer stage alone, ``_integer_mul_add``.
 
 The module also provides the non-Archimedean metric that drives the
 iteration engine: ``distance(f, g) == Fraction(1, 2**k)`` where ``k`` is
@@ -362,10 +361,8 @@ def _integer_mul_add(a: tuple[int, list[int]], b: tuple[int, list[int]],
     """``(D, D*(a*b + c))`` through degree ``p``, all three given scaled as :func:`_integral`
     returns them, ``D`` the lcm of ``a``'s and ``b``'s denominators' product and ``c``'s:
     ``c`` over at least ``p + 1`` coefficients, ``a`` and ``b`` over any number, a missing
-    coefficient counting as zero and those past ``p`` unread.  A denominator that clears
-    more coefficients than are read gives the same Fractions, so data can be scaled once
-    and read at any ``p``.  The zero coefficients of ``a`` cost nothing, so pass the
-    sparser factor there."""
+    coefficient counting as zero and those past ``p`` unread.  The zero coefficients of
+    ``a`` cost nothing, so pass the sparser factor there."""
     (da, ia), (db, ib), (dc, ic) = a, b, c
     den = math.lcm(da * db, dc)
     sa, sc = den // (da * db), den // dc

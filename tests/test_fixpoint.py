@@ -1,7 +1,6 @@
 """Tests for the contraction maps and the crossed-iteration machinery."""
 
 import json
-import math
 import random
 from fractions import Fraction as F
 
@@ -183,37 +182,26 @@ def test_a_map_at_its_fixed_point_returns_the_fractions_of_its_argument(den):
 
 
 @pytest.mark.parametrize("column", [1, 2, 4])
-def test_crossed_runs_scale_the_scheme_data_and_the_start_once(monkeypatch, column):
+def test_crossed_runs_scale_the_scheme_data_and_the_start_once(column):
     # every step map is the truncation of the limit map's slope and offset, padded back to
-    # the precision; the trace scales g and the numerator once, into the integers that
-    # _division_steps hands every step
+    # the precision, and the crossed iterates are the unfused ones
     p = 7
     f = Series([F(1, 3), 2, 0, F(5, 2)], p)
     g = Series([F(-3, 2), 1, F(2, 5), 0, F(-1, 7)], p)
     start = Series([F(1, 2), F(-4, 3)], p)
     prev = reciprocal(f, g ** (column - 1), p).shift(column - 2) if column > 1 else None
     numerator = f if column == 1 else prev.truncate(p - 1).shift(1)
-    steps_of = fixpoint._division_steps(series._integral(numerator.coefficients[: p + 1]),
-                                        series._integral(g.coefficients[: p + 1]), p)
     for steps in (1, 2, 5, p + 1, 3 * p):
         scheme = reciprocal_scheme(f, g, p) if column == 1 else column_scheme(f, g, column, prev)
         trace = iterate_crossed(scheme, start, steps)
         limit = scheme(3 * p)
         assert list(limit.slope.coefficients) == [0] + [-c / g[0] for c in g.coefficients[1:]]
         assert list(limit.offset.coefficients) == [c / g[0] for c in numerator.coefficients]
-        # every step's integers are its map's slope, through its last term, and its offset,
-        # zeros included; from degree p on they are the limit map's, over the least
-        # denominators (a prefix's may be smaller)
         for m in range(3 * p + 1):
             amap = scheme(m)
             cut = min(m, p)
             assert amap.slope == limit.slope.truncate(cut).pad(p)
             assert amap.offset == limit.offset.truncate(cut).pad(p)
-            slope, offset = steps_of(m)
-            for (den, nums), want in ((slope, amap.slope.coefficients[: cut + 1]),
-                                      (offset, amap.offset.coefficients)):
-                assert den > 0 and [F(v, den) for v in nums] == list(want)
-                assert m < p or math.gcd(den, *nums) == 1
         assert trace.iterates == unfused_trace(scheme, start, steps)
 
 
@@ -244,7 +232,7 @@ def cli_trace_run(argv, steps):
 def test_cli_traces_equal_the_unfused_reference_loop(capsys, argv):
     # each format prints the unfused iterates: json and csv their coefficients' strings,
     # pretty the reference formatter's rows
-    for steps in range(1, 25):
+    for steps in (*range(1, 25), cli.MAX_SIZE):
         want = unfused_trace(*cli_trace_run(argv, steps), steps)
         printed = {}
         for fmt in ("json", "csv", "pretty"):
@@ -265,43 +253,25 @@ def unfused_trace(scheme, start, steps):
     return tuple(want)
 
 
-def test_crossed_iteration_hands_each_step_the_integers_of_its_iterate(monkeypatch):
-    # the integers the trace's loop carries from step to step are those of _integral on the
-    # reference iterate, whose denominators stop growing once the iterate converges, even
-    # past the precision; every iterate of iterate_crossed is the unfused one
+def test_crossed_iteration_equals_the_unfused_loop_on_rational_schemes():
+    # on random rational division and constant schemes, from random rational starts and
+    # past the precision, every iterate of iterate_crossed is the unfused one
     rng = random.Random(31)
-    handed = []
-    real = fixpoint._integer_mul_add
-
-    def recording(a, b, c, p):
-        handed.append(b)
-        return real(a, b, c, p)
 
     def rational(precision, order=0):
         return Series([0] * order + [F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
                                      for _ in range(precision + 1 - order)], precision)
 
-    monkeypatch.setattr(fixpoint, "_integer_mul_add", recording)
     for _ in range(12):
         p = rng.randint(1, 7)
         f, g = rational(p), rational(p)
         if not g[0]:
             g = g + 1
         amap = AffineMap(rational(p, order=1), rational(p))
-        division = fixpoint._division_steps(series._integral(f.coefficients),
-                                            series._integral(g.coefficients), p)
-        constant = (series._integral(amap.slope.coefficients),
-                    series._integral(amap.offset.coefficients), p)
-        for scheme, step in ((reciprocal_scheme(f, g, p), lambda m: (*division(m), p)),
-                             (lambda m, amap=amap: amap, lambda m: constant)):
+        for scheme in (reciprocal_scheme(f, g, p), lambda m, amap=amap: amap):
             start = rational(p)
             for steps in (0, 1, p, p + 1, 3 * p):
                 want = unfused_trace(scheme, start, steps)
-                handed.clear()
-                held = series._integral(start.coefficients)
-                yielded = list(fixpoint._crossed_integers(held, map(step, range(steps))))
-                assert yielded == [series._integral(t.coefficients) for t in want[1:]]
-                assert handed == [series._integral(t.coefficients) for t in want[:steps]]
                 trace = iterate_crossed(scheme, start, steps)
                 for got, reference in zip(trace, want, strict=True):
                     fraction_for_fraction(got, reference)
@@ -309,13 +279,12 @@ def test_crossed_iteration_hands_each_step_the_integers_of_its_iterate(monkeypat
 
 def test_reference_path_runs_without_the_trace_integer_loop(monkeypatch):
     # the reference iterates come from the maps alone, applied as the paper defines them:
-    # with the trace's integer loop and step integers refused, every reference run of the
-    # sweep's families, at its small depths, is still the unfused one
+    # with the trace's integer loop refused, every reference run of the sweep's families,
+    # at its small depths, is still the unfused one
     def refused(*args):
         raise AssertionError("the reference path read the trace's integer loop")
 
-    monkeypatch.setattr(fixpoint, "_crossed_integers", refused)
-    monkeypatch.setattr(fixpoint, "_division_steps", refused)
+    monkeypatch.setattr(cli.Trace, "run", refused)
     for family in FAMILIES:
         for f, g, h, depth in cases(family):
             if depth > 8:
@@ -355,9 +324,9 @@ def test_format_polynomial_equals_the_fraction_based_reference():
 
 def test_series_and_trace_rows_print_as_the_reference_formatter():
     # 200 seeded coefficient lists drawn from zero, +-1, other integers of either sign,
-    # rationals, and 400-bit integers and rationals: str of the Series, the formatter on
-    # the coefficients' strings and the trace's pretty rows, printed from the integers
-    # (D, D*t), each give the reference's text
+    # rationals, and 400-bit integers and rationals: str of the Series and the formatter on
+    # the coefficients' strings each give the reference's text, and so do the trace's pretty
+    # rows on the integers of each list, its numerators
     rng = random.Random(24)
 
     def big():
@@ -374,8 +343,8 @@ def test_series_and_trace_rows_print_as_the_reference_formatter():
         want = reference_format(cs)
         assert str(Series(cs)) == want
         assert format_polynomial([str(c) for c in cs]) == want
-    rows = [series._integral(cs) for cs in panel]
-    assert cli.render_trace(rows, "pretty").split("\n") == list(map(reference_format, panel))
+    rows = [[c.numerator for c in cs] for cs in panel]
+    assert cli.render_trace(rows, "pretty").split("\n") == list(map(reference_format, rows))
 
 
 # ----------------------------------------------------------------------
